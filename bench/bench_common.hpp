@@ -25,7 +25,7 @@
 //                      heartbeat progress for that long dumps its flight
 //                      recorder to stderr (and <PS_PROFILE>.stall.json
 //                      when PS_PROFILE is also set);
-//   PS_BACKEND=<bnb|cp|portfolio>  optimal-search backend for the corpus
+//   PS_BACKEND=<bnb|cp>  optimal-search backend for the corpus
 //                      run (default bnb);
 //   PS_SERVE=<port>    serve live observability endpoints (/metrics,
 //                      /healthz, /status, /profile?seconds=N, ...) on
@@ -96,7 +96,7 @@ inline CorpusRunOptions paper_run_options(std::uint64_t lambda = 50000) {
   if (const char* env = std::getenv("PS_BACKEND")) {
     if (env[0] != '\0') {
       PS_CHECK(parse_optimal_backend(env, &options.search.backend),
-               "PS_BACKEND must be bnb, cp, or portfolio");
+               "PS_BACKEND must be bnb or cp");
     }
   }
   return options;

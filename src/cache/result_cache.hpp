@@ -26,10 +26,10 @@
 //      warning (ps_result_cache_load_errors) — never a crash.
 //
 // Concurrency: the in-memory index is sharded by hash with one mutex per
-// shard (mirroring ShardedDominanceCache); disk appends serialize on a
-// file mutex and fsync before returning. One process-wide instance per
-// path (open_shared) makes every SearchConfig copy carrying the same
-// path share one cache.
+// shard, so concurrent corpus workers rarely contend; disk appends
+// serialize on a file mutex and fsync before returning. One process-wide
+// instance per path (open_shared) makes every SearchConfig copy carrying
+// the same path share one cache.
 #pragma once
 
 #include <array>

@@ -48,18 +48,16 @@ class Differ {
       exact({"metrics", field});
     }
 
-    // Search-shape totals: report, never fail. The curtail counts and the
-    // portfolio win split live here too — which racer finishes first (and
-    // hence which budget counter trips) depends on scheduling noise and on
-    // the backend's internal search shape, not on answer correctness.
+    // Search-shape totals: report, never fail. The curtail counts live
+    // here too — which budget counter trips depends on the backend's
+    // internal search shape, not on answer correctness.
     // Result-cache hit counts are informational too: a warm run hits
     // where a cold run misses, while the optima above must stay exact.
     for (const char* field :
          {"curtailed_lambda_blocks", "curtailed_deadline_blocks",
-          "portfolio_wins_bnb", "portfolio_wins_cp", "total_omega_calls",
-          "total_nodes_expanded", "total_schedules_examined",
-          "total_cache_probes", "total_cache_hits",
-          "total_result_cache_hits"}) {
+          "total_omega_calls", "total_nodes_expanded",
+          "total_schedules_examined", "total_cache_probes",
+          "total_cache_hits", "total_result_cache_hits"}) {
       info({"metrics", field});
     }
 
@@ -218,8 +216,7 @@ JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
   std::uint64_t initial_nops = 0, final_nops = 0, omega = 0, nodes = 0,
                 examined = 0, probes = 0, hits = 0;
   std::size_t errors = 0, infeasible = 0, optimal = 0, curtailed_lambda = 0,
-              curtailed_deadline = 0, wins_bnb = 0, wins_cp = 0,
-              result_cache_hits = 0;
+              curtailed_deadline = 0, result_cache_hits = 0;
   double total_seconds = 0;
   std::vector<double> seconds;
   seconds.reserve(records.size());
@@ -245,11 +242,6 @@ JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
       if (reason->as_string() == "lambda") ++curtailed_lambda;
       if (reason->as_string() == "deadline") ++curtailed_deadline;
     }
-    const JsonValue* winner = r.find("portfolio_winner");
-    if (winner != nullptr && winner->is_string()) {
-      if (winner->as_string() == "bnb") ++wins_bnb;
-      if (winner->as_string() == "cp") ++wins_cp;
-    }
     omega += static_cast<std::uint64_t>(number_or(r, "omega_calls", 0));
     nodes += static_cast<std::uint64_t>(number_or(r, "nodes_expanded", 0));
     examined +=
@@ -274,8 +266,6 @@ JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
   metric("infeasible_blocks", infeasible);
   metric("curtailed_lambda_blocks", curtailed_lambda);
   metric("curtailed_deadline_blocks", curtailed_deadline);
-  metric("portfolio_wins_bnb", wins_bnb);
-  metric("portfolio_wins_cp", wins_cp);
   metric("total_initial_nops", initial_nops);
   metric("total_final_nops", final_nops);
   metric("total_omega_calls", omega);

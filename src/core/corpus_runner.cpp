@@ -31,7 +31,6 @@ void fill_run_record(RunRecord& record, const SearchStats& stats) {
   record.completed = stats.completed;
   record.curtail_reason = stats.curtail_reason;
   record.feasible = stats.feasible;
-  record.portfolio_winner = stats.portfolio_winner;
   record.pruned_window = stats.pruned_window;
   record.pruned_readiness = stats.pruned_readiness;
   record.pruned_equivalence = stats.pruned_equivalence;
@@ -84,19 +83,6 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
     progress = silent_progress.get();
   }
 
-  // Nested-parallelism policy: a corpus with many blocks already keeps
-  // every pool worker busy, so intra-search threads would only multiply
-  // oversubscription (threads x search_threads runnable threads fighting
-  // over the same cores). Across-block parallelism wins whenever it can
-  // saturate the pool; per-block search threads are honored only when the
-  // block count is too small to do so — the "few hard blocks" regime the
-  // parallel search exists for.
-  SearchConfig search = options.search;
-  if (search.search_threads != 1 &&
-      params.size() >= pool.thread_count() * 4) {
-    search.search_threads = 1;
-  }
-
   std::atomic<std::uint64_t> blocks_done{0};
   static Counter& blocks_ok = metrics_counter(
       "ps_corpus_blocks_total", {{"status", "ok"}},
@@ -127,7 +113,7 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
         if (options.fault_hook) options.fault_hook(i, block);
         const DepGraph dag(block);
         const ScheduleResult result =
-            run_optimal_backend(options.machine, dag, search);
+            run_optimal_backend(options.machine, dag, options.search);
         fill_run_record(record, result.stats);
       }
     } catch (const std::exception& e) {
@@ -382,7 +368,6 @@ void emit_record_fields(const RunRecord& r, std::size_t index, Emit&& emit) {
   emit("completed", r.completed ? "true" : "false", true);
   emit("curtail_reason", curtail_reason_name(r.curtail_reason), false);
   emit("feasible", r.feasible ? "true" : "false", true);
-  emit("portfolio_winner", portfolio_winner_name(r.portfolio_winner), false);
   emit("pruned_window", std::to_string(r.pruned_window), true);
   emit("pruned_readiness", std::to_string(r.pruned_readiness), true);
   emit("pruned_equivalence", std::to_string(r.pruned_equivalence), true);
@@ -505,16 +490,13 @@ void write_bench_metrics(std::ostream& out,
   std::uint64_t initial_nops = 0, final_nops = 0, omega = 0, nodes = 0,
                 examined = 0, probes = 0, hits = 0;
   std::size_t errors = 0, infeasible = 0, optimal = 0, curtailed_lambda = 0,
-              curtailed_deadline = 0, wins_bnb = 0, wins_cp = 0,
-              result_cache_hits = 0;
+              curtailed_deadline = 0, result_cache_hits = 0;
   for (const RunRecord& r : records) {
     if (!r.error.empty()) {
       ++errors;
       continue;
     }
     if (r.result_cache_hit) ++result_cache_hits;
-    if (r.portfolio_winner == PortfolioWinner::Bnb) ++wins_bnb;
-    if (r.portfolio_winner == PortfolioWinner::Cp) ++wins_cp;
     if (r.feasible) {
       initial_nops += static_cast<std::uint64_t>(r.initial_nops);
       final_nops += static_cast<std::uint64_t>(r.final_nops);
@@ -542,10 +524,6 @@ void write_bench_metrics(std::ostream& out,
   field("infeasible_blocks", infeasible, false);
   field("curtailed_lambda_blocks", curtailed_lambda, false);
   field("curtailed_deadline_blocks", curtailed_deadline, false);
-  // Always emitted (zero for the single-backend runs) so the bench file
-  // shape does not depend on --backend.
-  field("portfolio_wins_bnb", wins_bnb, false);
-  field("portfolio_wins_cp", wins_cp, false);
   field("total_initial_nops", initial_nops, false);
   field("total_final_nops", final_nops, false);
   field("total_omega_calls", omega, false);

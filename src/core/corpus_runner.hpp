@@ -37,9 +37,6 @@ struct RunRecord {
   bool completed = true;    ///< condition [1] (provably optimal)
   CurtailReason curtail_reason = CurtailReason::None;
   bool feasible = true;     ///< pressure-constrained search found a schedule
-  /// Which racer produced the block's schedule (None unless the portfolio
-  /// backend ran the block).
-  PortfolioWinner portfolio_winner = PortfolioWinner::None;
 
   /// Branches killed per pruning rule (see SearchStats).
   std::uint64_t pruned_window = 0;

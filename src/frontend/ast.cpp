@@ -1,5 +1,6 @@
 #include "frontend/ast.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -24,6 +25,7 @@ ExprPtr Expr::make_negate(ExprPtr operand) {
   PS_ASSERT(operand);
   auto e = std::make_unique<Expr>();
   e->kind = Kind::Negate;
+  e->height = operand->height + 1;
   e->lhs = std::move(operand);
   return e;
 }
@@ -34,6 +36,7 @@ ExprPtr Expr::make_binary(Kind kind, ExprPtr lhs, ExprPtr rhs) {
   PS_ASSERT(lhs && rhs);
   auto e = std::make_unique<Expr>();
   e->kind = kind;
+  e->height = std::max(lhs->height, rhs->height) + 1;
   e->lhs = std::move(lhs);
   e->rhs = std::move(rhs);
   return e;

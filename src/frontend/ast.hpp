@@ -25,6 +25,7 @@ struct Expr {
   std::string variable;      ///< Kind::Variable
   ExprPtr lhs;               ///< unary operand / binary left
   ExprPtr rhs;               ///< binary right
+  int height = 1;            ///< levels in this subtree (a leaf is 1)
 
   static ExprPtr make_number(std::int64_t value);
   static ExprPtr make_variable(std::string name);

@@ -114,6 +114,30 @@ class Parser {
   }
 
  private:
+  /// One nesting level for the enclosing scope (see kMaxSourceNesting).
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      PS_CHECK(++parser_.depth_ <= kMaxSourceNesting,
+               "line " << parser_.lex_.line() << ": nesting deeper than "
+                       << kMaxSourceNesting << " levels");
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  /// `e` itself, unless its tree is higher than the nesting limit.
+  ExprPtr bounded(ExprPtr e) {
+    PS_CHECK(e->height <= kMaxSourceNesting,
+             "line " << lex_.line() << ": expression nested deeper than "
+                     << kMaxSourceNesting << " levels");
+    return e;
+  }
+
   /// Statements until end of input or a '}' (left for the caller).
   std::vector<Stmt> statement_list() {
     std::vector<Stmt> out;
@@ -124,6 +148,7 @@ class Parser {
   }
 
   std::vector<Stmt> braced_body() {
+    const Nest nest(*this);
     lex_.expect('{');
     std::vector<Stmt> body = statement_list();
     lex_.expect('}');
@@ -158,9 +183,11 @@ class Parser {
     ExprPtr left = term();
     for (;;) {
       if (lex_.accept('+')) {
-        left = Expr::make_binary(Expr::Kind::Add, std::move(left), term());
+        left = bounded(
+            Expr::make_binary(Expr::Kind::Add, std::move(left), term()));
       } else if (lex_.accept('-')) {
-        left = Expr::make_binary(Expr::Kind::Sub, std::move(left), term());
+        left = bounded(
+            Expr::make_binary(Expr::Kind::Sub, std::move(left), term()));
       } else {
         return left;
       }
@@ -171,9 +198,11 @@ class Parser {
     ExprPtr left = factor();
     for (;;) {
       if (lex_.accept('*')) {
-        left = Expr::make_binary(Expr::Kind::Mul, std::move(left), factor());
+        left = bounded(
+            Expr::make_binary(Expr::Kind::Mul, std::move(left), factor()));
       } else if (lex_.accept('/')) {
-        left = Expr::make_binary(Expr::Kind::Div, std::move(left), factor());
+        left = bounded(
+            Expr::make_binary(Expr::Kind::Div, std::move(left), factor()));
       } else {
         return left;
       }
@@ -181,8 +210,12 @@ class Parser {
   }
 
   ExprPtr factor() {
-    if (lex_.accept('-')) return Expr::make_negate(factor());
+    if (lex_.accept('-')) {
+      const Nest nest(*this);
+      return bounded(Expr::make_negate(factor()));
+    }
     if (lex_.accept('(')) {
+      const Nest nest(*this);
       ExprPtr inner = expr();
       lex_.expect(')');
       return inner;
@@ -194,6 +227,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;  ///< open nesting levels (see Nest)
 };
 
 }  // namespace

@@ -302,24 +302,18 @@ class CpSearch {
     }
   }
 
-  bool curtailed() {
-    if (config_.cancel &&
-        config_.cancel->load(std::memory_order_relaxed)) {
-      cancelled_ = true;
-      return true;
-    }
+  bool curtailed() const {
     return deadline_expired_ ||
            (config_.curtail_lambda != 0 &&
             stats_->omega_calls >= config_.curtail_lambda);
   }
 
-  /// Cancellation outranks the clock outranks lambda: once a stronger
-  /// signal arrived, the weaker budget no longer describes why we stopped.
+  /// The clock outranks lambda: once the deadline expired, lambda no
+  /// longer describes why we stopped.
   void record_curtail() {
     stats_->completed = false;
-    stats_->curtail_reason = cancelled_ ? CurtailReason::Cancelled
-                             : deadline_expired_ ? CurtailReason::Deadline
-                                                 : CurtailReason::Lambda;
+    stats_->curtail_reason =
+        deadline_expired_ ? CurtailReason::Deadline : CurtailReason::Lambda;
   }
 
   void slow_tick() {
@@ -816,7 +810,6 @@ class CpSearch {
   // Budgets.
   bool has_deadline_ = false;
   bool deadline_expired_ = false;
-  bool cancelled_ = false;
   std::chrono::steady_clock::time_point deadline_at_{};
 
   // Observability: flight recorder + heartbeat-delta baselines.

@@ -85,14 +85,13 @@
 // failure reports infeasible without probing any horizon.
 //
 // Config. CurtailReason budgets (curtail_lambda over cumulative
-// placement attempts + NOP advances across probes, deadline_seconds,
-// cancel) and max_live_registers are honored; seed_with_list_schedule
-// picks the incumbent returned on curtailment; dominance_cache /
+// placement attempts + NOP advances across probes, deadline_seconds)
+// and max_live_registers are honored; seed_with_list_schedule picks the
+// incumbent returned on curtailment; dominance_cache /
 // dominance_cache_bytes gate and size the DP failed-state memo. The
 // remaining B&B prune toggles (alpha_beta, equivalence_prune,
-// strong_equivalence, window_prune, lower_bound_prune) and
-// search_threads are ignored — the CP propagation rules are always on
-// and the solver is sequential.
+// strong_equivalence, window_prune, lower_bound_prune) are ignored —
+// the CP propagation rules are always on.
 //
 // Stats mapping (satellite of the backend-shape audit: every SearchStats
 // field is explicitly defined for this backend):
@@ -108,7 +107,7 @@
 //   pruned_pressure        register-ceiling skips
 //   pruned_dominance       DP failed-state memo hits
 //   cache_probes/hits      DP memo lookups / hits (== pruned_dominance)
-//   pruned_lower_bound, frontier_subtrees                              0
+//   pruned_lower_bound                                                 0
 //   initial_nops           seed (list or pressure-repaired) schedule cost
 //   incumbent_improvements successful probes (each beats the last by >= 1)
 //   completed/curtail_reason/feasible/best_nops    as for the B&B backend

@@ -1,13 +1,9 @@
 #include "sched/optimal_scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "sched/list_scheduler.hpp"
@@ -15,7 +11,6 @@
 #include "util/dominance_cache.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -28,57 +23,14 @@ namespace {
 
 constexpr int kInfiniteCost = std::numeric_limits<int>::max() / 2;
 
-/// One branching decision along a root-to-frontier path: which tuple was
-/// placed and, on machines with heterogeneous alternatives, which
-/// unit-signature group it was placed on (ignored when the opcode maps to
-/// no pipeline or a single group).
-struct PrefixStep {
-  TupleIndex tuple;
-  int group;
-};
-
 /// Seed for the second Zobrist table backing the dominance cache's
 /// verification word. Any value different from ZobristKeys' default works;
 /// what matters is that the two tables are independently random, so a
 /// placed-set collision under one is vanishingly unlikely under both.
 constexpr std::uint64_t kVerifyZobristSeed = 0xc0ffee5eedf00d42ull;
 
-/// A frontier subtree root, identified by the decisions that reach it.
-using Prefix = std::vector<PrefixStep>;
-
-/// State shared by every worker of one parallel search.
-///
-/// Soundness of the shared incumbent: best_nops only ever DECREASES, so a
-/// worker reading a stale value prunes with an equal-or-weaker alpha-beta
-/// bound than the freshest one — it can only explore more, never less,
-/// than a fully synchronized search would. Relaxed atomics therefore
-/// suffice for the bound itself; the Schedule payload is published under
-/// best_mutex with a double-check so the stored schedule always matches
-/// the stored cost.
-struct SharedSearch {
-  std::atomic<int> best_nops{kInfiniteCost};
-  std::mutex best_mutex;
-  Schedule best;
-
-  /// Global lambda ledger: workers drain local counts into it every
-  /// kParallelOmegaFlushInterval omega calls (see the header constant for
-  /// the resulting overshoot bound).
-  std::atomic<std::uint64_t> omega_total{0};
-  std::uint64_t curtail_lambda = 0;
-
-  /// Set once by whichever worker first trips a budget; every other
-  /// worker observes it at its next candidate-loop check and unwinds.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> deadline_expired{false};
-  std::atomic<int> curtail_reason{static_cast<int>(CurtailReason::None)};
-
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline_at{};
-};
-
 class Search {
  public:
-
   Search(const Machine& machine, const DepGraph& dag,
          const SearchConfig& config, const PipelineState& initial)
       : machine_(machine),
@@ -179,206 +131,9 @@ class Search {
     return result;
   }
 
-  // ---- Parallel-search interface (used only by run_parallel below) ----
-
-  /// Switch this instance into shared (parallel) mode. `cache` may be
-  /// null: the frontier builder shares budgets and the incumbent but must
-  /// NOT touch the dominance cache — inserting frontier states would make
-  /// every worker's first probe hit its own subtree root (same key, same
-  /// cost) and prune the entire subtree before exploring it.
-  void attach_shared(SharedSearch* shared, ShardedDominanceCache* cache) {
-    shared_ = shared;
-    shared_cache_ = cache;
-  }
-
-  /// Feed this ledger's heartbeats into a flight recorder. One monitor is
-  /// shared by every worker of a parallel search: any worker's heartbeat
-  /// proves the search as a whole is expanding nodes.
-  void attach_monitor(SearchMonitor* monitor) { monitor_ = monitor; }
-
-  /// Bind a stats ledger and rebuild the per-search tables from the seed
-  /// order. In shared mode `feasible` starts false ("no complete schedule
-  /// reached by THIS ledger yet"); the merge step ORs the ledgers and
-  /// forces true for unconstrained searches.
-  void prepare(const std::vector<TupleIndex>& seed, SearchStats* stats) {
-    stats_ = stats;
-    stats_->feasible = false;
-    init_from_seed(seed);
-    best_nops_ = shared_->best_nops.load(std::memory_order_relaxed);
-  }
-
-  /// Maximum simultaneously-live values of `seed` (prepare() first).
-  int seed_pressure(const std::vector<TupleIndex>& order) {
-    return seed_max_pressure(order);
-  }
-
-  /// Re-read the shared incumbent bound (after the driver reset it, e.g.
-  /// when the seed turned out pressure-infeasible).
-  void reload_incumbent() {
-    best_nops_ = shared_->best_nops.load(std::memory_order_relaxed);
-  }
-
-  /// Breadth-first expansion of one frontier node: replay `prefix`, run
-  /// the exact candidate loop descend() would run there — same rule
-  /// order, same counters — but instead of recursing, append each
-  /// surviving child prefix to `out`. Children that complete the schedule
-  /// are evaluated against the shared incumbent on the spot. Returns false
-  /// when a budget expired mid-expansion (the caller stops splitting).
-  bool expand_node(const Prefix& prefix, std::deque<Prefix>& out) {
-    for (const PrefixStep& s : prefix) replay_step(s);
-    bool ok = true;
-    ++stats_->nodes_expanded;
-    if ((stats_->nodes_expanded & 1023u) == 0) slow_tick();
-    best_nops_ = std::min(
-        best_nops_, shared_->best_nops.load(std::memory_order_relaxed));
-
-    const int position = static_cast<int>(timer_.depth()) + 1;
-    TupleIndex forced = -1;
-    if (config_.window_prune) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        const auto index = static_cast<TupleIndex>(i);
-        if (timer_.is_placed(index)) continue;
-        if (dag_.latest_position(index) == position) {
-          forced = index;
-          break;
-        }
-      }
-    }
-
-    std::vector<char>& tried_classes = tried_stack_[timer_.depth()];
-    std::fill(tried_classes.begin(), tried_classes.end(), 0);
-
-    for (TupleIndex candidate : candidates_by_seed_) {
-      if (!ok) break;
-      if (curtailed()) {
-        record_curtail();
-        ok = false;
-        break;
-      }
-      if (timer_.is_placed(candidate)) continue;
-      if (unplaced_preds_[static_cast<std::size_t>(candidate)] != 0) {
-        ++stats_->pruned_readiness;
-        continue;
-      }
-      if (forced >= 0 && candidate != forced) {
-        ++stats_->pruned_window;
-        continue;
-      }
-      if (pressure_blocks(candidate)) {
-        ++stats_->pruned_pressure;
-        continue;
-      }
-      if (config_.equivalence_prune) {
-        const int cls = classes_[static_cast<std::size_t>(candidate)];
-        if (tried_classes[static_cast<std::size_t>(cls)]) {
-          ++stats_->pruned_equivalence;
-          continue;
-        }
-        tried_classes[static_cast<std::size_t>(cls)] = true;
-      }
-
-      const auto& groups =
-          machine_.unit_groups(dag_.block().tuple(candidate).op);
-      const std::size_t branches = groups.empty() ? 1 : groups.size();
-      for (std::size_t g = 0; g < branches; ++g) {
-        if (curtailed()) {
-          record_curtail();
-          ok = false;
-          break;
-        }
-        count_omega();
-        const PrefixStep step{candidate, static_cast<int>(g)};
-        replay_step(step);
-        if (timer_.depth() == n_) {
-          // Complete schedule at the frontier: descend()'s leaf path
-          // (examine + shared publication) and nothing to queue.
-          ++stats_->schedules_examined;
-          stats_->feasible = true;
-          publish_leaf();
-        } else {
-          bool keep = true;
-          if (config_.alpha_beta && timer_.total_nops() >= best_nops_) {
-            keep = false;
-            ++stats_->pruned_alpha_beta;
-          }
-          if (keep && config_.lower_bound_prune &&
-              completion_lower_bound() - static_cast<int>(n_) >=
-                  best_nops_) {
-            keep = false;
-            ++stats_->pruned_lower_bound;
-          }
-          if (keep) {
-            out.push_back(prefix);
-            out.back().push_back(step);
-          }
-        }
-        unwind_step(step);
-        if (best_nops_ == 0) {
-          ok = false;  // provably optimal already; no point splitting on
-          break;       // (not a curtail: completed stays true)
-        }
-      }
-    }
-
-    for (std::size_t i = prefix.size(); i-- > 0;) unwind_step(prefix[i]);
-    return ok;
-  }
-
-  /// Explore one frontier subtree to completion (or curtailment) and
-  /// return this worker's exact stats ledger. Runs on a pool thread; all
-  /// cross-worker traffic goes through shared_/shared_cache_.
-  SearchStats run_subtree(const std::vector<TupleIndex>& seed,
-                          const Prefix& prefix) {
-    PS_TRACE_SPAN("search_subtree");
-    PS_PROF_PHASE("bnb");
-    prof_ = profiler_active_stack();  // this worker thread's stack
-    Timer wall;
-    SearchStats stats;
-    prepare(seed, &stats);
-    if (best_nops_ > 0 && !curtailed()) {
-      // Replaying the prefix is bookkeeping, not search: its omega calls
-      // were counted when the frontier pass created these children.
-      for (const PrefixStep& s : prefix) replay_step(s);
-      if (prof_ != nullptr) {
-        descend<true>();
-      } else {
-        descend<false>();
-      }
-    } else if (curtailed()) {
-      record_curtail();
-    }
-    flush_omega();
-    stats.cache_probes = cache_ledger_.probes;
-    stats.cache_hits = cache_ledger_.hits;
-    stats.cache_misses = cache_ledger_.misses;
-    stats.cache_evictions = cache_ledger_.evictions;
-    stats.cache_superseded = cache_ledger_.superseded;
-    stats.cache_verified_rejects = cache_ledger_.verified_rejects;
-    stats.pruned_dominance = cache_ledger_.hits;
-    stats.seconds = wall.seconds();
-    stats_ = nullptr;
-    return stats;
-  }
-
-  /// Drain the local omega count into the global ledger (end of a
-  /// worker's run, or whenever the flush interval fills).
-  void flush_omega() {
-    if (shared_ && omega_unflushed_ > 0) {
-      shared_->omega_total.fetch_add(omega_unflushed_,
-                                     std::memory_order_relaxed);
-      omega_unflushed_ = 0;
-    }
-  }
-
  private:
-  /// Rebuild every per-search table derived from the seed order (shared
-  /// between the sequential run() and the parallel prepare()).
+  /// Build every per-search table derived from the seed order.
   void init_from_seed(const std::vector<TupleIndex>& seed) {
-    seed_position_.assign(n_, 0);
-    for (std::size_t i = 0; i < n_; ++i) {
-      seed_position_[static_cast<std::size_t>(seed[i])] =
-          static_cast<int>(i);
-    }
     candidates_by_seed_ = seed;
 
     unplaced_preds_.resize(n_);
@@ -407,66 +162,12 @@ class Search {
     }
   }
 
-  /// Apply one recorded branching decision: the push half of descend()'s
   /// Flip `t`'s membership in both incremental placed-set hashes (the
   /// primary key and the independent verification word track the same set
-  /// through every push/pop/replay/unwind).
+  /// through every push and pop).
   void toggle_scheduled(TupleIndex t) {
     scheduled_hash_ ^= zobrist_.key(static_cast<std::size_t>(t));
     scheduled_hash2_ ^= zobrist2_.key(static_cast<std::size_t>(t));
-  }
-
-  /// loop body without any stats (used to replay prefixes and to expand
-  /// frontier children, which do their own counting).
-  void replay_step(const PrefixStep& s) {
-    const auto& groups =
-        machine_.unit_groups(dag_.block().tuple(s.tuple).op);
-    if (groups.empty()) {
-      timer_.push(s.tuple);
-    } else {
-      timer_.push(s.tuple, groups[static_cast<std::size_t>(s.group)]);
-    }
-    toggle_scheduled(s.tuple);
-    pressure_push(s.tuple);
-    for (TupleIndex succ : dag_.succs(s.tuple)) {
-      --unplaced_preds_[static_cast<std::size_t>(succ)];
-    }
-  }
-
-  void unwind_step(const PrefixStep& s) {
-    for (TupleIndex succ : dag_.succs(s.tuple)) {
-      ++unplaced_preds_[static_cast<std::size_t>(succ)];
-    }
-    pressure_pop(s.tuple);
-    toggle_scheduled(s.tuple);
-    timer_.pop();
-  }
-
-  /// One omega invocation, with the parallel ledger flush amortized to
-  /// one atomic add per kParallelOmegaFlushInterval calls.
-  void count_omega() {
-    ++stats_->omega_calls;
-    if (shared_ && ++omega_unflushed_ >= kParallelOmegaFlushInterval) {
-      flush_omega();
-    }
-  }
-
-  /// Shared-mode leaf: publish a strictly better complete schedule into
-  /// the shared incumbent. Double-checked under the mutex so the stored
-  /// schedule always matches the stored cost; the local bound re-syncs to
-  /// whatever won the race.
-  void publish_leaf() {
-    const int cost = timer_.total_nops();
-    if (cost >= best_nops_) return;
-    best_nops_ = cost;
-    std::lock_guard lock(shared_->best_mutex);
-    if (cost < shared_->best_nops.load(std::memory_order_relaxed)) {
-      shared_->best = timer_.snapshot();
-      shared_->best_nops.store(cost, std::memory_order_relaxed);
-      ++stats_->incumbent_improvements;
-    } else {
-      best_nops_ = shared_->best_nops.load(std::memory_order_relaxed);
-    }
   }
 
   /// Cold path of the per-node bookkeeping, reached every 1,024
@@ -474,14 +175,8 @@ class Search {
   /// heartbeat piggybacked on the same tick so instrumentation adds no
   /// second periodic branch to the hot loop.
   void slow_tick() {
-    if (shared_) {
-      if (shared_->has_deadline &&
-          !shared_->deadline_expired.load(std::memory_order_relaxed) &&
-          std::chrono::steady_clock::now() >= shared_->deadline_at) {
-        shared_->deadline_expired.store(true, std::memory_order_relaxed);
-      }
-    } else if (has_deadline_ && !deadline_expired_ &&
-               std::chrono::steady_clock::now() >= deadline_at_) {
+    if (has_deadline_ && !deadline_expired_ &&
+        std::chrono::steady_clock::now() >= deadline_at_) {
       deadline_expired_ = true;
     }
     emit_heartbeat();
@@ -510,10 +205,7 @@ class Search {
     }
     std::uint64_t probes = 0;
     std::uint64_t hits = 0;
-    if (shared_cache_) {
-      probes = cache_ledger_.probes;
-      hits = cache_ledger_.hits;
-    } else if (cache_) {
+    if (cache_) {
       const DominanceCacheStats& cs = cache_->stats();
       probes = cs.probes;
       hits = cs.hits;
@@ -535,58 +227,19 @@ class Search {
     }
   }
 
-  /// Cooperative cancellation through SearchConfig::cancel (how the
-  /// portfolio stops a losing racer). Checked alongside the budgets at
-  /// every curtail point, so cancellation latency is one candidate loop.
-  bool cancel_requested() const {
-    return config_.cancel != nullptr &&
-           config_.cancel->load(std::memory_order_relaxed);
-  }
-
   bool curtailed() const {
-    if (cancel_requested()) return true;
-    if (shared_) {
-      if (shared_->stop.load(std::memory_order_relaxed) ||
-          shared_->deadline_expired.load(std::memory_order_relaxed)) {
-        return true;
-      }
-      // Count our unflushed tail on top of the global ledger so a lone
-      // worker still curtails within one flush interval of lambda.
-      return shared_->curtail_lambda != 0 &&
-             shared_->omega_total.load(std::memory_order_relaxed) +
-                     omega_unflushed_ >=
-                 shared_->curtail_lambda;
-    }
     return deadline_expired_ ||
            (config_.curtail_lambda != 0 &&
             stats_->omega_calls >= config_.curtail_lambda);
   }
 
-  /// Mark the search truncated and record which budget fired.
-  /// Cancellation outranks the deadline outranks lambda: once a stronger
-  /// signal arrived, the weaker budget no longer describes why we
-  /// stopped. In shared mode the FIRST worker to trip a budget publishes
-  /// the reason and raises the stop flag; workers that unwind because of
-  /// the flag adopt the published reason, so every ledger of one
-  /// curtailed parallel search reports the same cause.
+  /// Mark the search truncated and record which budget fired. The
+  /// deadline outranks lambda: once the clock expired, lambda no longer
+  /// describes why we stopped.
   void record_curtail() {
     stats_->completed = false;
-    if (shared_) {
-      int expected = static_cast<int>(CurtailReason::None);
-      const int mine = static_cast<int>(
-          cancel_requested() ? CurtailReason::Cancelled
-          : shared_->deadline_expired.load(std::memory_order_relaxed)
-              ? CurtailReason::Deadline
-              : CurtailReason::Lambda);
-      shared_->curtail_reason.compare_exchange_strong(expected, mine);
-      shared_->stop.store(true, std::memory_order_relaxed);
-      stats_->curtail_reason = static_cast<CurtailReason>(
-          shared_->curtail_reason.load(std::memory_order_relaxed));
-      return;
-    }
-    stats_->curtail_reason = cancel_requested() ? CurtailReason::Cancelled
-                             : deadline_expired_ ? CurtailReason::Deadline
-                                                 : CurtailReason::Lambda;
+    stats_->curtail_reason =
+        deadline_expired_ ? CurtailReason::Deadline : CurtailReason::Lambda;
   }
 
   /// Admissible lower bound on the final issue cycle of any completion of
@@ -743,8 +396,8 @@ class Search {
   /// The recursion is instantiated twice: kProf=false is the everyday
   /// build with every phase marker constant-folded away (profiling off
   /// must cost nothing in the ~200ns/placement loop), kProf=true carries
-  /// the markers. run()/run_subtree() pick the instantiation once per
-  /// search from the captured prof_ pointer.
+  /// the markers. run() picks the instantiation once per search from the
+  /// captured prof_ pointer.
   template <bool kProf>
   void descend() {
     ++stats_->nodes_expanded;
@@ -752,21 +405,9 @@ class Search {
     // once per ~1024 node expansions so the hot loop pays one predictable
     // branch per node.
     if ((stats_->nodes_expanded & 1023u) == 0) slow_tick();
-    // Shared incumbent refresh: the bound only tightens, so a relaxed
-    // read of a stale value merely prunes less than the freshest bound
-    // would — never more (the soundness argument on SharedSearch).
-    if (shared_) {
-      best_nops_ = std::min(
-          best_nops_, shared_->best_nops.load(std::memory_order_relaxed));
-    }
     if (timer_.depth() == n_) {
       ++stats_->schedules_examined;
       stats_->feasible = true;
-      if (shared_) {
-        PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "incumbent_publish");
-        publish_leaf();
-        return;
-      }
       // Alpha-beta guarantees we only reach completion strictly below the
       // incumbent (when enabled); compare anyway for the ablation modes.
       if (timer_.total_nops() < best_nops_) {
@@ -784,27 +425,14 @@ class Search {
     // ever improves, so the earlier visit ran under an equal-or-weaker
     // alpha-beta bound and cannot have cut anything this branch would
     // keep. Equal-cost revisits are pruned too: that discards alternative
-    // optima reachable through this state, never all of them. The same
-    // holds across workers in shared mode: the cache entry is inserted
-    // BEFORE the subtree is explored, and a curtailed exploration flips
-    // the whole result to possibly-suboptimal anyway.
-    if (timer_.depth() > 0) {
+    // optima reachable through this state, never all of them.
+    if (timer_.depth() > 0 && cache_) {
       PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "dominance_probe");
-      if (shared_cache_) {
-        const StateKey sk = state_key();
-        if (shared_cache_->probe_and_update(sk.key, sk.verify,
-                                            static_cast<int>(timer_.depth()),
-                                            timer_.total_nops(),
-                                            cache_ledger_)) {
-          return;
-        }
-      } else if (cache_) {
-        const StateKey sk = state_key();
-        if (cache_->probe_and_update(sk.key, sk.verify,
-                                     static_cast<int>(timer_.depth()),
-                                     timer_.total_nops())) {
-          return;
-        }
+      const StateKey sk = state_key();
+      if (cache_->probe_and_update(sk.key, sk.verify,
+                                   static_cast<int>(timer_.depth()),
+                                   timer_.total_nops())) {
+        return;
       }
     }
 
@@ -882,7 +510,7 @@ class Search {
           // Omega's incremental append: the placement itself plus every
           // piece of state pushed alongside it.
           PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_append");
-          count_omega();
+          ++stats_->omega_calls;
           if (groups.empty()) {
             timer_.push(candidate);
           } else {
@@ -934,7 +562,6 @@ class Search {
   const std::size_t n_;
   std::vector<int> classes_;
   std::vector<int> latency_height_;
-  std::vector<int> seed_position_;
   std::vector<TupleIndex> candidates_by_seed_;
   std::vector<int> unplaced_preds_;
   std::vector<std::vector<char>> tried_stack_;
@@ -953,194 +580,19 @@ class Search {
   int best_nops_ = 0;
   Schedule* best_schedule_ = nullptr;
   SearchStats* stats_ = nullptr;
-
-  // Parallel-mode wiring; both null in the sequential path, which keeps
-  // every shared-mode branch in the hot loop a never-taken predictable
-  // branch (the 1-thread search stays bit-identical to previous releases).
-  SharedSearch* shared_ = nullptr;
-  ShardedDominanceCache* shared_cache_ = nullptr;
   SearchMonitor* monitor_ = nullptr;  ///< flight recorder (may be null)
   prof_detail::PhaseStack* prof_ = nullptr;  ///< this thread's phase stack
                                              ///< (null = profiler off)
-  DominanceCacheStats cache_ledger_;   // this worker's exact cache traffic
-  std::uint64_t omega_unflushed_ = 0;  // local tail of the global ledger
   std::uint64_t hb_prev_probes_ = 0;   // heartbeat-delta baselines
   std::uint64_t hb_prev_hits_ = 0;
 };
-
-/// Frontier-split parallel branch-and-bound. The search tree is first
-/// expanded breadth-first (reusing descend()'s exact candidate rules)
-/// until at least threads x 8 disjoint subtree roots exist — enough
-/// slack for the FIFO pool to rebalance when subtree sizes differ by
-/// orders of magnitude, which they routinely do. Each subtree is then an
-/// independent task sharing the incumbent, the sharded dominance cache,
-/// and the global lambda/deadline budgets. Exhaustive runs return the
-/// same best_nops as the sequential search (subtrees partition exactly
-/// the branches the sequential candidate loop would take, and every
-/// shared component only strengthens pruning soundly — see DESIGN.md
-/// section 3.5).
-OptimalResult run_parallel(const Machine& machine, const DepGraph& dag,
-                           const SearchConfig& config,
-                           const PipelineState& initial,
-                           std::size_t threads) {
-  PS_TRACE_SPAN("optimal_search");
-  PS_PROF_PHASE("bnb");
-  SearchMonitor monitor("bnb");
-  Timer wall;
-  OptimalResult result;
-  result.parallel.emplace();
-  OptimalResult::ParallelDetail& detail = *result.parallel;
-  const std::size_t n = dag.size();
-
-  // Step [1]: the seed schedule becomes the shared incumbent.
-  std::vector<TupleIndex> seed;
-  if (config.seed_with_list_schedule) {
-    seed = list_schedule_order(dag);
-  } else {
-    seed.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      seed[i] = static_cast<TupleIndex>(i);
-    }
-  }
-  result.best = evaluate_order(machine, dag, seed, initial);
-  const int seed_nops = result.best.total_nops();
-
-  SharedSearch shared;
-  shared.curtail_lambda = config.curtail_lambda;
-  if (config.deadline_seconds > 0) {
-    shared.has_deadline = true;
-    shared.deadline_at =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(config.deadline_seconds));
-  }
-  shared.best = result.best;
-  shared.best_nops.store(seed_nops, std::memory_order_relaxed);
-
-  // The frontier builder shares budgets and the incumbent but NOT the
-  // dominance cache (attach_shared explains why frontier states must
-  // stay out of it).
-  Search builder(machine, dag, config, initial);
-  builder.attach_shared(&shared, nullptr);
-  builder.attach_monitor(&monitor);
-  builder.prepare(seed, &detail.frontier);
-  detail.frontier.initial_nops = seed_nops;
-
-  bool seed_feasible = true;
-  if (config.max_live_registers > 0 &&
-      builder.seed_pressure(seed) > config.max_live_registers) {
-    // The seed needs spill code; it cannot serve as incumbent.
-    seed_feasible = false;
-    shared.best_nops.store(kInfiniteCost, std::memory_order_relaxed);
-    builder.reload_incumbent();
-  }
-
-  // Frontier pass: pop the shallowest prefix, expand it, re-queue its
-  // children; the FIFO order makes this a plain breadth-first walk, so
-  // the queue holds a complete partition of the unexplored tree at every
-  // step. Stops once the partition is wide enough, the tree is exhausted
-  // (every branch ended in an evaluated leaf), the optimum is proven
-  // (zero NOPs), or a budget expires.
-  std::deque<Prefix> queue;
-  const std::size_t target = threads * 8;
-  bool split_ok = true;
-  if (n > 0 && shared.best_nops.load(std::memory_order_relaxed) > 0) {
-    PS_PROF_PHASE("frontier_split");
-    queue.push_back({});
-    while (split_ok && !queue.empty() && queue.size() < target) {
-      Prefix prefix = std::move(queue.front());
-      queue.pop_front();
-      split_ok = builder.expand_node(prefix, queue);
-    }
-  }
-  builder.flush_omega();
-  std::vector<Prefix> subtrees(queue.begin(), queue.end());
-
-  if (split_ok && !subtrees.empty() &&
-      shared.best_nops.load(std::memory_order_relaxed) > 0) {
-    std::optional<ShardedDominanceCache> shared_cache;
-    if (config.dominance_cache) {
-      // More shards than threads so two workers rarely contend even when
-      // their key streams are bursty.
-      shared_cache.emplace(config.dominance_cache_bytes, threads * 4);
-    }
-    detail.subtrees.resize(subtrees.size());
-    ThreadPool pool(threads, "search-worker-");
-    parallel_for_each(pool, subtrees.size(), [&](std::size_t i) {
-      Search worker(machine, dag, config, initial);
-      worker.attach_shared(&shared,
-                           shared_cache ? &*shared_cache : nullptr);
-      worker.attach_monitor(&monitor);
-      detail.subtrees[i] = worker.run_subtree(seed, subtrees[i]);
-    });
-  }
-
-  // Merge: counters add, completed is the conjunction, feasible the
-  // disjunction (the seed itself counts when it met the ceiling).
-  SearchStats merged = detail.frontier;
-  for (const SearchStats& ws : detail.subtrees) {
-    merged.omega_calls += ws.omega_calls;
-    merged.schedules_examined += ws.schedules_examined;
-    merged.completed = merged.completed && ws.completed;
-    merged.pruned_window += ws.pruned_window;
-    merged.pruned_readiness += ws.pruned_readiness;
-    merged.pruned_equivalence += ws.pruned_equivalence;
-    merged.pruned_alpha_beta += ws.pruned_alpha_beta;
-    merged.pruned_lower_bound += ws.pruned_lower_bound;
-    merged.pruned_dominance += ws.pruned_dominance;
-    merged.pruned_pressure += ws.pruned_pressure;
-    merged.nodes_expanded += ws.nodes_expanded;
-    merged.cache_probes += ws.cache_probes;
-    merged.cache_hits += ws.cache_hits;
-    merged.cache_misses += ws.cache_misses;
-    merged.cache_evictions += ws.cache_evictions;
-    merged.cache_superseded += ws.cache_superseded;
-    merged.cache_verified_rejects += ws.cache_verified_rejects;
-    merged.incumbent_improvements += ws.incumbent_improvements;
-    merged.feasible = merged.feasible || ws.feasible;
-  }
-  if (config.max_live_registers <= 0) {
-    merged.feasible = true;
-  } else {
-    merged.feasible = merged.feasible || seed_feasible;
-  }
-  merged.curtail_reason =
-      merged.completed
-          ? CurtailReason::None
-          : static_cast<CurtailReason>(
-                shared.curtail_reason.load(std::memory_order_relaxed));
-  merged.initial_nops = seed_nops;
-  // Subtrees actually handed to workers: 0 when the frontier pass alone
-  // settled the search (tree exhausted, optimum of zero proven, or a
-  // budget expired before the split finished).
-  merged.frontier_subtrees = detail.subtrees.size();
-
-  result.best = shared.best;
-  merged.best_nops = merged.feasible ? result.best.total_nops() : -1;
-  merged.seconds = wall.seconds();
-  result.stats = merged;
-  flush_search_metrics(result.stats);
-  return result;
-}
 
 }  // namespace
 
 OptimalResult optimal_schedule(const Machine& machine, const DepGraph& dag,
                                const SearchConfig& config,
                                const PipelineState& initial) {
-  std::size_t threads = config.search_threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(
-        1, std::thread::hardware_concurrency());
-  }
-  // Single-tuple blocks have a one-node tree: nothing to split. The
-  // 1-thread path is the untouched sequential algorithm, bit-identical
-  // to previous releases.
-  if (threads > 1 && dag.size() >= 2) {
-    return run_parallel(machine, dag, config, initial, threads);
-  }
-  Search search(machine, dag, config, initial);
-  return search.run();
+  return Search(machine, dag, config, initial).run();
 }
 
 }  // namespace pipesched

@@ -50,24 +50,13 @@
 // SearchStats::curtail_reason distinguishing which budget expired.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "sched/schedule.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/timing.hpp"
 
 namespace pipesched {
-
-/// Parallel workers drain their local omega counts into the shared global
-/// lambda ledger every this many calls, so the hot loop pays one atomic
-/// add per interval instead of per call. Consequence: a parallel search
-/// may overshoot curtail_lambda by at most threads x this interval
-/// (sequential searches still curtail at exactly lambda).
-inline constexpr std::uint64_t kParallelOmegaFlushInterval = 256;
 
 // SearchConfig lives in sched/scheduler.hpp (it is shared by every
 // optimal backend, and SchedulerKind::Optimal dispatches on its
@@ -81,23 +70,7 @@ struct OptimalResult {
   /// schedule as a usable result.
   Schedule best;
 
-  /// Merged totals. For parallel runs every counter is the frontier pass
-  /// plus all per-subtree worker ledgers summed (stats.frontier_subtrees
-  /// says how many), completed is the conjunction, and feasible the
-  /// disjunction — so downstream consumers (corpus roll-ups, metrics,
-  /// reconciliation tests) treat parallel and sequential runs uniformly.
   SearchStats stats;
-
-  /// Unmerged per-ledger stats of a parallel run, for tests and
-  /// diagnostics: `frontier` covers the breadth-first split pass,
-  /// `subtrees[i]` the worker exploration of the i-th subtree. Absent
-  /// (nullopt) for sequential runs. Invariant: summing frontier and all
-  /// subtree ledgers field-by-field reproduces `stats`.
-  struct ParallelDetail {
-    SearchStats frontier;
-    std::vector<SearchStats> subtrees;
-  };
-  std::optional<ParallelDetail> parallel;
 };
 
 /// Run the branch-and-bound search on one block. `initial` carries
@@ -109,7 +82,7 @@ OptimalResult optimal_schedule(const Machine& machine, const DepGraph& dag,
                                const PipelineState& initial = {});
 
 /// Scheduler-interface wrapper over optimal_schedule() (the B&B backend
-/// of SchedulerKind::Optimal; the parallel-detail ledger is dropped).
+/// of SchedulerKind::Optimal).
 class BnbScheduler final : public Scheduler {
  public:
   explicit BnbScheduler(const SearchConfig& config) : config_(config) {}

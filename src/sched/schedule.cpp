@@ -16,20 +16,6 @@ const char* curtail_reason_name(CurtailReason reason) {
       return "lambda";
     case CurtailReason::Deadline:
       return "deadline";
-    case CurtailReason::Cancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
-const char* portfolio_winner_name(PortfolioWinner winner) {
-  switch (winner) {
-    case PortfolioWinner::None:
-      return "none";
-    case PortfolioWinner::Bnb:
-      return "bnb";
-    case PortfolioWinner::Cp:
-      return "cp";
   }
   return "?";
 }

@@ -39,20 +39,10 @@ struct Schedule {
 
 /// Why a search stopped before exhausting its space (stats.completed ==
 /// false). Lambda is the paper's curtail point (Section 2.3); Deadline is
-/// the wall-clock budget extension (SearchConfig::deadline_seconds);
-/// Cancelled is cooperative cancellation through SearchConfig::cancel
-/// (the portfolio racer stopping the losing backend).
-enum class CurtailReason { None, Lambda, Deadline, Cancelled };
+/// the wall-clock budget extension (SearchConfig::deadline_seconds).
+enum class CurtailReason { None, Lambda, Deadline };
 
 const char* curtail_reason_name(CurtailReason reason);
-
-/// Which backend a portfolio race was decided by (None outside the
-/// portfolio scheduler). When both racers complete they agree on the
-/// optimum by construction, and the winner is simply whichever returned
-/// first — so this field is diagnostic, never correctness-bearing.
-enum class PortfolioWinner { None, Bnb, Cp };
-
-const char* portfolio_winner_name(PortfolioWinner winner);
 
 /// Statistics from one scheduler invocation. Field names follow the
 /// paper's Section 4.2.3 terminology.
@@ -124,17 +114,6 @@ struct SearchStats {
   /// Times a complete schedule strictly beat the incumbent (the seed's
   /// initial evaluation is not counted).
   std::uint64_t incumbent_improvements = 0;
-
-  /// Parallel search only: number of disjoint root subtrees the frontier
-  /// split produced (0 for sequential searches). For a parallel search the
-  /// top-level stats are the frontier pass plus every per-subtree worker
-  /// ledger summed; OptimalResult::parallel keeps the unmerged parts.
-  std::uint64_t frontier_subtrees = 0;
-
-  /// Portfolio scheduler only: which backend's result this is (None for
-  /// every standalone backend). See PortfolioWinner for why this is a
-  /// diagnostic, not a correctness signal.
-  PortfolioWinner portfolio_winner = PortfolioWinner::None;
 
   /// True when this result was served from the persistent result cache
   /// (SearchConfig::result_cache_path) instead of a live search. Hits

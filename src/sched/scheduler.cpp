@@ -10,7 +10,6 @@
 #include "sched/greedy_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/optimal_scheduler.hpp"
-#include "sched/portfolio_scheduler.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
@@ -40,8 +39,6 @@ const char* optimal_backend_name(OptimalBackend backend) {
       return "bnb";
     case OptimalBackend::Cp:
       return "cp";
-    case OptimalBackend::Portfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -51,8 +48,6 @@ bool parse_optimal_backend(const std::string& name, OptimalBackend* out) {
     *out = OptimalBackend::Bnb;
   } else if (name == "cp") {
     *out = OptimalBackend::Cp;
-  } else if (name == "portfolio") {
-    *out = OptimalBackend::Portfolio;
   } else {
     return false;
   }
@@ -101,8 +96,6 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
           return std::make_unique<BnbScheduler>(config);
         case OptimalBackend::Cp:
           return std::make_unique<CpScheduler>(config);
-        case OptimalBackend::Portfolio:
-          return std::make_unique<PortfolioScheduler>(config);
       }
       PS_CHECK(false, "unknown optimal backend");
     case SchedulerKind::Exhaustive:
@@ -310,18 +303,10 @@ void flush_search_metrics(const SearchStats& stats) {
       "ps_search_curtailed_total", {{"reason", "lambda"}}, kCurtailHelp);
   static Counter& curtailed_deadline = metrics_counter(
       "ps_search_curtailed_total", {{"reason", "deadline"}}, kCurtailHelp);
-  static Counter& curtailed_cancelled = metrics_counter(
-      "ps_search_curtailed_total", {{"reason", "cancelled"}}, kCurtailHelp);
   static LogHistogram& seconds = metrics_histogram(
       "ps_search_seconds", {}, "Wall-clock seconds per search");
-  static LogHistogram& frontier = metrics_histogram(
-      "ps_search_frontier_subtrees", {},
-      "Disjoint root subtrees per parallel search (frontier split width)");
 
   runs.increment();
-  if (stats.frontier_subtrees > 0) {
-    frontier.observe(static_cast<double>(stats.frontier_subtrees));
-  }
   nodes.add(stats.nodes_expanded);
   omega.add(stats.omega_calls);
   examined.add(stats.schedules_examined);
@@ -343,8 +328,6 @@ void flush_search_metrics(const SearchStats& stats) {
     curtailed_lambda.increment();
   } else if (stats.curtail_reason == CurtailReason::Deadline) {
     curtailed_deadline.increment();
-  } else if (stats.curtail_reason == CurtailReason::Cancelled) {
-    curtailed_cancelled.increment();
   }
   seconds.observe(stats.seconds);
 }

@@ -1,8 +1,8 @@
 // Common scheduler interface (the pasched-style `Scheduler` base).
 //
 // Every scheduling policy in src/sched/ — original order, list, greedy,
-// exhaustive, and the three optimal backends (branch-and-bound, CP/DP,
-// and the portfolio racer) — implements one virtual entry point:
+// exhaustive, and the two optimal backends (branch-and-bound and CP/DP) —
+// implements one virtual entry point:
 //
 //   ScheduleResult run(machine, dag, initial)
 //
@@ -18,7 +18,6 @@
 // leans on exactly this property.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -41,14 +40,13 @@ const char* scheduler_kind_name(SchedulerKind kind);
 
 /// Which optimal-search implementation SchedulerKind::Optimal runs.
 enum class OptimalBackend {
-  Bnb,        ///< branch-and-bound over schedule prefixes (Section 4.2.3)
-  Cp,         ///< CP/DP over (cycle, issue-slot) assignments
-  Portfolio,  ///< race Bnb against Cp per block; first finisher wins
+  Bnb,  ///< branch-and-bound over schedule prefixes (Section 4.2.3)
+  Cp,   ///< CP/DP over (cycle, issue-slot) assignments
 };
 
 const char* optimal_backend_name(OptimalBackend backend);
 
-/// Parse "bnb" | "cp" | "portfolio"; returns false on unknown names.
+/// Parse "bnb" | "cp"; returns false on unknown names.
 bool parse_optimal_backend(const std::string& name, OptimalBackend* out);
 
 struct SearchConfig {
@@ -65,15 +63,8 @@ struct SearchConfig {
   double deadline_seconds = 0;
 
   /// Optimal-search implementation (see OptimalBackend). Both backends
-  /// are exact; Portfolio races them and keeps the first finisher.
+  /// are exact.
   OptimalBackend backend = OptimalBackend::Bnb;
-
-  /// Cooperative cancellation (not owned; may be null). When the pointee
-  /// becomes true the search unwinds at its next budget check and reports
-  /// CurtailReason::Cancelled. This is how the portfolio stops the losing
-  /// racer: same stop-flag discipline the parallel search uses
-  /// internally, surfaced as a config knob.
-  const std::atomic<bool>* cancel = nullptr;
 
   bool alpha_beta = true;             ///< rule [6]
   bool equivalence_prune = true;      ///< rule [5c], paper form
@@ -95,18 +86,6 @@ struct SearchConfig {
   /// 65,536-entry table now that the verification word widened entries
   /// from 16 to 24 bytes.
   std::size_t dominance_cache_bytes = 3u << 19;
-
-  /// Worker threads for the B&B search itself (1 = the classic sequential
-  /// algorithm, bit-identical to previous releases; 0 = one per hardware
-  /// thread). With N > 1 the search first expands a breadth-first frontier
-  /// of at least N x 8 disjoint subtree roots, then explores the subtrees
-  /// on a thread pool sharing (a) the incumbent — sound for alpha-beta
-  /// because the bound only ever tightens, (b) a sharded dominance cache,
-  /// and (c) the global lambda/deadline budgets. Exhaustive parallel runs
-  /// return the same best_nops as sequential ones (the schedule attaining
-  /// it may be a different optimum); curtailed runs may overshoot lambda
-  /// by up to N x kParallelOmegaFlushInterval omega calls.
-  std::size_t search_threads = 1;
 
   /// Register-pressure ceiling (0 = unconstrained). When set, the search
   /// only explores schedules whose simultaneously-live value count never
@@ -148,7 +127,7 @@ class Scheduler {
   virtual const char* name() const = 0;
 
   /// True when the policy proves optimality on completed runs (the two
-  /// exact backends and the portfolio of them; the exhaustive oracle).
+  /// exact backends; the exhaustive oracle).
   virtual bool claims_optimality() const { return false; }
 
   /// Schedule one block. `initial` carries residual pipeline occupancy at
@@ -158,7 +137,7 @@ class Scheduler {
 };
 
 /// Factory over every SchedulerKind. SchedulerKind::Optimal dispatches on
-/// config.backend (Bnb | Cp | Portfolio).
+/// config.backend (Bnb | Cp).
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
                                           const SearchConfig& config = {});
 

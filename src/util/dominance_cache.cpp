@@ -19,12 +19,6 @@ std::size_t floor_pow2(std::size_t v) {
   return p;
 }
 
-std::size_t ceil_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p *= 2;
-  return p;
-}
-
 }  // namespace
 
 ZobristKeys::ZobristKeys(std::size_t elements, std::uint64_t seed) {
@@ -159,64 +153,6 @@ bool DominanceCache::probe_and_update(std::uint64_t key, std::uint64_t verify,
   }
   ++stats_.misses;
   return false;
-}
-
-ShardedDominanceCache::ShardedDominanceCache(std::size_t max_bytes,
-                                             std::size_t shards) {
-  const std::size_t count = ceil_pow2(std::max<std::size_t>(1, shards));
-  shard_mask_ = count - 1;
-  const std::size_t per_shard = std::max<std::size_t>(1, max_bytes / count);
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(per_shard));
-  }
-}
-
-bool ShardedDominanceCache::probe_and_update(std::uint64_t key,
-                                             std::uint64_t verify, int depth,
-                                             int cost,
-                                             DominanceCacheStats& local) {
-  // High bits pick the shard; the shard's table indexes with the low bits
-  // (key & size-1), so the two selections never correlate.
-  Shard& shard = *shards_[(key >> 48) & shard_mask_];
-  std::lock_guard lock(shard.mutex);
-  const DominanceCacheStats before = shard.cache.stats();
-  const bool dominated =
-      shard.cache.probe_and_update(key, verify, depth, cost);
-  const DominanceCacheStats& after = shard.cache.stats();
-  local.probes += after.probes - before.probes;
-  local.hits += after.hits - before.hits;
-  local.misses += after.misses - before.misses;
-  local.inserts += after.inserts - before.inserts;
-  local.evictions += after.evictions - before.evictions;
-  local.superseded += after.superseded - before.superseded;
-  local.verified_rejects += after.verified_rejects - before.verified_rejects;
-  return dominated;
-}
-
-DominanceCacheStats ShardedDominanceCache::stats() const {
-  DominanceCacheStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    const DominanceCacheStats& s = shard->cache.stats();
-    total.probes += s.probes;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.inserts += s.inserts;
-    total.evictions += s.evictions;
-    total.superseded += s.superseded;
-    total.verified_rejects += s.verified_rejects;
-  }
-  return total;
-}
-
-std::size_t ShardedDominanceCache::capacity() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    total += shard->cache.capacity();
-  }
-  return total;
 }
 
 }  // namespace pipesched

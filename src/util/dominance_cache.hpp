@@ -39,17 +39,12 @@
 // degrades to a miss — never an unsound prune.
 //
 // The cache is deliberately ignorant of schedules: callers define what a
-// "state key" means. DominanceCache is not thread-safe (the sequential
-// search owns one instance); ShardedDominanceCache wraps an array of
-// mutex-guarded shards for the parallel frontier-split search, where every
-// worker probes and publishes into one table so transpositions reached
-// from different subtrees dedupe across threads.
+// "state key" means. DominanceCache is not thread-safe; each search owns
+// one instance.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace pipesched {
@@ -152,56 +147,6 @@ class DominanceCache {
   std::size_t max_entries_;
   std::size_t used_ = 0;
   DominanceCacheStats stats_;
-};
-
-/// Concurrent dominance cache for the parallel search: the key space is
-/// partitioned across `shards` independent DominanceCache tables, each
-/// guarded by its own mutex, so workers probing different shards never
-/// contend and workers probing the same shard serialize briefly. Shard
-/// selection uses the key's high bits (the per-shard table indexes with
-/// the low bits), and every shard keeps the sequential cache's full
-/// replacement policy — keep-the-shallowest eviction and cost-aware
-/// in-place supersede — so the dominance semantics are identical to the
-/// single-threaded cache, just safely shared.
-///
-/// Probes report their traffic into a CALLER-OWNED stats ledger instead
-/// of a global one: each search worker passes its own DominanceCacheStats,
-/// which makes the per-worker counters exact (no cross-thread smearing)
-/// and lets the merged SearchStats equal the summed worker ledgers — an
-/// invariant the test suite asserts.
-class ShardedDominanceCache {
- public:
-  /// `max_bytes` is the TOTAL budget, divided evenly across shards.
-  /// `shards` is rounded up to a power of two (minimum 1). Each shard
-  /// still enforces DominanceCache's own minimum table size, so very
-  /// small budgets simply saturate at shards × 16 KiB.
-  explicit ShardedDominanceCache(std::size_t max_bytes = DominanceCache::kDefaultBytes,
-                                 std::size_t shards = 16);
-
-  /// Thread-safe probe_and_update: returns true when the branch is
-  /// dominated (see DominanceCache::probe_and_update). The shard's stats
-  /// delta for this probe is accumulated into `local`.
-  bool probe_and_update(std::uint64_t key, std::uint64_t verify, int depth,
-                        int cost, DominanceCacheStats& local);
-
-  /// Aggregate traffic across all shards (locks each shard briefly; call
-  /// at quiescence for exact totals).
-  DominanceCacheStats stats() const;
-
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Total slot capacity across shards (for telemetry/tests).
-  std::size_t capacity() const;
-
- private:
-  struct Shard {
-    std::mutex mutex;
-    DominanceCache cache;
-    explicit Shard(std::size_t max_bytes) : cache(max_bytes) {}
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shard_mask_ = 0;
 };
 
 }  // namespace pipesched

@@ -164,9 +164,18 @@ class Parser {
   JsonValue parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // The parser recurses once per open container, and so does every
+        // consumer of the tree; a depth cap keeps hostile input from
+        // overflowing the stack.
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return JsonValue::make_string(parse_string());
       case 't':
@@ -363,6 +372,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open objects and arrays
 };
 
 }  // namespace

@@ -81,6 +81,10 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// Deepest nesting of objects and arrays the parser accepts; deeper
+/// documents raise Error.
+inline constexpr int kMaxJsonDepth = 1000;
+
 /// Parse one complete JSON document; trailing non-whitespace is an error.
 JsonValue parse_json(const std::string& text);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <iomanip>
@@ -123,7 +124,11 @@ struct Instrument {
 
 struct Registry {
   std::mutex mutex;
-  std::vector<Instrument> instruments;
+  /// A deque, because find_or_create hands out references that callers
+  /// read after the lock is released: push_back on a deque never moves
+  /// existing elements, while a vector's reallocation would free them
+  /// under a concurrent reader.
+  std::deque<Instrument> instruments;
   std::unordered_map<std::string, std::size_t> by_key;
   std::unordered_map<std::string, Kind> family_kind;  // name -> kind
   std::uint32_t next_cell_id = 0;

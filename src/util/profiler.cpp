@@ -216,10 +216,8 @@ void SearchMonitor::heartbeat(std::uint64_t nodes, int incumbent_nops,
   slot.cache_hit_pct = cache_hit_pct;
   impl_->ring_next = (impl_->ring_next + 1) % kRingCapacity;
   if (impl_->ring_size < kRingCapacity) ++impl_->ring_size;
-  // Heartbeats fire on the searches' 1,024-expansion tick, so a heartbeat
-  // IS nodes-expanded progress — and in a parallel search, where several
-  // workers feed one monitor with interleaved per-ledger node counts,
-  // it is the only coherent progress signal.
+  // Heartbeats fire on the search's 1,024-expansion tick, so a heartbeat
+  // IS nodes-expanded progress.
   impl_->last_nodes = std::max(impl_->last_nodes, nodes);
   impl_->last_progress = now;
 }

@@ -245,7 +245,8 @@ class SearchMonitor {
   SearchMonitor& operator=(const SearchMonitor&) = delete;
 
   /// Record one heartbeat. Unconditional (tracing off included): this is
-  /// the flight-recorder feed, and it is cheap enough to always run.
+  /// the flight-recorder feed, and it is cheap enough to always run. Only
+  /// the search that owns the monitor calls it: one writer per monitor.
   void heartbeat(std::uint64_t nodes, int incumbent_nops, std::uint32_t depth,
                  double cache_hit_pct);
 

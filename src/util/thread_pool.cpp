@@ -29,17 +29,17 @@ Counter& tasks_counter() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, const std::string& name_prefix) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i, name_prefix] {
+    workers_.emplace_back([this, i] {
       // Name the worker's trace track so corpus timelines read
       // "pool-worker-3" instead of a bare tid (no-op while tracing is
       // off; cheap either way, it runs once per thread).
-      trace_set_thread_name(name_prefix + std::to_string(i));
+      trace_set_thread_name("pool-worker-" + std::to_string(i));
       worker_loop();
     });
   }

@@ -12,7 +12,6 @@
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,11 +21,7 @@ namespace pipesched {
 class ThreadPool {
  public:
   /// `threads` == 0 selects std::thread::hardware_concurrency() (min 1).
-  /// `name_prefix` labels the workers in traces ("<prefix><index>"), so
-  /// corpus workers ("pool-worker-N") and intra-search workers
-  /// ("search-worker-N") land on distinguishable tracks.
-  explicit ThreadPool(std::size_t threads = 0,
-                      const std::string& name_prefix = "pool-worker-");
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

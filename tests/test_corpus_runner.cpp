@@ -18,6 +18,7 @@
 #include "core/corpus_runner.hpp"
 #include "ir/block_parser.hpp"
 #include "ir/dag.hpp"
+#include "sched/cp_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "util/check.hpp"
@@ -146,6 +147,16 @@ BasicBlock huge_block() {
   return block;
 }
 
+/// A block the CP backend needs well over 1,024 nodes to prove.
+BasicBlock cp_hard_block() {
+  GeneratorParams params;
+  params.statements = 36;
+  params.variables = 5;
+  params.constants = 3;
+  params.seed = 5;
+  return generate_block(params);
+}
+
 /// With every prune disabled the search over huge_block() enumerates
 /// hundreds of thousands of nodes — plenty for a deadline to interrupt.
 SearchConfig explosive_config() {
@@ -178,6 +189,16 @@ TEST(Deadline, TinyDeadlineCurtailsWithValidIncumbent) {
   EXPECT_TRUE(sim.ok) << sim.error;
   EXPECT_EQ(result.stats.best_nops, result.best.total_nops());
   EXPECT_LE(result.stats.best_nops, result.stats.initial_nops);
+
+  // The CP backend honours the same budget, on a block it cannot prove
+  // inside one 1,024-node tick.
+  const BasicBlock cp_block = cp_hard_block();
+  const DepGraph cp_dag(cp_block);
+  const ScheduleResult cp = cp_schedule(machine, cp_dag, config);
+  EXPECT_FALSE(cp.stats.completed);
+  EXPECT_EQ(cp.stats.curtail_reason, CurtailReason::Deadline);
+  EXPECT_TRUE(cp_dag.is_legal_order(cp.schedule.order));
+  EXPECT_EQ(cp.stats.best_nops, cp.schedule.total_nops());
 }
 
 TEST(Deadline, LambdaAndNoneReasonsRecorded) {
@@ -191,6 +212,11 @@ TEST(Deadline, LambdaAndNoneReasonsRecorded) {
       optimal_schedule(machine, dag, lambda_only);
   EXPECT_FALSE(curtailed.stats.completed);
   EXPECT_EQ(curtailed.stats.curtail_reason, CurtailReason::Lambda);
+  const BasicBlock cp_block = cp_hard_block();
+  const ScheduleResult cp_curtailed =
+      cp_schedule(machine, DepGraph(cp_block), lambda_only);
+  EXPECT_FALSE(cp_curtailed.stats.completed);
+  EXPECT_EQ(cp_curtailed.stats.curtail_reason, CurtailReason::Lambda);
 
   // A search that exhausts its space reports no curtail reason.
   GeneratorParams small;

@@ -16,6 +16,10 @@
 //      counters must stay internally consistent (hits + misses == probes;
 //      nodes expanded with the cache <= without; probes bounded by
 //      expansions), so a silent telemetry regression fails loudly.
+//
+// A unit check of the cache's verification word rides along: a 64-bit key
+// collision between two distinct states must degrade to a miss, never a
+// dominance prune.
 #include <gtest/gtest.h>
 
 #include "core/corpus_runner.hpp"
@@ -24,6 +28,7 @@
 #include "sched/optimal_scheduler.hpp"
 #include "synth/corpus.hpp"
 #include "synth/generator.hpp"
+#include "util/dominance_cache.hpp"
 
 namespace pipesched {
 namespace {
@@ -191,6 +196,37 @@ TEST(CacheTelemetry, CorpusRunnerThreadsCacheCounters) {
   const std::string rendered = render_corpus_summary(summary);
   EXPECT_NE(rendered.find("Nodes Expanded"), std::string::npos);
   EXPECT_NE(rendered.find("Cache Hit Rate"), std::string::npos);
+}
+
+TEST(DominanceCache, ForcedCollisionIsRejectedNotTrusted) {
+  // The regression this guards: before the verification word, an entry
+  // matched on the bare 64-bit key, so two distinct states colliding on
+  // the full word were treated as transpositions — and the second one's
+  // subtree was unsoundly pruned. Plant an entry, then probe with the
+  // SAME key but a DIFFERENT verify word (a simulated full-word
+  // collision): the probe must miss, be counted as a verified reject,
+  // and coexist as its own entry afterwards.
+  DominanceCache cache;
+  const std::uint64_t key = hash64(0xDEADBEEF);
+  const std::uint64_t verify_a = hash64_alt(0xDEADBEEF);
+  const std::uint64_t verify_b = hash64_alt(0xFEEDFACE);
+  ASSERT_NE(verify_a, verify_b);
+
+  EXPECT_FALSE(cache.probe_and_update(key, verify_a, 5, 10));  // plant
+  // Colliding stranger, same depth, equal cost: a key-only cache would
+  // answer "dominated" here and prune. The verified cache must not.
+  EXPECT_FALSE(cache.probe_and_update(key, verify_b, 5, 10));
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().verified_rejects, 1u);
+
+  // Both states now live side by side and each matches only itself.
+  EXPECT_TRUE(cache.probe_and_update(key, verify_a, 5, 10));
+  EXPECT_TRUE(cache.probe_and_update(key, verify_b, 5, 10));
+  EXPECT_EQ(cache.stats().hits, 2u);
+  // The two self-hits each walked past the other's entry first.
+  EXPECT_GE(cache.stats().verified_rejects, 2u);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses,
+            cache.stats().probes);
 }
 
 }  // namespace

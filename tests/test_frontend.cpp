@@ -2,8 +2,11 @@
 // load/store code-generation rules.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "frontend/codegen.hpp"
 #include "frontend/parser.hpp"
+#include "frontend/program_codegen.hpp"
 #include "ir/interp.hpp"
 #include "util/check.hpp"
 
@@ -43,6 +46,56 @@ TEST(SourceParser, DiagnosesSyntaxErrors) {
   EXPECT_THROW(parse_source("x + 1;"), Error);
   EXPECT_THROW(parse_source("x = 1"), Error);
   EXPECT_THROW(parse_source("x = (1;"), Error);
+}
+
+std::string repeat(const std::string& s, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += s;
+  return out;
+}
+
+// Hostile nesting must end in Error, not in a stack overflow in the
+// recursive-descent parser or, for the long chain, in codegen. The same
+// shape at half the limit still compiles.
+
+TEST(SourceParser, DeepParenthesesRaiseError) {
+  EXPECT_THROW(parse_source("a = " + repeat("(", 20000) + "b" +
+                            repeat(")", 20000) + ";"),
+               Error);
+  const int ok = kMaxSourceNesting / 2;
+  EXPECT_EQ(generate_tuples(parse_source("a = " + repeat("(", ok) + "b" +
+                                         repeat(")", ok) + ";"))
+                .size(),
+            2u);  // Load b, Store a
+}
+
+TEST(SourceParser, DeepUnaryMinusRaisesError) {
+  EXPECT_THROW(parse_source("a = " + repeat("-", 20000) + "b;"), Error);
+  const int ok = kMaxSourceNesting / 2;
+  EXPECT_EQ(
+      generate_tuples(parse_source("a = " + repeat("-", ok) + "b;")).size(),
+      static_cast<std::size_t>(ok) + 2);
+}
+
+TEST(SourceParser, DeepWhileNestingRaisesError) {
+  EXPECT_THROW(parse_source(repeat("while (x) { ", 20000) + "a = b;" +
+                            repeat(" }", 20000)),
+               Error);
+  const int ok = kMaxSourceNesting / 2;
+  const SourceProgram nested = parse_source(repeat("while (x) { ", ok) +
+                                            "a = b;" + repeat(" }", ok));
+  EXPECT_GT(generate_program(nested).size(), static_cast<std::size_t>(ok));
+}
+
+TEST(SourceParser, LongOperatorChainRaisesError) {
+  // The parser reads a chain in a loop, but the tree it builds is as high
+  // as the chain is long, and codegen recurses down that height.
+  EXPECT_THROW(parse_source("a = b" + repeat(" + b", 100000) + ";"), Error);
+  const int ok = kMaxSourceNesting / 2;
+  EXPECT_EQ(
+      generate_tuples(parse_source("a = b" + repeat(" + b", ok) + ";"))
+          .size(),
+      static_cast<std::size_t>(ok) + 2);
 }
 
 TEST(SourceParser, RoundTripsThroughToString) {

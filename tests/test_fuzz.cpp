@@ -26,6 +26,12 @@ struct FuzzCase {
   std::uint64_t seed;
 };
 
+/// Names the parameter in test IDs; gtest's default dumps the raw bytes,
+/// heap pointer included, so every build would name the test differently.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << c.machine << " seed " << c.seed;
+}
+
 class EndToEndFuzz : public testing::TestWithParam<FuzzCase> {};
 
 TEST_P(EndToEndFuzz, AllInvariantsHold) {
@@ -175,11 +181,11 @@ TEST(RandomMachineFuzz, CachedSchedulesValidateOnSimulator) {
 }
 
 TEST(BackendFuzz, OptimalBackendsAgreeThroughSchedulerInterface) {
-  // All three optimal backends behind the common Scheduler interface,
-  // over random machines, including pressure-constrained and infeasible
-  // instances: every backend must report the same optimum — or all must
-  // prove infeasibility (best_nops == -1) — and every feasible schedule
-  // must validate on the simulator.
+  // Both optimal backends behind the common Scheduler interface, over
+  // random machines, including pressure-constrained and infeasible
+  // instances: the two must report the same optimum — or both must prove
+  // infeasibility (best_nops == -1) — and every feasible schedule must
+  // validate on the simulator.
   Rng rng(0xBACE2D);
   int infeasible_seen = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -203,9 +209,7 @@ TEST(BackendFuzz, OptimalBackendsAgreeThroughSchedulerInterface) {
     bool have_reference = false;
     bool ref_feasible = true;
     int ref_nops = 0;
-    for (OptimalBackend backend :
-         {OptimalBackend::Bnb, OptimalBackend::Cp,
-          OptimalBackend::Portfolio}) {
+    for (OptimalBackend backend : {OptimalBackend::Bnb, OptimalBackend::Cp}) {
       SearchConfig c = config;
       c.backend = backend;
       SearchStats stats;

@@ -4,9 +4,9 @@
 // idempotent shutdown), endpoint payloads (/metrics through the shared
 // Prometheus grammar check, /status through the strict JSON parser), the
 // 8-client concurrent scrape hammer with exact ps_http_requests_total
-// reconciliation — which doubles as the TSan race against a live
-// 4-thread parallel search — and a served 300-block corpus run that must
-// answer /metrics and /status scrapes mid-run.
+// reconciliation — which doubles as the TSan race against a live search —
+// and a served 300-block corpus run that must answer /metrics and /status
+// scrapes mid-run.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -344,30 +344,36 @@ TEST_F(HttpExporterTest, ProfileEndpointCollectsAndConflicts) {
   busy.join();
 }
 
-// 8 concurrent clients x 25 scrapes each, racing a live 4-thread parallel
-// search (this test is the TSan lane's main target: server workers read
-// the same registries the search writes). At quiescence the server's own
-// ps_http_requests_total must reconcile EXACTLY with client receipts —
-// the contract that only fully-written responses count.
+// 8 concurrent clients x 25 scrapes each, racing a live search that runs
+// until the last client is done (this test is the TSan lane's main
+// target: server workers read the same registries the search writes). At
+// quiescence the server's own ps_http_requests_total must reconcile
+// EXACTLY with client receipts — the contract that only fully-written
+// responses count.
 TEST_F(HttpExporterTest, ConcurrentScrapeHammerReconcilesExactly) {
   HttpExporter server;
   server.set_ready(true);
   const std::uint16_t port = server.port();
 
-  // The racing search: a block hard enough to stay busy through the
-  // hammer, searched exhaustively by 4 workers with heartbeats flowing.
-  std::thread search([] {
+  // The racing search: with the dominance cache off, this 22-tuple block
+  // is not proven within lambda, so each search expands ~30k nodes with
+  // heartbeats flowing. It repeats until the clients are done, so it
+  // covers the whole hammer and stops soon after.
+  std::atomic<bool> clients_done{false};
+  std::thread search([&clients_done] {
     GeneratorParams params;
-    params.statements = 11;
-    params.variables = 4;
-    params.constants = 2;
-    params.seed = 20260809;
+    params.statements = 40;
+    params.variables = 8;
+    params.constants = 3;
+    params.seed = 31337;
     const BasicBlock block = generate_block(params);
     const DepGraph dag(block);
     SearchConfig config;
-    config.curtail_lambda = 0;  // exhaustive
-    config.search_threads = 4;
-    (void)run_optimal_backend(Machine::paper_simulation(), dag, config);
+    config.curtail_lambda = 50000;
+    config.dominance_cache = false;
+    while (!clients_done.load()) {
+      (void)run_optimal_backend(Machine::paper_simulation(), dag, config);
+    }
   });
 
   constexpr int kClients = 8;
@@ -390,6 +396,7 @@ TEST_F(HttpExporterTest, ConcurrentScrapeHammerReconcilesExactly) {
     });
   }
   for (std::thread& t : clients) t.join();
+  clients_done.store(true);
   search.join();
 
   // Every request must have succeeded.

@@ -364,6 +364,15 @@ TEST(Json, DecodesEscapesAndSurrogatePairs) {
   EXPECT_NE(s.find("\xf0\x9f\x98\x80"), std::string::npos);  // emoji
 }
 
+TEST(Json, DeepNestingRaisesError) {
+  // Must end in Error, not overflow the recursive-descent parser's stack.
+  EXPECT_THROW(parse_json(std::string(200000, '[') + std::string(200000, ']')),
+               Error);
+  const std::size_t ok = kMaxJsonDepth;
+  EXPECT_TRUE(
+      parse_json(std::string(ok, '[') + std::string(ok, ']')).is_array());
+}
+
 TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse_json(""), Error);
   EXPECT_THROW(parse_json("{"), Error);

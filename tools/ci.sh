@@ -4,10 +4,12 @@
 #   2. Debug + ASan/UBSan (-DPIPESCHED_SANITIZE=address,undefined) — the
 #      configuration that catches lifetime and UB bugs the optimizer hides;
 #   3. Debug + TSan (-DPIPESCHED_SANITIZE=thread), focused on the
-#      concurrency surface — the parallel frontier-split search, the
-#      sharded dominance cache, and the thread pool. TSan cannot be
-#      combined with ASan, hence the separate lane; it builds only the
-#      concurrency-relevant tests to keep the lane fast.
+#      concurrency surface — the thread pool that runs corpus blocks, the
+#      result cache, the sampling profiler and the HTTP exporter. TSan
+#      cannot be combined with ASan, hence the separate lane; it builds
+#      only the concurrency-relevant tests to keep the lane fast.
+# Then a short perfbench run per workload, smoke lanes over the built
+# binaries, and the bench regression gates.
 #
 # Usage: tools/ci.sh [jobs]   (defaults to nproc)
 set -euo pipefail
@@ -31,23 +33,17 @@ run_suite build-ci-sanitize \
   -DCMAKE_BUILD_TYPE=Debug \
   -DPIPESCHED_SANITIZE=address,undefined
 
-# TSan lane: data races in the parallel search would be soundness bugs
-# (a torn incumbent read could prune the true optimum), and they do not
-# reproduce deterministically — only TSan sees them reliably.
+# TSan lane: data races between corpus workers, scrapers and the sampler
+# do not reproduce deterministically — only TSan sees them reliably.
 echo "==== configuring build-ci-tsan (thread sanitizer) ===="
 cmake -B build-ci-tsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DPIPESCHED_SANITIZE=thread
 echo "==== building build-ci-tsan (concurrency tests) ===="
 cmake --build build-ci-tsan -j "${jobs}" \
-  --target test_parallel_search test_util test_portfolio test_result_cache \
-  test_profiler test_http_exporter
-echo "==== TSan: parallel frontier-split search ===="
-./build-ci-tsan/tests/test_parallel_search
+  --target test_util test_result_cache test_profiler test_http_exporter
 echo "==== TSan: thread pool ===="
 ./build-ci-tsan/tests/test_util --gtest_filter='ThreadPool.*'
-echo "==== TSan: portfolio racing (stop-flag cancellation) ===="
-./build-ci-tsan/tests/test_portfolio
 echo "==== TSan: result cache (concurrent readers during appends) ===="
 ./build-ci-tsan/tests/test_result_cache \
   --gtest_filter='ResultCacheConcurrency.*'
@@ -55,6 +51,16 @@ echo "==== TSan: sampling profiler (sampler racing annotated workers) ===="
 ./build-ci-tsan/tests/test_profiler
 echo "==== TSan: HTTP exporter (concurrent scrapes racing a live search) ===="
 ./build-ci-tsan/tests/test_http_exporter
+
+# perfbench correctness smoke: a short run of each workload must pass
+# perfbench's own gate — every schedule checked by the simulator, the
+# interpreter and the register verifier, the CP cross-check, and an
+# exact-count fingerprint that repeats in every pass. A non-zero exit is
+# a failed check, not a slow run: timing is not gated here.
+for workload in corpus large_blocks regs_tight; do
+  echo "==== perfbench smoke: ${workload} ===="
+  python3 perfbench/run.py --workload "${workload}" --seconds 3 --trace 0
+done
 
 # Traced corpus smoke, in BOTH configurations: a small corpus run with
 # PS_TRACE must produce well-formed Chrome trace-event JSON (validated
@@ -271,7 +277,7 @@ cli_flag_smoke() {
   local build="$1"
   echo "==== psc flag validation smoke (${build}) ===="
   local rc out
-  for bad in "--deadline bogus" "--lambda -3" "--search-threads 4x" \
+  for bad in "--deadline bogus" "--lambda -3" "--lambda 4x" \
              "--registers 1e3" "--split --lambda"; do
     rc=0
     # shellcheck disable=SC2086  # intentional word-splitting of flag+value
@@ -287,7 +293,7 @@ cli_flag_smoke() {
     fi
   done
   # A well-formed invocation must still succeed.
-  echo "x = a * b;" | "./${build}/tools/psc" --search-threads 2 > /dev/null
+  echo "x = a * b;" | "./${build}/tools/psc" --lambda 100 > /dev/null
 
   # --result-cache audit: an empty path is a usage error (exit 2, the
   # invalid-value diagnostic) ...
@@ -342,21 +348,6 @@ gate_dir="$(mktemp -d)"
   > /dev/null)
 ./build-ci-release/tools/bench_diff --rel-tol 1.0 \
   BENCH_corpus.json "${gate_dir}/BENCH_corpus.json"
-rm -rf "${gate_dir}"
-
-# Portfolio bench gate: same policy for the three-sweep racing bench's
-# roll-up. Exact fields (block counts, optima, total NOPs) are
-# deterministic for the portfolio too — only the win split is
-# timing-dependent, and bench_diff classifies it as informational.
-echo "==== portfolio bench gate (build-ci-release) ===="
-./build-ci-release/tools/bench_diff \
-  BENCH_corpus_portfolio.json BENCH_corpus_portfolio.json
-gate_dir="$(mktemp -d)"
-(cd "${gate_dir}" && \
-  PS_CORPUS_RUNS=300 "${OLDPWD}/build-ci-release/bench/bench_portfolio" \
-  > /dev/null)
-./build-ci-release/tools/bench_diff --rel-tol 1.0 \
-  BENCH_corpus_portfolio.json "${gate_dir}/BENCH_corpus_portfolio.json"
 rm -rf "${gate_dir}"
 
 # Result-cache bench gate: same policy for the cold/warm cache bench's
@@ -418,4 +409,4 @@ test -s "${smoke_dir}/BENCH_corpus.json"
 test -s "${smoke_dir}/corpus_records.jsonl"
 rm -rf "${smoke_dir}"
 
-echo "==== CI OK: Release, ASan/UBSan, and TSan lanes all green ===="
+echo "==== CI OK: Release, ASan/UBSan, TSan and perfbench lanes all green ===="

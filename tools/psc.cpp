@@ -59,18 +59,11 @@ scheduling:
                         exhaustive
   --backend <name>      optimal-scheduler backend: bnb (default,
                         branch-and-bound) | cp (constraint-propagation
-                        over issue slots) | portfolio (race both per
-                        block, first finisher wins, loser cancelled)
+                        over issue slots)
   --lambda <N>          curtail point (0 = search to exhaustion;
                         default 50000)
   --deadline <secs>     wall-clock budget per search (0 = none); expiry
                         keeps the best schedule found so far, like lambda
-  --search-threads <N>  worker threads inside each optimal search
-                        (default 1 = the sequential algorithm; 0 = one
-                        per hardware thread). N > 1 splits the search
-                        tree into disjoint subtrees sharing the incumbent
-                        bound, dominance cache, and lambda/deadline
-                        budgets
   --no-cache            disable the state-dominance (transposition) cache
   --result-cache <path> persistent cross-run result cache: consult the
                         append-log file at <path> before each optimal
@@ -150,7 +143,6 @@ struct Args {
   OptimalBackend backend = OptimalBackend::Bnb;
   std::uint64_t lambda = 50000;
   double deadline = 0;
-  std::size_t search_threads = 1;
   bool dominance_cache = true;
   std::string result_cache_path;
   int split_window = 0;
@@ -285,16 +277,13 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--backend") {
       const std::string name = next();
       PS_CHECK(parse_optimal_backend(name, &args.backend),
-               "unknown backend: " << name << " (bnb | cp | portfolio)");
+               "unknown backend: " << name << " (bnb | cp)");
     } else if (arg == "--lambda") {
       args.lambda = parse_u64_flag(arg, next());
     } else if (arg == "--deadline") {
       const std::string value = next();
       args.deadline = parse_double_flag(arg, value);
       if (args.deadline < 0) invalid_flag_value(arg, value);
-    } else if (arg == "--search-threads") {
-      args.search_threads =
-          static_cast<std::size_t>(parse_u64_flag(arg, next()));
     } else if (arg == "--no-cache") {
       args.dominance_cache = false;
     } else if (arg == "--result-cache") {
@@ -379,14 +368,6 @@ void print_stats(const SearchStats& stats) {
     std::cerr << "; result cache: hit (schedule served from cache, no "
                  "search ran)\n";
   }
-  if (stats.portfolio_winner != PortfolioWinner::None) {
-    std::cerr << "; portfolio: won by "
-              << portfolio_winner_name(stats.portfolio_winner) << "\n";
-  }
-  if (stats.frontier_subtrees > 0) {
-    std::cerr << "; parallel: frontier split into " << stats.frontier_subtrees
-              << " subtrees\n";
-  }
   if (stats.seconds > 0 && stats.nodes_expanded > 0) {
     std::cerr << "; throughput: "
               << compact_double(static_cast<double>(stats.nodes_expanded) /
@@ -465,7 +446,6 @@ int compile_one_block(BasicBlock block, const Machine& machine,
   options.search.curtail_lambda = args.lambda;
   options.search.deadline_seconds = args.deadline;
   options.search.dominance_cache = args.dominance_cache;
-  options.search.search_threads = args.search_threads;
   options.search.result_cache_path = args.result_cache_path;
   options.optimize = args.optimize;
   options.reassociate = args.reassociate;
@@ -502,7 +482,6 @@ int compile_one_block(BasicBlock block, const Machine& machine,
     config.search.curtail_lambda = args.lambda;
     config.search.deadline_seconds = args.deadline;
     config.search.dominance_cache = args.dominance_cache;
-    config.search.search_threads = args.search_threads;
     config.search.result_cache_path = args.result_cache_path;
     const SplitResult result = split_schedule(machine, dag, config);
     const Allocation allocation =
@@ -604,7 +583,6 @@ int run_compile(const Args& args, HttpExporter* server) {
   options.block.search.curtail_lambda = args.lambda;
   options.block.search.deadline_seconds = args.deadline;
   options.block.search.dominance_cache = args.dominance_cache;
-  options.block.search.search_threads = args.search_threads;
   options.block.search.result_cache_path = args.result_cache_path;
   options.block.optimize = args.optimize;
   options.block.reassociate = args.reassociate;
