@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 
+#include "cache/result_cache.hpp"
 #include "ir/dag.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -93,6 +94,14 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
   static LogHistogram& block_seconds = metrics_histogram(
       "ps_corpus_block_seconds", {},
       "Wall-clock seconds per corpus block (generate + schedule)");
+  if (!options.search.result_cache_path.empty()) {
+    // Load the cache log now, not inside the first block's timer on every
+    // worker. A failed open is left to the blocks: each records the error.
+    try {
+      ResultCache::open_shared(options.search.result_cache_path);
+    } catch (const std::exception&) {
+    }
+  }
   parallel_for_each(pool, params.size(), [&](std::size_t i) {
     // Per-block span on the worker's own track: the timeline shows which
     // worker ran which block and how the pool's load balanced.

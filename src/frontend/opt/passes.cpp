@@ -1,8 +1,10 @@
 #include "frontend/opt/passes.hpp"
 
+#include <array>
 #include <optional>
-#include <sstream>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "frontend/opt/rewrite.hpp"
 #include "ir/interp.hpp"
@@ -12,290 +14,171 @@ namespace pipesched {
 
 namespace {
 
-/// Constant value of an old-space operand, looking through the rewriter's
-/// already-emitted output (so folds chain within a single pass).
-std::optional<std::int64_t> const_value(const BlockRewriter& rw,
-                                        const Operand& o) {
-  if (o.is_imm()) return o.imm;
-  if (!o.is_ref()) return std::nullopt;
-  const auto resolved = rw.resolve_new(o.ref);
-  if (!resolved) return std::nullopt;
-  const Tuple& t = rw.emitted(*resolved);
-  if (t.op == Opcode::Const) return t.a.imm;
-  return std::nullopt;
-}
+/// Applies the first rule that matches `t`, whose refs are value numbers
+/// (indices into `out`), and reports whether one did. A rule that finds
+/// `t`'s value in an existing value or an immediate rewrites `t` to a Mov
+/// of it; constant folding turns a Mov of an immediate into a Const.
+bool simplify(Tuple& t, const std::vector<Tuple>& out) {
+  const auto constant = [&](const Operand& o) -> std::optional<std::int64_t> {
+    if (o.is_imm()) return o.imm;
+    if (!o.is_ref()) return std::nullopt;
+    const Tuple& def = out[static_cast<std::size_t>(o.ref)];
+    if (def.op == Opcode::Const) return def.a.imm;
+    return std::nullopt;
+  };
+  const auto ca = constant(t.a);
+  const auto cb = constant(t.b);
+  const auto is = [](const std::optional<std::int64_t>& c, std::int64_t v) {
+    return c && *c == v;
+  };
+  const auto become = [&t](Opcode op, Operand a, Operand b = Operand::none()) {
+    t = Tuple{op, a, b};
+    return true;
+  };
+  const Operand zero = Operand::of_imm(0);
 
-/// NEW-space value index an old-space ref operand resolves to.
-std::optional<TupleIndex> resolved_ref(const BlockRewriter& rw,
-                                       const Operand& o) {
-  if (!o.is_ref()) return std::nullopt;
-  return rw.resolve_new(o.ref);
-}
-
-/// True when the two operands provably carry the same value.
-bool same_value(const BlockRewriter& rw, const Operand& a, const Operand& b) {
-  const auto ca = const_value(rw, a);
-  const auto cb = const_value(rw, b);
-  if (ca && cb) return *ca == *cb;
-  const auto ra = resolved_ref(rw, a);
-  const auto rb = resolved_ref(rw, b);
-  return ra && rb && *ra == *rb;
-}
-
-/// Emit "the value of operand o" in place of tuple i.
-void forward_operand(BlockRewriter& rw, TupleIndex i, const Operand& o) {
-  if (o.is_ref()) {
-    rw.alias(i, o.ref);
-  } else {
-    PS_ASSERT(o.is_imm());
-    rw.replace(i, Tuple{Opcode::Const, Operand::of_imm(o.imm), {}});
+  const bool foldable = t.op == Opcode::Mov || t.op == Opcode::Neg ||
+                        opcode_is_binary_arith(t.op);
+  if (foldable && ca && (opcode_arity(t.op) == 1 || cb)) {
+    return become(Opcode::Const,
+                  Operand::of_imm(eval_op(t.op, *ca, cb.value_or(0))));
   }
+  switch (t.op) {
+    case Opcode::Add:
+      if (is(ca, 0)) return become(Opcode::Mov, t.b);
+      if (is(cb, 0)) return become(Opcode::Mov, t.a);
+      break;
+    case Opcode::Sub:
+      if (is(cb, 0)) return become(Opcode::Mov, t.a);
+      if (t.a == t.b) return become(Opcode::Const, zero);
+      if (is(ca, 0)) return become(Opcode::Neg, t.b);
+      break;
+    case Opcode::Mul:
+      if (is(ca, 0) || is(cb, 0)) return become(Opcode::Const, zero);
+      if (is(ca, 1)) return become(Opcode::Mov, t.b);
+      if (is(cb, 1)) return become(Opcode::Mov, t.a);
+      // Strength reduction: x*2 becomes x+x, moving the operation from
+      // the multiplier pipeline onto the adder.
+      if (is(ca, 2)) return become(Opcode::Add, t.b, t.b);
+      if (is(cb, 2)) return become(Opcode::Add, t.a, t.a);
+      break;
+    case Opcode::Div:
+      if (is(cb, 1)) return become(Opcode::Mov, t.a);
+      // 0/x == 0 for every x under the div-by-zero-yields-0 convention.
+      if (is(ca, 0)) return become(Opcode::Const, zero);
+      break;
+    case Opcode::Neg:
+      // --x == x.
+      if (t.a.is_ref() && out[static_cast<std::size_t>(t.a.ref)].op ==
+                              Opcode::Neg) {
+        return become(Opcode::Mov, out[static_cast<std::size_t>(t.a.ref)].a);
+      }
+      break;
+    default:
+      break;
+  }
+  return false;
+}
+
+/// A value-producing tuple's identity in the value table: its opcode, then
+/// each operand's kind and payload, Add and Mul operands in ascending
+/// order. An immediate never matches a ref.
+using ValueKey = std::array<std::int64_t, 5>;
+
+ValueKey value_key(const Tuple& t) {
+  const auto operand = [](const Operand& o) {
+    const std::int64_t payload = o.is_imm() ? o.imm : o.is_ref() ? o.ref : 0;
+    return std::array<std::int64_t, 2>{static_cast<std::int64_t>(o.kind),
+                                       payload};
+  };
+  auto a = operand(t.a);
+  auto b = operand(t.b);
+  if (opcode_is_commutative(t.op) && b < a) std::swap(a, b);
+  return {static_cast<std::int64_t>(t.op), a[0], a[1], b[0], b[1]};
+}
+
+struct ValueKeyHash {
+  std::size_t operator()(const ValueKey& key) const {
+    std::uint64_t h = 0;
+    for (const std::int64_t word : key) {
+      h = (h ^ static_cast<std::uint64_t>(word)) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// The forward sweep. A value-producing tuple's value number is the index
+/// of the output tuple that computes its value: rules first, then the
+/// value table, which hands back an equal earlier tuple or admits this
+/// one. Loads go through a per-variable current-value map instead, since
+/// a Store changes what a Load of its variable reads.
+BasicBlock local_value_numbering(const BasicBlock& block) {
+  std::vector<Tuple> out;
+  std::vector<TupleIndex> number(block.size(), -1);
+  std::unordered_map<ValueKey, TupleIndex, ValueKeyHash> table;
+  table.reserve(block.size());
+  // Per variable: the value number of what it holds, -1 when unknown.
+  std::vector<TupleIndex> current(block.var_count(), -1);
+  const auto numbered = [&](const Operand& o) {
+    if (!o.is_ref()) return o;
+    return Operand::of_ref(number[static_cast<std::size_t>(o.ref)]);
+  };
+
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const Tuple& in = block.tuple(static_cast<TupleIndex>(i));
+    Tuple t{in.op, numbered(in.a), numbered(in.b)};
+    const auto next = static_cast<TupleIndex>(out.size());
+    if (t.op == Opcode::Store) {
+      // A stored immediate has no value number: the next Load stays.
+      current[static_cast<std::size_t>(t.a.var)] =
+          t.b.is_ref() ? t.b.ref : -1;
+      out.push_back(t);
+      continue;
+    }
+    if (t.op == Opcode::Load) {
+      TupleIndex& value = current[static_cast<std::size_t>(t.a.var)];
+      if (value < 0) {
+        value = next;
+        out.push_back(t);
+      }
+      number[i] = value;
+      continue;
+    }
+    while (simplify(t, out)) {
+    }
+    if (t.op == Opcode::Mov) {  // of a ref: a Mov of an immediate folds
+      number[i] = t.a.ref;
+      continue;
+    }
+    const auto [it, inserted] = table.try_emplace(value_key(t), next);
+    if (inserted) out.push_back(t);
+    number[i] = it->second;
+  }
+  BasicBlock result = block;  // keeps the label and the variable table
+  result.replace_tuples(std::move(out));
+  return result;
 }
 
 }  // namespace
 
-PassResult copy_propagation(const BasicBlock& block) {
-  BlockRewriter rw(block);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto index = static_cast<TupleIndex>(i);
-    const Tuple& t = block.tuple(index);
-    if (t.op == Opcode::Mov) {
-      forward_operand(rw, index, t.a);
-    } else {
-      rw.keep(index);
-    }
-  }
-  const bool changed = rw.changed();
-  return {rw.finish(), changed};
-}
-
-PassResult constant_folding(const BasicBlock& block) {
-  BlockRewriter rw(block);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto index = static_cast<TupleIndex>(i);
-    const Tuple& t = block.tuple(index);
-    const bool foldable = t.op == Opcode::Mov || t.op == Opcode::Neg ||
-                          opcode_is_binary_arith(t.op);
-    if (foldable) {
-      const auto a = const_value(rw, t.a);
-      const auto b = opcode_arity(t.op) == 2 ? const_value(rw, t.b)
-                                             : std::optional<std::int64_t>(0);
-      if (a && b) {
-        rw.replace(index, Tuple{Opcode::Const,
-                                Operand::of_imm(eval_op(t.op, *a, *b)), {}});
-        continue;
-      }
-    }
-    rw.keep(index);
-  }
-  const bool changed = rw.changed();
-  return {rw.finish(), changed};
-}
-
-PassResult algebraic_simplification(const BasicBlock& block) {
-  BlockRewriter rw(block);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto index = static_cast<TupleIndex>(i);
-    const Tuple& t = block.tuple(index);
-    const auto ca = const_value(rw, t.a);
-    const auto cb = const_value(rw, t.b);
-
-    auto emit_const = [&](std::int64_t v) {
-      rw.replace(index, Tuple{Opcode::Const, Operand::of_imm(v), {}});
-    };
-
-    switch (t.op) {
-      case Opcode::Add:
-        if (ca && *ca == 0) {
-          forward_operand(rw, index, t.b);
-          continue;
-        }
-        if (cb && *cb == 0) {
-          forward_operand(rw, index, t.a);
-          continue;
-        }
-        break;
-      case Opcode::Sub:
-        if (cb && *cb == 0) {
-          forward_operand(rw, index, t.a);
-          continue;
-        }
-        if (same_value(rw, t.a, t.b)) {
-          emit_const(0);
-          continue;
-        }
-        if (ca && *ca == 0) {
-          rw.replace(index, Tuple{Opcode::Neg, t.b, {}});
-          continue;
-        }
-        break;
-      case Opcode::Mul:
-        if ((ca && *ca == 0) || (cb && *cb == 0)) {
-          emit_const(0);
-          continue;
-        }
-        if (ca && *ca == 1) {
-          forward_operand(rw, index, t.b);
-          continue;
-        }
-        if (cb && *cb == 1) {
-          forward_operand(rw, index, t.a);
-          continue;
-        }
-        // Strength reduction: x*2 becomes x+x, moving the operation from
-        // the multiplier pipeline onto the adder.
-        if (ca && *ca == 2) {
-          rw.replace(index, Tuple{Opcode::Add, t.b, t.b});
-          continue;
-        }
-        if (cb && *cb == 2) {
-          rw.replace(index, Tuple{Opcode::Add, t.a, t.a});
-          continue;
-        }
-        break;
-      case Opcode::Div:
-        if (cb && *cb == 1) {
-          forward_operand(rw, index, t.a);
-          continue;
-        }
-        // 0/x == 0 for every x under the div-by-zero-yields-0 convention.
-        if (ca && *ca == 0) {
-          emit_const(0);
-          continue;
-        }
-        break;
-      case Opcode::Neg: {
-        // --x == x.
-        const auto inner = resolved_ref(rw, t.a);
-        if (inner && rw.emitted(*inner).op == Opcode::Neg &&
-            rw.emitted(*inner).a.is_ref()) {
-          rw.alias_new(index, rw.emitted(*inner).a.ref);
-          continue;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    rw.keep(index);
-  }
-  const bool changed = rw.changed();
-  return {rw.finish(), changed};
-}
-
-PassResult load_forwarding(const BasicBlock& block) {
-  BlockRewriter rw(block);
-  // Per variable: NEW-space index of its current in-register value.
-  std::unordered_map<VarId, TupleIndex> current_value;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto index = static_cast<TupleIndex>(i);
-    const Tuple& t = block.tuple(index);
-    if (t.op == Opcode::Load) {
-      if (auto it = current_value.find(t.a.var); it != current_value.end()) {
-        rw.alias_new(index, it->second);
-        continue;
-      }
-      rw.keep(index);
-      current_value[t.a.var] = *rw.resolve_new(index);
-      continue;
-    }
-    if (t.op == Opcode::Store) {
-      rw.keep(index);
-      if (t.b.is_ref()) {
-        if (auto value = rw.resolve_new(t.b.ref)) {
-          current_value[t.a.var] = *value;
-          continue;
-        }
-      }
-      current_value.erase(t.a.var);
-      continue;
-    }
-    rw.keep(index);
-  }
-  const bool changed = rw.changed();
-  return {rw.finish(), changed};
-}
-
-PassResult common_subexpression_elimination(const BasicBlock& block) {
-  BlockRewriter rw(block);
-  std::unordered_map<std::string, TupleIndex> available;  // key -> NEW index
-  std::unordered_map<VarId, int> epoch;  // bumped by stores
-
-  auto operand_key = [&](const Operand& o) -> std::string {
-    if (o.is_imm()) return "i" + std::to_string(o.imm);
-    if (o.is_ref()) {
-      const auto resolved = rw.resolve_new(o.ref);
-      PS_ASSERT(resolved.has_value());
-      return "r" + std::to_string(*resolved);
-    }
-    return "_";
-  };
-
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto index = static_cast<TupleIndex>(i);
-    const Tuple& t = block.tuple(index);
-
-    std::string key;
-    switch (t.op) {
-      case Opcode::Const:
-        key = "C" + std::to_string(t.a.imm);
-        break;
-      case Opcode::Load:
-        key = "L" + std::to_string(t.a.var) + "@" +
-              std::to_string(epoch[t.a.var]);
-        break;
-      case Opcode::Store:
-        ++epoch[t.a.var];
-        rw.keep(index);
-        continue;
-      default: {
-        std::string ka = operand_key(t.a);
-        std::string kb = operand_key(t.b);
-        if (opcode_is_commutative(t.op) && kb < ka) std::swap(ka, kb);
-        key = std::string(opcode_name(t.op)) + "|" + ka + "|" + kb;
-        break;
-      }
-    }
-
-    if (auto it = available.find(key); it != available.end()) {
-      rw.alias_new(index, it->second);
-    } else {
-      rw.keep(index);
-      available.emplace(std::move(key), *rw.resolve_new(index));
-    }
-  }
-  const bool changed = rw.changed();
-  return {rw.finish(), changed};
-}
-
 PassResult dead_code_elimination(const BasicBlock& block) {
   const std::size_t n = block.size();
   std::vector<bool> live(n, false);
-
-  // A Store is observable when it is the variable's final store, or some
-  // Load reads the variable before the next store overwrites it.
-  std::unordered_map<VarId, std::size_t> pending_store;  // awaiting a reader
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tuple& t = block.tuple(static_cast<TupleIndex>(i));
-    if (t.op == Opcode::Store) {
-      pending_store[t.a.var] = i;  // previous pending store (if any) was
-                                   // overwritten unread: stays dead
-      live[i] = false;
-      // Tentatively mark; final store per var fixed up below.
-    } else if (t.op == Opcode::Load) {
-      if (auto it = pending_store.find(t.a.var); it != pending_store.end()) {
-        live[it->second] = true;  // store observed by this load
-      }
-    }
-  }
-  for (const auto& [var, pos] : pending_store) {
-    live[pos] = true;  // final store: observable at block exit
-  }
-
-  // Backward closure over value uses (references always point backward).
+  // Per variable: whether block exit or a live Load reads the value it
+  // holds at this point of the backward sweep.
+  std::vector<bool> observed(block.var_count(), true);
   for (std::size_t ri = n; ri-- > 0;) {
-    if (!live[ri]) continue;
     const Tuple& t = block.tuple(static_cast<TupleIndex>(ri));
+    if (t.op == Opcode::Store) {
+      const auto var = static_cast<std::size_t>(t.a.var);
+      live[ri] = observed[var];
+      observed[var] = false;
+    } else if (t.op == Opcode::Load && live[ri]) {
+      observed[static_cast<std::size_t>(t.a.var)] = true;
+    }
+    if (!live[ri]) continue;
+    // References point backward, so every user is already decided.
     for (const Operand* o : {&t.a, &t.b}) {
       if (o->is_ref()) live[static_cast<std::size_t>(o->ref)] = true;
     }
@@ -403,30 +286,8 @@ PassResult reassociation(const BasicBlock& block) {
   return {rw.finish(), changed};
 }
 
-const std::vector<Pass>& standard_passes() {
-  static const std::vector<Pass> kPasses = {
-      {"copy-propagation", copy_propagation},
-      {"constant-folding", constant_folding},
-      {"algebraic-simplification", algebraic_simplification},
-      {"load-forwarding", load_forwarding},
-      {"cse", common_subexpression_elimination},
-      {"dce", dead_code_elimination},
-  };
-  return kPasses;
-}
-
-BasicBlock run_standard_pipeline(const BasicBlock& block, int max_rounds) {
-  BasicBlock current = block;
-  for (int round = 0; round < max_rounds; ++round) {
-    bool any_change = false;
-    for (const Pass& pass : standard_passes()) {
-      PassResult result = pass.run(current);
-      any_change = any_change || result.changed;
-      current = std::move(result.block);
-    }
-    if (!any_change) break;
-  }
-  return current;
+BasicBlock run_standard_pipeline(const BasicBlock& block) {
+  return dead_code_elimination(local_value_numbering(block)).block;
 }
 
 }  // namespace pipesched

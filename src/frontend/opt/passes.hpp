@@ -1,7 +1,10 @@
-// The "traditional optimizations" of paper Section 3.1, as independent
-// block-to-block passes:
+// The "traditional optimizations" of paper Section 3.1, as one forward
+// local-value-numbering (LVN) sweep and one backward dead-code sweep.
 //
-//   copy propagation           Mov chains collapse onto their source;
+// The LVN sweep visits each tuple once, with its operands already replaced
+// by value numbers, and applies these rules in order:
+//
+//   copy propagation           a Mov takes its source's value number;
 //   constant folding           arithmetic over known constants evaluates at
 //     (+ value propagation)    compile time, using the interpreter's own
 //                              eval_op so semantics cannot diverge;
@@ -9,24 +12,18 @@
 //                              the x*2 -> x+x strength reduction (which also
 //                              moves work from the multiplier pipeline to
 //                              the adder - visible to the scheduler);
-//   load forwarding            a Load that follows a Store to the same
-//     (peephole)               variable with no intervening store reuses
-//                              the stored value;
-//   common subexpression       structurally identical pure tuples (and
-//     elimination              Loads within the same memory epoch) merge;
-//   dead code elimination      tuples with no live use go away; a Store is
-//                              live only if it is the variable's last store
-//                              or a Load reads it before the next store.
+//   load forwarding            a Load of a variable whose current value is
+//                              known (stored, or loaded since the last
+//                              store) reuses that value;
+//   common subexpression       a tuple whose opcode and value-numbered
+//     elimination              operands match an earlier one reuses it.
 //
-// run_standard_pipeline() iterates the sequence to a fixpoint. The paper
-// notes optimized code makes good schedules *harder* to find (more
-// dependences per remaining instruction), which the corpus experiments
-// reproduce.
+// Dead code elimination then drops tuples with no live use; a Store is
+// live only if it is the variable's last store or a live Load reads it
+// before the next store. The paper notes optimized code makes good
+// schedules *harder* to find (more dependences per remaining
+// instruction), which the corpus experiments reproduce.
 #pragma once
-
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "ir/block.hpp"
 
@@ -38,18 +35,8 @@ struct PassResult {
   bool changed = false;
 };
 
-using PassFn = std::function<PassResult(const BasicBlock&)>;
-
-struct Pass {
-  std::string name;
-  PassFn run;
-};
-
-PassResult copy_propagation(const BasicBlock& block);
-PassResult constant_folding(const BasicBlock& block);
-PassResult algebraic_simplification(const BasicBlock& block);
-PassResult load_forwarding(const BasicBlock& block);
-PassResult common_subexpression_elimination(const BasicBlock& block);
+/// Drops every tuple whose value no live tuple uses, and every Store that
+/// neither block exit nor a live Load observes. One backward sweep.
 PassResult dead_code_elimination(const BasicBlock& block);
 
 /// Reassociation (extension, NOT part of the standard pipeline so the
@@ -63,11 +50,8 @@ PassResult dead_code_elimination(const BasicBlock& block);
 /// originals.
 PassResult reassociation(const BasicBlock& block);
 
-/// The standard pass sequence, in application order.
-const std::vector<Pass>& standard_passes();
-
-/// Run the standard sequence repeatedly until no pass changes the block
-/// (or `max_rounds` is hit — a safety bound, normally 2-3 rounds suffice).
-BasicBlock run_standard_pipeline(const BasicBlock& block, int max_rounds = 8);
+/// The LVN sweep followed by dead code elimination. Its output is a
+/// fixpoint: running it again changes nothing.
+BasicBlock run_standard_pipeline(const BasicBlock& block);
 
 }  // namespace pipesched

@@ -41,26 +41,6 @@ void BlockRewriter::keep(TupleIndex old_index) {
   new_of_old_[static_cast<std::size_t>(old_index)] = output_.append(out);
 }
 
-void BlockRewriter::replace(TupleIndex old_index, const Tuple& t) {
-  advance(old_index);
-  Tuple out = t;
-  out.a = remap(t.a);
-  out.b = remap(t.b);
-  if (!(out == input_->tuple(old_index))) structural_change_ = true;
-  new_of_old_[static_cast<std::size_t>(old_index)] = output_.append(out);
-}
-
-void BlockRewriter::alias(TupleIndex old_index, TupleIndex target_old) {
-  advance(old_index);
-  PS_CHECK(static_cast<std::size_t>(target_old) < next_old_ - 1 ||
-               target_old < old_index,
-           "alias target must precede the aliased tuple");
-  const TupleIndex mapped = new_of_old_[static_cast<std::size_t>(target_old)];
-  PS_CHECK(mapped >= 0, "alias target was dropped");
-  new_of_old_[static_cast<std::size_t>(old_index)] = mapped;
-  structural_change_ = true;
-}
-
 void BlockRewriter::alias_new(TupleIndex old_index, TupleIndex target_new) {
   advance(old_index);
   PS_CHECK(target_new >= 0 &&
@@ -87,10 +67,6 @@ std::optional<TupleIndex> BlockRewriter::resolve_new(
   const TupleIndex mapped = new_of_old_[static_cast<std::size_t>(old_index)];
   if (mapped < 0) return std::nullopt;
   return mapped;
-}
-
-const Tuple& BlockRewriter::emitted(TupleIndex new_index) const {
-  return output_.tuple(new_index);
 }
 
 BasicBlock BlockRewriter::finish() {

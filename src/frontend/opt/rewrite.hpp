@@ -1,10 +1,10 @@
-// Rebuild machinery shared by every optimizer pass.
+// Rebuild machinery shared by dead code elimination and reassociation.
 //
 // A pass walks the input block's tuples in ascending order and, for each,
-// decides to keep it, replace it, alias its uses to another tuple, or drop
-// it. The rewriter maintains the old-index -> new-index mapping (resolving
-// alias chains, which always point backward) and produces a compact,
-// validated output block with the variable table preserved.
+// decides to keep it, alias its uses to another tuple, or drop it. The
+// rewriter maintains the old-index -> new-index mapping (resolving alias
+// chains, which always point backward) and produces a compact, validated
+// output block with the variable table preserved.
 #pragma once
 
 #include <optional>
@@ -17,22 +17,12 @@ class BlockRewriter {
  public:
   explicit BlockRewriter(const BasicBlock& input);
 
-  const BasicBlock& input() const { return *input_; }
-
   /// Emit the old tuple unchanged (operands remapped). Calls must proceed
-  /// in ascending old-index order across keep/replace/alias/drop.
+  /// in ascending old-index order across keep/alias_new/drop.
   void keep(TupleIndex old_index);
 
-  /// Emit `t` in place of the old tuple; `t`'s operands are expressed in
-  /// the OLD index space and are remapped.
-  void replace(TupleIndex old_index, const Tuple& t);
-
-  /// Future uses of `old_index` resolve to `target_old`'s emitted tuple.
-  /// `target_old` must already be processed and not dropped.
-  void alias(TupleIndex old_index, TupleIndex target_old);
-
-  /// Like alias(), but the target is given directly in the NEW index space
-  /// (used when a pass matched a pattern on already-emitted tuples).
+  /// Future uses of `old_index` resolve to the tuple at `target_new` in
+  /// the NEW index space.
   void alias_new(TupleIndex old_index, TupleIndex target_new);
 
   /// Remove the tuple. Later references to it are a pass bug and throw
@@ -48,13 +38,6 @@ class BlockRewriter {
   /// Old-space index of the tuple a processed old index resolves to in the
   /// new block; nullopt when dropped.
   std::optional<TupleIndex> resolve_new(TupleIndex old_index) const;
-
-  /// The tuple already emitted at new index `i` (for pattern matching on
-  /// resolved operands, e.g. "is this operand a Const?").
-  const Tuple& emitted(TupleIndex new_index) const;
-
-  /// Number of old tuples processed so far.
-  std::size_t processed() const { return next_old_; }
 
   /// Complete the rebuild; `changed` reports whether the output differs
   /// from the input.

@@ -1,6 +1,7 @@
 #include "frontend/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 
 #include "util/check.hpp"
 
@@ -88,7 +89,12 @@ class Lexer {
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    return std::stoll(text_.substr(begin, pos_ - begin));
+    std::int64_t value = 0;
+    const std::from_chars_result parsed =
+        std::from_chars(text_.data() + begin, text_.data() + pos_, value);
+    PS_CHECK(parsed.ec == std::errc(),
+             "line " << line_ << ": integer literal out of range");
+    return value;
   }
 
   int line() const { return line_; }

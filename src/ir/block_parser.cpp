@@ -1,6 +1,8 @@
 #include "ir/block_parser.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
@@ -65,7 +67,13 @@ class LineCursor {
     PS_CHECK(pos_ > begin && std::isdigit(static_cast<unsigned char>(
                                  line_[pos_ - 1])),
              "line " << line_no_ << ": expected integer");
-    return std::stoll(line_.substr(begin, pos_ - begin));
+    if (line_[begin] == '+') ++begin;  // from_chars takes only '-'
+    std::int64_t value = 0;
+    const std::from_chars_result parsed =
+        std::from_chars(line_.data() + begin, line_.data() + pos_, value);
+    PS_CHECK(parsed.ec == std::errc(),
+             "line " << line_no_ << ": integer out of range");
+    return value;
   }
 
   int line_no() const { return line_no_; }
@@ -95,6 +103,9 @@ Operand parse_operand(LineCursor& cur, BasicBlock& block) {
   const std::int64_t ref = cur.integer();
   PS_CHECK(ref >= 1, "line " << cur.line_no()
                              << ": tuple references are 1-based, got " << ref);
+  PS_CHECK(ref <= std::numeric_limits<TupleIndex>::max(),
+           "line " << cur.line_no() << ": tuple reference " << ref
+                   << " is out of range");
   return Operand::of_ref(static_cast<TupleIndex>(ref - 1));
 }
 

@@ -16,6 +16,12 @@ PipelineId Machine::add_pipeline(std::string function, int latency,
                                  int enqueue) {
   PS_CHECK(latency >= 1, "pipeline latency must be >= 1, got " << latency);
   PS_CHECK(enqueue >= 1, "pipeline enqueue time must be >= 1, got " << enqueue);
+  PS_CHECK(latency <= kMaxPipelineCycles, "pipeline latency must be <= "
+                                              << kMaxPipelineCycles << ", got "
+                                              << latency);
+  PS_CHECK(enqueue <= kMaxPipelineCycles, "pipeline enqueue time must be <= "
+                                              << kMaxPipelineCycles << ", got "
+                                              << enqueue);
   PS_CHECK(!function.empty(), "pipeline function name may not be empty");
   pipelines_.push_back({std::move(function), latency, enqueue});
   rebuild_unit_groups();

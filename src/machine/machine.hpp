@@ -23,10 +23,15 @@ using PipelineId = int;
 
 inline constexpr PipelineId kNoPipeline = -1;
 
+/// Largest latency or enqueue time a pipeline may have. Every preset and
+/// machine file uses 12 or less; the bound keeps issue-cycle sums of long
+/// blocks far from int overflow and NOP padding to a sane size.
+inline constexpr int kMaxPipelineCycles = 1024;
+
 struct PipelineDesc {
   std::string function;  ///< e.g. "loader", "adder", "multiplier"
-  int latency = 1;       ///< >= 1
-  int enqueue = 1;       ///< >= 1
+  int latency = 1;       ///< 1..kMaxPipelineCycles
+  int enqueue = 1;       ///< 1..kMaxPipelineCycles
 };
 
 class Machine {
@@ -36,7 +41,8 @@ class Machine {
   const std::string& name() const { return name_; }
 
   /// Register a pipeline; returns its PipelineId (display ids are id+1,
-  /// matching the paper's 1-based tables).
+  /// matching the paper's 1-based tables). Throws unless latency and
+  /// enqueue lie in 1..kMaxPipelineCycles.
   PipelineId add_pipeline(std::string function, int latency, int enqueue);
 
   /// Map an opcode to every pipeline whose function name matches.

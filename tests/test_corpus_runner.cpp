@@ -73,6 +73,21 @@ void expect_records_equal(const RunRecord& a, const RunRecord& b,
   EXPECT_EQ(a.error, b.error) << index;
 }
 
+TEST(CorpusRunner, UnopenableResultCacheFailsEachBlockNotTheRun) {
+  const auto params = small_corpus(6);
+  CorpusRunOptions options;
+  options.search.curtail_lambda = 2000;
+  options.threads = 2;
+  options.search.result_cache_path =
+      "/nonexistent-dir-ps-test/sub/cache.pscache";
+  const std::vector<RunRecord> records = run_corpus(params, options);
+  ASSERT_EQ(records.size(), params.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (records[i].block_size == 0) continue;  // optimized away: no lookup
+    EXPECT_NE(records[i].error.find("result cache"), std::string::npos) << i;
+  }
+}
+
 TEST(CorpusRunner, FaultInjectionKeepsOtherRecords) {
   const auto params = small_corpus(24);
   const std::string prefix =

@@ -58,6 +58,18 @@ std::string repeat(const std::string& s, int times) {
 // recursive-descent parser or, for the long chain, in codegen. The same
 // shape at half the limit still compiles.
 
+TEST(SourceParser, OutOfRangeLiteralRaisesErrorNamingTheLine) {
+  try {
+    parse_source("a = 1;\nx = 99999999999999999999;");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  // The largest int64 literal still parses.
+  EXPECT_NO_THROW(parse_source("x = 9223372036854775807;"));
+}
+
 TEST(SourceParser, DeepParenthesesRaiseError) {
   EXPECT_THROW(parse_source("a = " + repeat("(", 20000) + "b" +
                             repeat(")", 20000) + ";"),

@@ -124,6 +124,27 @@ TEST(BlockParser, RejectsMisnumberedTuples) {
   EXPECT_THROW(parse_block("1: Const \"1\"\n3: Const \"2\"\n"), Error);
 }
 
+TEST(BlockParser, RejectsOutOfRangeIntegersNamingTheLine) {
+  for (const std::string text :
+       {"1: Load #a\n2: Const \"99999999999999999999999\"\n",
+        "1: Load #a\n2: Add 1, 99999999999\n",
+        "1: Load #a\n99999999999999999999: Load #b\n"}) {
+    try {
+      parse_block(text);
+      ADD_FAILURE() << "expected Error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The int64 extremes still parse as immediates.
+  const BasicBlock block = parse_block(
+      "1: Const \"-9223372036854775808\"\n"
+      "2: Const \"+9223372036854775807\"\n");
+  EXPECT_EQ(block.tuple(0).a.imm, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(block.tuple(1).a.imm, std::numeric_limits<std::int64_t>::max());
+}
+
 TEST(BlockParser, RejectsUnknownOpcodeAndTrailingGarbage) {
   EXPECT_THROW(parse_block("1: Frob #x\n"), Error);
   EXPECT_THROW(parse_block("1: Const \"1\" extra\n"), Error);

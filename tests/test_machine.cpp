@@ -1,6 +1,8 @@
 // Unit tests for the machine model (Tables 2-5) and its config format.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "machine/machine.hpp"
 #include "machine/machine_parser.hpp"
 #include "util/check.hpp"
@@ -54,6 +56,17 @@ TEST(Machine, RejectsBadParameters) {
   m.add_pipeline("u", 1, 1);
   EXPECT_THROW(m.map_op(Opcode::Add, "missing"), Error);
   EXPECT_THROW(m.map_op(Opcode::Add, std::vector<PipelineId>{7}), Error);
+}
+
+TEST(Machine, RejectsCycleCountsAboveTheBound) {
+  Machine m("big");
+  EXPECT_THROW(m.add_pipeline("u", kMaxPipelineCycles + 1, 1), Error);
+  EXPECT_THROW(m.add_pipeline("u", 1, kMaxPipelineCycles + 1), Error);
+  EXPECT_THROW(m.add_pipeline("u", std::numeric_limits<int>::max(), 1), Error);
+  EXPECT_EQ(m.pipeline_count(), 0u);
+  m.add_pipeline("u", kMaxPipelineCycles, kMaxPipelineCycles);
+  EXPECT_EQ(m.pipeline(0).latency, kMaxPipelineCycles);
+  EXPECT_EQ(m.pipeline(0).enqueue, kMaxPipelineCycles);
 }
 
 TEST(Machine, UnitGroupsClassifyBySignature) {
@@ -136,6 +149,23 @@ TEST(MachineParser, DiagnosesErrorsWithLineNumbers) {
   EXPECT_THROW(parse_machine("machine t\nmap Load loader\n"), Error);
   EXPECT_THROW(parse_machine("machine t\nfrobnicate\n"), Error);
   EXPECT_THROW(parse_machine(""), Error);
+}
+
+TEST(MachineParser, RejectsCycleCountsAboveTheBound) {
+  EXPECT_THROW(parse_machine("machine t\n"
+                             "pipeline u latency 2147483647 enqueue 1\n"
+                             "map Add u\n"),
+               Error);
+  EXPECT_THROW(parse_machine("machine t\n"
+                             "pipeline u latency 1 enqueue 30000000\n"
+                             "map Add u\n"),
+               Error);
+  const Machine m = parse_machine(
+      "machine t\n"
+      "pipeline u latency 1024 enqueue 1024\n"
+      "map Add u\n");
+  EXPECT_EQ(m.pipeline(0).latency, kMaxPipelineCycles);
+  EXPECT_EQ(m.pipeline(0).enqueue, kMaxPipelineCycles);
 }
 
 TEST(Machine, ToStringShowsBothTables) {

@@ -173,6 +173,15 @@ TEST(ProgramText, DiagnosesFormatErrors) {
   EXPECT_THROW(parse_program_text(""), Error);
 }
 
+TEST(ProgramText, OutOfRangeLiteralRaisesError) {
+  EXPECT_THROW(parse_program_text("program\n"
+                                  "block entry\n"
+                                  "  1: Const \"99999999999999999999999\"\n"
+                                  "  2: Store #s, 1\n"
+                                  "  ret\n"),
+               Error);
+}
+
 TEST(ProgramCompiler, OptimizationPreservesProgramSemantics) {
   const char* source =
       "acc = 0;\n"

@@ -223,7 +223,10 @@ serve_smoke() {
   rm -rf "${dir}"
 }
 
-serve_smoke build-ci-release 16000
+# The run must outlive the scrapes and the 1 s profile window: the Release
+# build finishes 16,000 blocks in about 1.4 s on a 4-core host, so it runs
+# 100,000 (the SIGINT smoke's size).
+serve_smoke build-ci-release 100000
 serve_smoke build-ci-sanitize 2000
 
 # Graceful-interrupt smoke: SIGINT mid-run must stop the server, finish
