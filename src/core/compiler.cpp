@@ -8,9 +8,7 @@
 #include "sched/greedy_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "util/check.hpp"
-#include "util/metrics.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace pipesched {
 
@@ -59,37 +57,27 @@ CompileResult compile_block(const BasicBlock& block,
   PS_TRACE_SPAN("compile_block");
   CompileResult result;
   {
-    PS_TRACE_SPAN("optimize");
-    static LogHistogram& h = compile_stage_histogram("optimize");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("optimize");
     result.block = prepare_block(block, options);
     result.block.validate();
   }
 
   const DepGraph dag = [&] {
-    PS_TRACE_SPAN("dag_build");
-    static LogHistogram& h = compile_stage_histogram("dag_build");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("dag_build");
     return DepGraph(result.block);
   }();
   {
-    PS_TRACE_SPAN("schedule");
-    static LogHistogram& h = compile_stage_histogram("schedule");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("schedule");
     result.schedule = run_scheduler(options.scheduler, options.machine, dag,
                                     options.search, &result.stats);
   }
   {
-    PS_TRACE_SPAN("regalloc");
-    static LogHistogram& h = compile_stage_histogram("regalloc");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("regalloc");
     result.allocation =
         linear_scan(result.block, result.schedule.order, options.registers);
   }
   {
-    PS_TRACE_SPAN("emit");
-    static LogHistogram& h = compile_stage_histogram("emit");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("emit");
     result.assembly = emit_assembly(result.block, options.machine,
                                     result.schedule, result.allocation,
                                     options.emit);
@@ -101,9 +89,7 @@ CompileResult compile_source(const std::string& source,
                              const CompileOptions& options) {
   BasicBlock tuples;
   {
-    PS_TRACE_SPAN("parse");
-    static LogHistogram& h = compile_stage_histogram("parse");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("parse");
     const SourceProgram program = parse_source(source);
     tuples = generate_tuples(program);
   }
@@ -119,13 +105,13 @@ RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
 
   PS_TRACE_SPAN("compile_register_limited");
   {
-    PS_TRACE_SPAN("optimize");
+    PS_COMPILE_STAGE("optimize");
     out.block = prepare_block(block, options);
   }
 
   // Step 2: spill until the (safe) original order fits the file.
   if (block_max_live(out.block) > options.registers) {
-    PS_TRACE_SPAN("spill");
+    PS_COMPILE_STAGE("spill");
     SpillResult spilled = insert_spill_code(out.block, options.registers);
     out.block = std::move(spilled.block);
     result.values_spilled = spilled.values_spilled;
@@ -133,13 +119,13 @@ RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
 
   // Step 3: pressure-constrained search.
   const DepGraph dag = [&] {
-    PS_TRACE_SPAN("dag_build");
+    PS_COMPILE_STAGE("dag_build");
     return DepGraph(out.block);
   }();
   SearchConfig search = options.search;
   search.max_live_registers = options.registers;
   const ScheduleResult searched = [&] {
-    PS_TRACE_SPAN("schedule");
+    PS_COMPILE_STAGE("schedule");
     return run_optimal_backend(options.machine, dag, search);
   }();
   result.scheduler_feasible = searched.stats.feasible;
@@ -157,13 +143,13 @@ RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
   }
 
   {
-    PS_TRACE_SPAN("regalloc");
+    PS_COMPILE_STAGE("regalloc");
     out.allocation =
         linear_scan(out.block, out.schedule.order, options.registers);
   }
   PS_ASSERT(out.allocation.registers_used <= options.registers);
   {
-    PS_TRACE_SPAN("emit");
+    PS_COMPILE_STAGE("emit");
     out.assembly = emit_assembly(out.block, options.machine, out.schedule,
                                  out.allocation, options.emit);
   }

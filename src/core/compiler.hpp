@@ -19,19 +19,30 @@
 #include "sched/optimal_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "sched/scheduler.hpp"
+#include "util/metrics.hpp"
+#include "util/trace.hpp"
 
 namespace pipesched {
 
 // SchedulerKind and scheduler_kind_name live in sched/scheduler.hpp,
 // next to the Scheduler interface and the make_scheduler factory.
 
-class LogHistogram;
-
 /// Shared `ps_compile_stage_seconds{stage=...}` family for the compile
-/// pipeline's wall-time histograms (used by both the single-block and the
-/// whole-program compilers; find-or-create, so call sites can cache the
-/// reference in a static local).
+/// pipeline's wall-time histograms (find-or-create, so call sites can
+/// cache the reference in a static local).
 LogHistogram& compile_stage_histogram(const char* stage);
+
+/// Scope one compile stage: a trace span named `stage` plus one
+/// observation of its wall time in ps_compile_stage_seconds{stage=...}.
+/// The histogram reference is a per-site static, so the registry mutex
+/// is taken once per site, not once per stage per block.
+#define PS_COMPILE_STAGE(stage)                                        \
+  PS_TRACE_SPAN(stage);                                                \
+  static ::pipesched::LogHistogram& PS_TRACE_CONCAT(ps_stage_histogram_, \
+                                                    __LINE__) =        \
+      ::pipesched::compile_stage_histogram(stage);                     \
+  ::pipesched::MetricTimer PS_TRACE_CONCAT(ps_stage_timer_, __LINE__)( \
+      PS_TRACE_CONCAT(ps_stage_histogram_, __LINE__))
 
 struct CompileOptions {
   Machine machine = Machine::paper_simulation();

@@ -8,7 +8,6 @@
 #include "frontend/program_codegen.hpp"
 #include "ir/dag.hpp"
 #include "util/check.hpp"
-#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace pipesched {
@@ -66,9 +65,7 @@ ProgramCompileResult compile_program(const Program& program,
 
     CompiledBlock compiled;
     {
-      PS_TRACE_SPAN("optimize");
-      static LogHistogram& h = compile_stage_histogram("optimize");
-      MetricTimer timer(h);
+      PS_COMPILE_STAGE("optimize");
       compiled.optimized = options.block.optimize
                                ? run_standard_pipeline(pb.block)
                                : pb.block;
@@ -76,9 +73,7 @@ ProgramCompileResult compile_program(const Program& program,
     }
 
     const DepGraph dag = [&] {
-      PS_TRACE_SPAN("dag_build");
-      static LogHistogram& h = compile_stage_histogram("dag_build");
-      MetricTimer timer(h);
+      PS_COMPILE_STAGE("dag_build");
       return DepGraph(compiled.optimized);
     }();
     compiled.chained = options.boundary == BoundaryMode::Chain &&
@@ -89,17 +84,13 @@ ProgramCompileResult compile_program(const Program& program,
                          : PipelineState::drained(options.block.machine);
 
     {
-      PS_TRACE_SPAN("schedule");
-      static LogHistogram& h = compile_stage_histogram("schedule");
-      MetricTimer timer(h);
+      PS_COMPILE_STAGE("schedule");
       compiled.schedule =
           run_scheduler(options.block.scheduler, options.block.machine, dag,
                         options.block.search, &compiled.stats, entry);
     }
     {
-      PS_TRACE_SPAN("regalloc");
-      static LogHistogram& h = compile_stage_histogram("regalloc");
-      MetricTimer timer(h);
+      PS_COMPILE_STAGE("regalloc");
       compiled.allocation = linear_scan(compiled.optimized,
                                         compiled.schedule.order,
                                         options.block.registers);
@@ -125,9 +116,7 @@ ProgramCompileResult compile_program(const Program& program,
     BasicBlock body = compiled.optimized;
     body.set_label("");
     {
-      PS_TRACE_SPAN("emit");
-      static LogHistogram& h = compile_stage_histogram("emit");
-      MetricTimer timer(h);
+      PS_COMPILE_STAGE("emit");
       assembly << emit_assembly(body, options.block.machine,
                                 compiled.schedule, compiled.allocation,
                                 options.block.emit);
@@ -144,9 +133,7 @@ ProgramCompileResult compile_program(const Program& program,
 ProgramCompileResult compile_program_source(
     const std::string& source, const ProgramCompileOptions& options) {
   Program program = [&] {
-    PS_TRACE_SPAN("parse");
-    static LogHistogram& h = compile_stage_histogram("parse");
-    MetricTimer timer(h);
+    PS_COMPILE_STAGE("parse");
     const SourceProgram parsed = parse_source(source);
     return generate_program(parsed);
   }();

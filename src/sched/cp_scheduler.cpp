@@ -1,14 +1,12 @@
 #include "sched/cp_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "sched/list_scheduler.hpp"
 #include "util/check.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
@@ -31,73 +29,60 @@ class CpSearch {
   ScheduleResult run() {
     PS_TRACE_SPAN("cp_search");
     PS_PROF_PHASE("cp");
-    SearchMonitor monitor("cp");
-    monitor_ = &monitor;
+    SearchBudget budget(config_, "cp");
+    budget_ = &budget;
     // One enabled-check per solve; dfs()'s per-cycle markers test this
     // plain pointer instead of re-loading the atomic enable flag.
     prof_ = profiler_active_stack();
     Timer wall;
     ScheduleResult result;
+    stats_ = &result.stats;
+    solve(result);
+    if (SearchBudget::observed()) tick();
+    budget_ = nullptr;
+    stats_ = nullptr;
+    result.stats.seconds = wall.seconds();
+    flush_search_metrics(result.stats);
+    return result;
+  }
+
+ private:
+  void solve(ScheduleResult& result) {
     SearchStats& stats = result.stats;
-
-    if (config_.deadline_seconds > 0) {
-      has_deadline_ = true;
-      deadline_at_ =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(config_.deadline_seconds));
-    }
-
     // Seed exactly like the B&B backend: the incumbent returned when the
     // search is curtailed, and the cost the probe range is clipped to.
-    std::vector<TupleIndex> seed;
-    if (config_.seed_with_list_schedule) {
-      seed = list_schedule_order(dag_);
-    } else {
-      seed.resize(n_);
-      for (std::size_t i = 0; i < n_; ++i) seed[i] = static_cast<TupleIndex>(i);
-    }
+    std::vector<TupleIndex> seed = seed_order(dag_, config_);
     result.schedule = evaluate_order(machine_, dag_, seed, initial_);
-    const int seed_nops = result.schedule.total_nops();
-    stats.initial_nops = seed_nops;
-    stats.best_nops = seed_nops;
-    if (n_ == 0) {
-      stats.seconds = wall.seconds();
-      flush_search_metrics(stats);
-      return result;
-    }
-    stats_ = &stats;
+    stats.initial_nops = result.schedule.total_nops();
+    stats.best_nops = stats.initial_nops;
+    if (n_ == 0) return;
     init_tables(seed);
 
-    if (config_.max_live_registers > 0 &&
-        seed_max_pressure(seed) > config_.max_live_registers) {
-      // The list seed violates the ceiling. Pressure is a property of
-      // the order alone — no timing — so feasibility is decidable once,
-      // up front, by a pure order search with a failed placed-set memo.
-      // An admissible order both certifies feasibility and replaces the
-      // seed, clipping the probe range to a real schedule's cost instead
-      // of the constructive cap (which would mean probing ~n*S horizons,
-      // each an exhaustive failure, on infeasible instances).
-      std::vector<TupleIndex> repaired;
+    if (breaks_register_ceiling(dag_, seed, config_)) {
+      // The list seed violates the ceiling, so it is no incumbent (the
+      // heartbeats report none) until an order fits. Pressure is a
+      // property of the order alone — no timing — so feasibility is
+      // decidable once, up front, by a pure order search with a failed
+      // placed-set memo. An admissible order both certifies feasibility
+      // and replaces the seed, clipping the probe range to a real
+      // schedule's cost instead of the constructive cap (which would mean
+      // probing ~n*S horizons, each an exhaustive failure, on infeasible
+      // instances).
+      stats.best_nops = -1;
       PS_PROF_PHASE("pressure_feasibility");
-      if (pressure_feasible_order(&repaired)) {
-        seed = repaired;
-        candidates_by_seed_ = seed;
-        result.schedule = evaluate_order(machine_, dag_, seed, initial_);
-        stats.initial_nops = result.schedule.total_nops();
-        stats.best_nops = stats.initial_nops;
-      } else {
+      if (!pressure_feasible_order()) {
         // Proven infeasible (no order fits the ceiling, so no horizon
         // can help) — or curtailed mid-search, in which case
         // completed=false already marks the verdict untrusted. Either
         // way the probe loop has nothing to add.
         stats.feasible = false;
-        stats.best_nops = -1;
-        stats.seconds = wall.seconds();
-        stats_ = nullptr;
-        flush_search_metrics(stats);
-        return result;
+        return;
       }
+      seed = order_;
+      candidates_by_seed_ = seed;
+      result.schedule = evaluate_order(machine_, dag_, seed, initial_);
+      stats.initial_nops = result.schedule.total_nops();
+      stats.best_nops = stats.initial_nops;
     }
     const int seed_cost = result.schedule.total_nops();
     const int t_lb = makespan_lower_bound();
@@ -128,7 +113,7 @@ class CpSearch {
       }
       if (!probe_ok) {
         // A genuine refutation proves the incumbent optimal; a
-        // curtailment (completed=false, set by record_curtail) leaves it
+        // curtailment (completed=false, set by the budget) leaves it
         // standing but unproven. Either way probing is over.
         break;
       }
@@ -166,15 +151,9 @@ class CpSearch {
     }
     // Not found: the seed result set up above already describes both the
     // refuted case (seed optimal) and the curtailed case (seed kept as
-    // incumbent, completed=false recorded by record_curtail).
-
-    stats.seconds = wall.seconds();
-    stats_ = nullptr;
-    flush_search_metrics(stats);
-    return result;
+    // incumbent, completed=false recorded by the budget).
   }
 
- private:
   void init_tables(const std::vector<TupleIndex>& seed) {
     candidates_by_seed_ = seed;
     cycle_of_.assign(n_, -1);
@@ -258,16 +237,8 @@ class CpSearch {
     unit_max_lst_.assign(machine_.pipeline_count(), 0);
 
     if (config_.max_live_registers > 0) {
-      remaining_uses_base_.assign(n_, 0);
-      for (std::size_t i = 0; i < n_; ++i) {
-        const Tuple& t = dag_.block().tuple(static_cast<TupleIndex>(i));
-        for (const Operand* o : {&t.a, &t.b}) {
-          if (o->is_ref()) {
-            ++remaining_uses_base_[static_cast<std::size_t>(o->ref)];
-          }
-        }
-      }
-      total_uses_ = remaining_uses_base_;
+      total_uses_ = use_counts(dag_);
+      remaining_uses_base_ = total_uses_;
       live_before_.assign(n_, 0);
     }
   }
@@ -282,7 +253,7 @@ class CpSearch {
 
   void reset_probe(int horizon) {
     horizon_ = horizon;
-    budget_ = horizon - static_cast<int>(n_);
+    nop_budget_ = horizon - static_cast<int>(n_);
     nops_used_ = 0;
     failed_states_.clear();
     failed_bytes_ = 0;
@@ -302,53 +273,12 @@ class CpSearch {
     }
   }
 
-  bool curtailed() const {
-    return deadline_expired_ ||
-           (config_.curtail_lambda != 0 &&
-            stats_->omega_calls >= config_.curtail_lambda);
-  }
-
-  /// The clock outranks lambda: once the deadline expired, lambda no
-  /// longer describes why we stopped.
-  void record_curtail() {
-    stats_->completed = false;
-    stats_->curtail_reason =
-        deadline_expired_ ? CurtailReason::Deadline : CurtailReason::Lambda;
-  }
-
-  void slow_tick() {
-    if (has_deadline_ && !deadline_expired_ &&
-        std::chrono::steady_clock::now() >= deadline_at_) {
-      deadline_expired_ = true;
-    }
-    emit_heartbeat();
-  }
-
-  /// CP twin of the B&B heartbeat, on the same 1,024-expansion tick:
-  /// trace counters when tracing is on (they self-gate), and the
-  /// flight-recorder ring unconditionally so the stall watchdog sees
-  /// untraced probes too. The hit rate is the delta since the previous
-  /// heartbeat, matching the B&B semantics.
-  void emit_heartbeat() {
-    trace_counter("search/nodes_expanded",
-                  static_cast<double>(stats_->nodes_expanded));
-    trace_counter("search/incumbent_nops",
-                  static_cast<double>(stats_->best_nops));
-    double hit_pct = 0;
-    if (stats_->cache_probes > hb_prev_probes_) {
-      hit_pct = 100.0 *
-                static_cast<double>(stats_->cache_hits - hb_prev_hits_) /
-                static_cast<double>(stats_->cache_probes - hb_prev_probes_);
-      trace_counter("search/cache_hit_pct", hit_pct);
-      hb_prev_probes_ = stats_->cache_probes;
-      hb_prev_hits_ = stats_->cache_hits;
-    }
-    trace_counter("search/depth", static_cast<double>(order_.size()));
-    if (monitor_ != nullptr) {
-      monitor_->heartbeat(stats_->nodes_expanded, stats_->best_nops,
-                          static_cast<std::uint32_t>(order_.size()),
-                          hit_pct);
-    }
+  /// The 1,024-node tick's cold work; run() sends one more at the end of
+  /// an observed search. The depth is the pressure walk's or the probe's,
+  /// whichever is running: both build their order in order_.
+  void tick() {
+    budget_->tick(*stats_, stats_->best_nops, order_.size(),
+                  stats_->cache_probes, stats_->cache_hits);
   }
 
   int unit_avail(PipelineId u) const {
@@ -417,51 +347,26 @@ class CpSearch {
     live_ = live_before_[order_.size() - 1];
   }
 
-  int seed_max_pressure(const std::vector<TupleIndex>& order) const {
-    std::vector<int> uses = total_uses_;
-    int live = 0;
-    int peak = 0;
-    for (TupleIndex t : order) {
-      const Tuple& tuple = dag_.block().tuple(t);
-      const bool result = opcode_has_result(tuple.op);
-      peak = std::max(peak, live + (result ? 1 : 0));
-      if (result) ++live;
-      for (const Operand* o : {&tuple.a, &tuple.b}) {
-        if (o->is_ref() && --uses[static_cast<std::size_t>(o->ref)] == 0) {
-          --live;
-        }
-      }
-      if (result && total_uses_[static_cast<std::size_t>(t)] == 0) --live;
-    }
-    return peak;
-  }
-
   /// Any topological order within the register ceiling? Pure order
   /// search — pressure ignores timing entirely — with a failed
   /// placed-set memo, so the walk is bounded by distinct feasible
-  /// prefixes rather than permutations. Fills `out` with an admissible
-  /// order when one exists. Honors the curtail budgets; on curtailment
-  /// record_curtail() has run and the (false) answer is untrusted.
-  bool pressure_feasible_order(std::vector<TupleIndex>* out) {
+  /// prefixes rather than permutations. Leaves an admissible order in
+  /// order_ when one exists. Honors the curtail budgets; on curtailment
+  /// the budget has marked the stats and the (false) answer is untrusted.
+  bool pressure_feasible_order() {
     std::vector<char> placed(n_, 0);
     std::vector<int> unplaced_preds = unplaced_preds_base_;
     std::vector<int> uses = total_uses_;
     std::unordered_set<std::string> failed;
-    out->clear();
-    out->reserve(n_);
-    return pressure_dfs(out, placed, unplaced_preds, uses, 0, failed);
+    return pressure_dfs(placed, unplaced_preds, uses, 0, failed);
   }
 
-  bool pressure_dfs(std::vector<TupleIndex>* order, std::vector<char>& placed,
-                    std::vector<int>& unplaced_preds, std::vector<int>& uses,
-                    int live, std::unordered_set<std::string>& failed) {
-    if (order->size() == n_) return true;
-    ++stats_->nodes_expanded;
-    if ((stats_->nodes_expanded & 1023u) == 0) slow_tick();
-    if (curtailed()) {
-      record_curtail();
-      return false;
-    }
+  bool pressure_dfs(std::vector<char>& placed, std::vector<int>& unplaced_preds,
+                    std::vector<int>& uses, int live,
+                    std::unordered_set<std::string>& failed) {
+    if (order_.size() == n_) return true;
+    if (budget_->count_node(*stats_)) tick();
+    if (budget_->curtail(*stats_)) return false;
     // Live set and remaining uses are functions of the placed *set*, so
     // one failed visit settles every permutation of the prefix.
     std::string key(placed.begin(), placed.end());
@@ -483,7 +388,7 @@ class CpSearch {
       ++stats_->omega_calls;
       int next_live = live + (has_result ? 1 : 0);
       placed[ci] = 1;
-      order->push_back(candidate);
+      order_.push_back(candidate);
       for (TupleIndex succ : dag_.succs(candidate)) {
         --unplaced_preds[static_cast<std::size_t>(succ)];
       }
@@ -493,8 +398,7 @@ class CpSearch {
         }
       }
       if (has_result && total_uses_[ci] == 0) --next_live;
-      if (pressure_dfs(order, placed, unplaced_preds, uses, next_live,
-                       failed)) {
+      if (pressure_dfs(placed, unplaced_preds, uses, next_live, failed)) {
         return true;
       }
       for (const Operand* o : {&tuple.a, &tuple.b}) {
@@ -503,7 +407,7 @@ class CpSearch {
       for (TupleIndex succ : dag_.succs(candidate)) {
         ++unplaced_preds[static_cast<std::size_t>(succ)];
       }
-      order->pop_back();
+      order_.pop_back();
       placed[ci] = 0;
       if (!stats_->completed) return false;
     }
@@ -554,12 +458,8 @@ class CpSearch {
   /// schedule within the horizon was reached below this node.
   bool dfs(const int cycle) {
     if (order_.size() == n_) return true;
-    ++stats_->nodes_expanded;
-    if ((stats_->nodes_expanded & 1023u) == 0) slow_tick();
-    if (curtailed()) {
-      record_curtail();
-      return false;
-    }
+    if (budget_->count_node(*stats_)) tick();
+    if (budget_->curtail(*stats_)) return false;
 
     // Window/propagation pass: every unplaced instruction's dynamic
     // earliest start — propagated through placed predecessors' actual
@@ -739,7 +639,7 @@ class CpSearch {
         ++stats_->pruned_window;
       } else if (next_event > horizon_) {
         ++stats_->pruned_window;
-      } else if (nops_used_ + skip > budget_) {
+      } else if (nops_used_ + skip > nop_budget_) {
         ++stats_->pruned_alpha_beta;
       } else {
         ++stats_->omega_calls;
@@ -787,7 +687,7 @@ class CpSearch {
 
   // Probe state.
   int horizon_ = 0;
-  int budget_ = 0;
+  int nop_budget_ = 0;
   int nops_used_ = 0;
   std::vector<int> cycle_of_;
   std::vector<int> lat_of_;  ///< latency of the chosen unit, placed only
@@ -807,16 +707,8 @@ class CpSearch {
   std::vector<int> live_before_;
   int live_ = 0;
 
-  // Budgets.
-  bool has_deadline_ = false;
-  bool deadline_expired_ = false;
-  std::chrono::steady_clock::time_point deadline_at_{};
-
-  // Observability: flight recorder + heartbeat-delta baselines.
-  SearchMonitor* monitor_ = nullptr;
+  SearchBudget* budget_ = nullptr;
   prof_detail::PhaseStack* prof_ = nullptr;  ///< captured once per run()
-  std::uint64_t hb_prev_probes_ = 0;
-  std::uint64_t hb_prev_hits_ = 0;
 };
 
 }  // namespace

@@ -1,15 +1,12 @@
 #include "sched/optimal_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <optional>
 #include <vector>
 
-#include "sched/list_scheduler.hpp"
 #include "util/check.hpp"
 #include "util/dominance_cache.hpp"
-#include "util/metrics.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -53,41 +50,23 @@ class Search {
   OptimalResult run() {
     PS_TRACE_SPAN("optimal_search");
     PS_PROF_PHASE("bnb");
-    SearchMonitor monitor("bnb");
-    monitor_ = &monitor;
+    SearchBudget budget(config_, "bnb");
+    budget_ = &budget;
     // One enabled-check for the whole search: descend()'s hot-loop
     // markers test this plain pointer instead of the atomic enable flag
     // (measurably cheaper in the ~200ns/placement candidate loop).
     prof_ = profiler_active_stack();
     Timer wall;
-    if (config_.deadline_seconds > 0) {
-      has_deadline_ = true;
-      deadline_at_ = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(
-                             config_.deadline_seconds));
-    }
     OptimalResult result;
 
     // Step [1]: evaluate the seed schedule; it becomes the incumbent pi.
-    std::vector<TupleIndex> seed;
-    if (config_.seed_with_list_schedule) {
-      seed = list_schedule_order(dag_);
-    } else {
-      seed.resize(n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        seed[i] = static_cast<TupleIndex>(i);
-      }
-    }
+    const std::vector<TupleIndex> seed = seed_order(dag_, config_);
     result.best = evaluate_order(machine_, dag_, seed, initial_);
     best_nops_ = result.best.total_nops();
     result.stats.initial_nops = best_nops_;
 
     init_from_seed(seed);
-    if (config_.max_live_registers > 0 &&
-        seed_max_pressure(seed) > config_.max_live_registers) {
-      // The seed itself needs spill code; it cannot serve as incumbent.
+    if (breaks_register_ceiling(dag_, seed, config_)) {
       best_nops_ = kInfiniteCost;
       result.stats.feasible = false;
     }
@@ -101,16 +80,8 @@ class Search {
         descend<false>();
       }
     }
-    // Every OBSERVED search contributes at least one heartbeat, even when
-    // it finishes well inside the first 1,024-expansion tick. Gated on an
-    // observer actually existing (tracing, profiling, or an armed
-    // watchdog): the periodic slow_tick() feed stays unconditional, but a
-    // sub-tick search in a fully dark run skips the clock read + ring
-    // push — a measurable per-block constant on ~50us corpus blocks.
-    if (trace_enabled() || profiler_enabled() || watchdog_enabled()) {
-      emit_heartbeat();
-    }
-    monitor_ = nullptr;
+    if (SearchBudget::observed()) tick();
+    budget_ = nullptr;
     // An infeasible search found no schedule within the pressure ceiling;
     // `best` is still the (infeasible) seed, kept for diagnostics, but the
     // reported cost must not look like a real optimum.
@@ -147,16 +118,8 @@ class Search {
     // Register-pressure tracking (Section 3.1 discipline): remaining use
     // slots per value, and the live-value counter.
     if (config_.max_live_registers > 0) {
-      remaining_uses_.assign(n_, 0);
-      for (std::size_t i = 0; i < n_; ++i) {
-        const Tuple& t = dag_.block().tuple(static_cast<TupleIndex>(i));
-        for (const Operand* o : {&t.a, &t.b}) {
-          if (o->is_ref()) {
-            ++remaining_uses_[static_cast<std::size_t>(o->ref)];
-          }
-        }
-      }
-      total_uses_ = remaining_uses_;
+      total_uses_ = use_counts(dag_);
+      remaining_uses_ = total_uses_;
       live_before_stack_.assign(n_, 0);
       live_ = 0;
     }
@@ -170,76 +133,17 @@ class Search {
     scheduled_hash2_ ^= zobrist2_.key(static_cast<std::size_t>(t));
   }
 
-  /// Cold path of the per-node bookkeeping, reached every 1,024
-  /// expansions: the amortized wall-clock deadline check, with the
-  /// heartbeat piggybacked on the same tick so instrumentation adds no
-  /// second periodic branch to the hot loop.
-  void slow_tick() {
-    if (has_deadline_ && !deadline_expired_ &&
-        std::chrono::steady_clock::now() >= deadline_at_) {
-      deadline_expired_ = true;
-    }
-    emit_heartbeat();
-  }
-
-  /// Sampled counter tracks that make a stuck or exploding search
-  /// diagnosable on the timeline: total expansions, the incumbent cost
-  /// (watch it stall), the dominance-cache hit rate, and the current
-  /// search depth (distinguishes deep stalls from wide thrashing).
-  ///
-  /// The hit rate covers the interval SINCE THE PREVIOUS HEARTBEAT, not
-  /// the search's lifetime: a cumulative ratio flattens into a meaningless
-  /// long-run average precisely when a long search is the thing being
-  /// diagnosed, while the per-interval delta shows the cache going cold
-  /// (or hot) as the walk moves between regions of the tree.
-  ///
-  /// Runs unconditionally (tracing off included): the same snapshot also
-  /// feeds the flight-recorder ring that the stall watchdog reads, and a
-  /// watchdog blind in untraced runs would be useless exactly where it
-  /// matters. Trace-event output stays gated inside trace_counter().
-  void emit_heartbeat() {
-    trace_counter("search/nodes_expanded",
-                  static_cast<double>(stats_->nodes_expanded));
-    if (best_nops_ < kInfiniteCost) {
-      trace_counter("search/incumbent_nops", best_nops_);
-    }
+  /// The 1,024-node tick's cold work, kept out of descend(); run() sends
+  /// one more at the end of an observed search.
+  void tick() {
     std::uint64_t probes = 0;
     std::uint64_t hits = 0;
     if (cache_) {
-      const DominanceCacheStats& cs = cache_->stats();
-      probes = cs.probes;
-      hits = cs.hits;
+      probes = cache_->stats().probes;
+      hits = cache_->stats().hits;
     }
-    double hit_pct = 0;
-    if (probes > hb_prev_probes_) {
-      hit_pct = 100.0 * static_cast<double>(hits - hb_prev_hits_) /
-                static_cast<double>(probes - hb_prev_probes_);
-      trace_counter("search/cache_hit_pct", hit_pct);
-      hb_prev_probes_ = probes;
-      hb_prev_hits_ = hits;
-    }
-    trace_counter("search/depth", static_cast<double>(timer_.depth()));
-    if (monitor_ != nullptr) {
-      monitor_->heartbeat(stats_->nodes_expanded,
-                          best_nops_ < kInfiniteCost ? best_nops_ : -1,
-                          static_cast<std::uint32_t>(timer_.depth()),
-                          hit_pct);
-    }
-  }
-
-  bool curtailed() const {
-    return deadline_expired_ ||
-           (config_.curtail_lambda != 0 &&
-            stats_->omega_calls >= config_.curtail_lambda);
-  }
-
-  /// Mark the search truncated and record which budget fired. The
-  /// deadline outranks lambda: once the clock expired, lambda no longer
-  /// describes why we stopped.
-  void record_curtail() {
-    stats_->completed = false;
-    stats_->curtail_reason =
-        deadline_expired_ ? CurtailReason::Deadline : CurtailReason::Lambda;
+    budget_->tick(*stats_, best_nops_ < kInfiniteCost ? best_nops_ : -1,
+                  timer_.depth(), probes, hits);
   }
 
   /// Admissible lower bound on the final issue cycle of any completion of
@@ -261,29 +165,6 @@ class Search {
       bound = std::max(bound, earliest + latency_height_[i]);
     }
     return bound;
-  }
-
-  /// Maximum simultaneously-live values along `order` (the allocator's
-  /// convention: an instruction's result is live concurrently with its
-  /// operands).
-  int seed_max_pressure(const std::vector<TupleIndex>& order) {
-    std::vector<int> uses = total_uses_;
-    int live = 0;
-    int peak = 0;
-    for (TupleIndex t : order) {
-      const Tuple& tuple = dag_.block().tuple(t);
-      const bool result = opcode_has_result(tuple.op);
-      peak = std::max(peak, live + (result ? 1 : 0));
-      if (result) ++live;
-      for (const Operand* o : {&tuple.a, &tuple.b}) {
-        if (o->is_ref() &&
-            --uses[static_cast<std::size_t>(o->ref)] == 0) {
-          --live;
-        }
-      }
-      if (result && total_uses_[static_cast<std::size_t>(t)] == 0) --live;
-    }
-    return peak;
   }
 
   /// Would placing `t` now exceed the pressure ceiling?
@@ -400,11 +281,7 @@ class Search {
   /// captured prof_ pointer.
   template <bool kProf>
   void descend() {
-    ++stats_->nodes_expanded;
-    // Amortized slow work (deadline clock read, trace heartbeat) runs
-    // once per ~1024 node expansions so the hot loop pays one predictable
-    // branch per node.
-    if ((stats_->nodes_expanded & 1023u) == 0) slow_tick();
+    if (budget_->count_node(*stats_)) tick();
     if (timer_.depth() == n_) {
       ++stats_->schedules_examined;
       stats_->feasible = true;
@@ -461,10 +338,7 @@ class Search {
     std::fill(tried_classes.begin(), tried_classes.end(), 0);
 
     for (TupleIndex candidate : candidates_by_seed_) {
-      if (curtailed()) {
-        record_curtail();
-        return;
-      }
+      if (budget_->curtail(*stats_)) return;
       {
         // Rules [5a]-[5c] + pressure: the per-candidate filters. The
         // marker scope ends before the group loop so the push/descend/
@@ -502,10 +376,7 @@ class Search {
           machine_.unit_groups(dag_.block().tuple(candidate).op);
       const std::size_t branches = groups.empty() ? 1 : groups.size();
       for (std::size_t g = 0; g < branches; ++g) {
-        if (curtailed()) {
-          record_curtail();
-          return;
-        }
+        if (budget_->curtail(*stats_)) return;
         {
           // Omega's incremental append: the placement itself plus every
           // piece of state pushed alongside it.
@@ -571,20 +442,15 @@ class Search {
   ZobristKeys zobrist_;
   ZobristKeys zobrist2_;  // independent table for the verification word
   std::optional<DominanceCache> cache_;
-  std::chrono::steady_clock::time_point deadline_at_{};
-  bool has_deadline_ = false;
-  bool deadline_expired_ = false;
   std::uint64_t scheduled_hash_ = 0;
   std::uint64_t scheduled_hash2_ = 0;
   int live_ = 0;
   int best_nops_ = 0;
   Schedule* best_schedule_ = nullptr;
   SearchStats* stats_ = nullptr;
-  SearchMonitor* monitor_ = nullptr;  ///< flight recorder (may be null)
+  SearchBudget* budget_ = nullptr;
   prof_detail::PhaseStack* prof_ = nullptr;  ///< this thread's phase stack
                                              ///< (null = profiler off)
-  std::uint64_t hb_prev_probes_ = 0;   // heartbeat-delta baselines
-  std::uint64_t hb_prev_hits_ = 0;
 };
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace pipesched {
 
@@ -235,6 +236,78 @@ std::vector<int> equivalence_classes(const Machine& machine,
     ++next;
   }
   return cls;
+}
+
+std::vector<TupleIndex> seed_order(const DepGraph& dag,
+                                   const SearchConfig& config) {
+  if (config.seed_with_list_schedule) return list_schedule_order(dag);
+  std::vector<TupleIndex> order(dag.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<TupleIndex>(i);
+  }
+  return order;
+}
+
+std::vector<int> use_counts(const DepGraph& dag) {
+  std::vector<int> uses(dag.size(), 0);
+  for (std::size_t i = 0; i < dag.size(); ++i) {
+    const Tuple& t = dag.block().tuple(static_cast<TupleIndex>(i));
+    for (const Operand* o : {&t.a, &t.b}) {
+      if (o->is_ref()) ++uses[static_cast<std::size_t>(o->ref)];
+    }
+  }
+  return uses;
+}
+
+bool breaks_register_ceiling(const DepGraph& dag,
+                             const std::vector<TupleIndex>& order,
+                             const SearchConfig& config) {
+  if (config.max_live_registers <= 0) return false;
+  const std::vector<int> total_uses = use_counts(dag);
+  std::vector<int> uses = total_uses;
+  int live = 0;
+  int peak = 0;
+  for (TupleIndex t : order) {
+    const Tuple& tuple = dag.block().tuple(t);
+    const bool result = opcode_has_result(tuple.op);
+    peak = std::max(peak, live + (result ? 1 : 0));
+    if (result) ++live;
+    for (const Operand* o : {&tuple.a, &tuple.b}) {
+      if (o->is_ref() && --uses[static_cast<std::size_t>(o->ref)] == 0) {
+        --live;
+      }
+    }
+    if (result && total_uses[static_cast<std::size_t>(t)] == 0) --live;
+  }
+  return peak > config.max_live_registers;
+}
+
+SearchBudget::SearchBudget(const SearchConfig& config, const char* label)
+    : monitor_(label),
+      lambda_(config.curtail_lambda),
+      has_deadline_(config.deadline_seconds > 0) {
+  if (has_deadline_) {
+    deadline_at_ =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(config.deadline_seconds));
+  }
+}
+
+void SearchBudget::tick(const SearchStats& stats, int incumbent_nops,
+                        std::size_t depth, std::uint64_t cache_probes,
+                        std::uint64_t cache_hits) {
+  if (has_deadline_ && !deadline_expired_ &&
+      std::chrono::steady_clock::now() >= deadline_at_) {
+    deadline_expired_ = true;
+  }
+  monitor_.heartbeat(stats.nodes_expanded, incumbent_nops,
+                     static_cast<std::uint32_t>(depth), cache_probes,
+                     cache_hits);
+}
+
+bool SearchBudget::observed() {
+  return trace_enabled() || profiler_enabled() || watchdog_enabled();
 }
 
 std::vector<int> latency_heights(const Machine& machine, const DepGraph& dag) {

@@ -18,13 +18,16 @@
 // leans on exactly this property.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sched/schedule.hpp"
 #include "sched/timing.hpp"
+#include "util/profiler.hpp"
 
 namespace pipesched {
 
@@ -167,6 +170,75 @@ ScheduleResult run_optimal_backend(const Machine& machine, const DepGraph& dag,
 std::vector<int> equivalence_classes(const Machine& machine,
                                      const DepGraph& dag, bool strong,
                                      bool pressure_constrained);
+
+/// Step [1]'s seed order: the list schedule's order, or the original
+/// tuple order when config.seed_with_list_schedule is off.
+std::vector<TupleIndex> seed_order(const DepGraph& dag,
+                                   const SearchConfig& config);
+
+/// How many operand slots reference each tuple's value.
+std::vector<int> use_counts(const DepGraph& dag);
+
+/// True when config sets a register ceiling that `order` breaks: its peak
+/// of simultaneously-live values (the allocator's convention: an
+/// instruction's result is live concurrently with its operands) exceeds
+/// config.max_live_registers. Such a seed needs spill code, so it cannot
+/// serve as the incumbent.
+bool breaks_register_ceiling(const DepGraph& dag,
+                             const std::vector<TupleIndex>& order,
+                             const SearchConfig& config);
+
+/// The budget both exact backends share: the paper's curtail point lambda
+/// (a cap on omega calls), the wall-clock deadline, the 1,024-expansion
+/// tick that samples the clock and sends the heartbeat, and which budget
+/// fired. Constructing it registers the search's flight recorder under
+/// `label` and arms the deadline, so a backend constructs it where its
+/// search starts.
+class SearchBudget {
+ public:
+  SearchBudget(const SearchConfig& config, const char* label);
+
+  /// Count one node expansion. True on every 1,024th, when the caller
+  /// runs tick() with its current state. Keeping only this branch in the
+  /// hot loop keeps the clock read and the heartbeat out of it.
+  bool count_node(SearchStats& stats) const {
+    return (++stats.nodes_expanded & 1023u) == 0;
+  }
+
+  /// Has a budget run out? If so, mark `stats` curtailed and record why.
+  /// The deadline outranks lambda: once the clock expired, lambda no
+  /// longer describes why the search stopped.
+  bool curtail(SearchStats& stats) const {
+    if (!deadline_expired_ &&
+        (lambda_ == 0 || stats.omega_calls < lambda_)) {
+      return false;
+    }
+    stats.completed = false;
+    stats.curtail_reason = deadline_expired_ ? CurtailReason::Deadline
+                                             : CurtailReason::Lambda;
+    return true;
+  }
+
+  /// The tick's cold work: sample the clock against the deadline, then
+  /// send one heartbeat (see SearchMonitor::heartbeat; `incumbent_nops`
+  /// is -1 while the search has no schedule within its constraints).
+  void tick(const SearchStats& stats, int incumbent_nops, std::size_t depth,
+            std::uint64_t cache_probes, std::uint64_t cache_hits);
+
+  /// Does anything watch heartbeats (tracing, profiling or an armed
+  /// watchdog)? Gates the end-of-search tick, so that every observed
+  /// search sends at least one heartbeat, even one that ends inside the
+  /// first tick, while a sub-tick search in a fully dark run skips the
+  /// clock read and the ring push.
+  static bool observed();
+
+ private:
+  SearchMonitor monitor_;
+  const std::uint64_t lambda_;
+  const bool has_deadline_;
+  bool deadline_expired_ = false;
+  std::chrono::steady_clock::time_point deadline_at_{};
+};
 
 /// Latency-weighted height below each tuple: a chain from t's issue to the
 /// final instruction's issue needs at least lh(t) further cycles, because

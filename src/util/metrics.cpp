@@ -6,6 +6,7 @@
 #include <fstream>
 #include <limits>
 #include <iomanip>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
@@ -27,17 +28,14 @@ std::atomic<bool> g_enabled{false};
 /// their cells for metrics_reset().
 class MetricsRegistry {
  public:
-  static Counter* make_counter(std::uint32_t id) { return new Counter(id); }
+  static Counter* make_counter() { return new Counter(); }
   static Gauge* make_gauge() { return new Gauge(); }
-  static LogHistogram* make_histogram(std::uint32_t id) {
-    return new LogHistogram(id);
-  }
+  static LogHistogram* make_histogram() { return new LogHistogram(); }
 
   static void reset(Counter& c) {
-    std::lock_guard lock(c.mutex_);
-    for (auto& cell : c.cells_) {
-      cell->count.store(0, std::memory_order_relaxed);
-    }
+    c.cells_.for_each([](std::uint32_t, metrics_detail::Cell& cell) {
+      cell.count.store(0, std::memory_order_relaxed);
+    });
   }
 
   static void reset(Gauge& g) {
@@ -45,12 +43,11 @@ class MetricsRegistry {
   }
 
   static void reset(LogHistogram& h) {
-    std::lock_guard lock(h.mutex_);
-    for (auto& cell : h.cells_) {
-      for (auto& b : cell->buckets) b.store(0, std::memory_order_relaxed);
-      cell->count.store(0, std::memory_order_relaxed);
-      cell->sum.store(0, std::memory_order_relaxed);
-    }
+    h.cells_.for_each([](std::uint32_t, LogHistogram::HistoCell& cell) {
+      for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
+      cell.count.store(0, std::memory_order_relaxed);
+      cell.sum.store(0, std::memory_order_relaxed);
+    });
   }
 };
 
@@ -131,20 +128,11 @@ struct Registry {
   std::deque<Instrument> instruments;
   std::unordered_map<std::string, std::size_t> by_key;
   std::unordered_map<std::string, Kind> family_kind;  // name -> kind
-  std::uint32_t next_cell_id = 0;
 };
 
 Registry& registry() {
   static Registry* r = new Registry;  // leaked: outlive all worker threads
   return *r;
-}
-
-/// Per-thread cell pointers, indexed by the instrument's dense cell id.
-/// Cells are owned by the instruments, so a dying thread leaves its
-/// accumulated values behind (exactly what process totals want).
-std::vector<void*>& tl_cells() {
-  thread_local std::vector<void*> cells;
-  return cells;
 }
 
 const char* kind_name(Kind kind) {
@@ -189,16 +177,15 @@ Instrument& find_or_create(const std::string& name,
   inst.name = name;
   inst.labels = sorted;
   inst.help = help;
-  const std::uint32_t id = reg.next_cell_id++;
   switch (kind) {
     case Kind::Counter:
-      inst.counter = MetricsRegistry::make_counter(id);
+      inst.counter = MetricsRegistry::make_counter();
       break;
     case Kind::Gauge:
       inst.gauge = MetricsRegistry::make_gauge();
       break;
     case Kind::Histogram:
-      inst.histogram = MetricsRegistry::make_histogram(id);
+      inst.histogram = MetricsRegistry::make_histogram();
       break;
   }
   reg.instruments.push_back(std::move(inst));
@@ -286,32 +273,17 @@ void metrics_reset() {
   if (metrics_enabled()) register_build_info_metric();
 }
 
-metrics_detail::Cell& Counter::cell() {
-  std::vector<void*>& tl = tl_cells();
-  if (tl.size() <= id_) tl.resize(id_ + 1, nullptr);
-  void*& slot = tl[id_];
-  if (slot == nullptr) {
-    // First touch from this thread: register a private cell under the
-    // instrument's mutex; every later add() is wait-free.
-    std::lock_guard lock(mutex_);
-    cells_.push_back(std::make_unique<metrics_detail::Cell>());
-    slot = cells_.back().get();
-  }
-  return *static_cast<metrics_detail::Cell*>(slot);
-}
-
 std::uint64_t Counter::value() const {
-  std::lock_guard lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->count.load(std::memory_order_relaxed);
-  }
+  cells_.for_each([&](std::uint32_t, const metrics_detail::Cell& cell) {
+    total += cell.count.load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 void LogHistogram::observe(double value) {
   if (!metrics_enabled()) return;
-  HistoCell& c = cell();
+  HistoCell& c = cells_.local();
   c.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
   c.count.fetch_add(1, std::memory_order_relaxed);
   metrics_detail::atomic_add_double(c.sum, value);
@@ -339,28 +311,15 @@ int LogHistogram::bucket_index(double value) {
   return k - kMinExp;
 }
 
-LogHistogram::HistoCell& LogHistogram::cell() {
-  std::vector<void*>& tl = tl_cells();
-  if (tl.size() <= id_) tl.resize(id_ + 1, nullptr);
-  void*& slot = tl[id_];
-  if (slot == nullptr) {
-    std::lock_guard lock(mutex_);
-    cells_.push_back(std::make_unique<HistoCell>());
-    slot = cells_.back().get();
-  }
-  return *static_cast<HistoCell*>(slot);
-}
-
 LogHistogram::Totals LogHistogram::totals() const {
   Totals t;
-  std::lock_guard lock(mutex_);
-  for (const auto& cell : cells_) {
+  cells_.for_each([&](std::uint32_t, const HistoCell& cell) {
     for (int i = 0; i < kBuckets; ++i) {
-      t.buckets[i] += cell->buckets[i].load(std::memory_order_relaxed);
+      t.buckets[i] += cell.buckets[i].load(std::memory_order_relaxed);
     }
-    t.count += cell->count.load(std::memory_order_relaxed);
-    t.sum += cell->sum.load(std::memory_order_relaxed);
-  }
+    t.count += cell.count.load(std::memory_order_relaxed);
+    t.sum += cell.sum.load(std::memory_order_relaxed);
+  });
   return t;
 }
 

@@ -13,11 +13,11 @@
 //      clock read, no lock, no allocation. The <2% corpus overhead budget
 //      is measured in EXPERIMENTS.md.
 //   2. No locks on the hot path when enabled. Counters and histograms
-//      accumulate into per-thread cells: the first touch from a thread
-//      registers a cell under the registry mutex, every later update is a
-//      wait-free relaxed atomic add on thread-local state. Gauges are a
-//      single relaxed atomic (their writers — e.g. the thread-pool queue
-//      depth — are already serialized by the owner's own lock).
+//      accumulate into per-thread cells (ThreadSlots, thread_slots.hpp):
+//      every update after a thread's first is a wait-free relaxed atomic
+//      add on that thread's own cell. Gauges are a single relaxed atomic
+//      (their writers — e.g. the thread-pool queue depth — are already
+//      serialized by the owner's own lock).
 //   3. Reads never stop writers. value()/metrics_snapshot() sum the cells
 //      with relaxed loads concurrent with updates: each cell is exact,
 //      the cross-cell sum is a point-in-time value that may trail
@@ -36,11 +36,11 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/thread_slots.hpp"
 
 namespace pipesched {
 
@@ -52,14 +52,14 @@ namespace metrics_detail {
 
 extern std::atomic<bool> g_enabled;
 
-/// One thread's accumulation cell, cache-line-aligned so two threads'
-/// cells never share a line. `sum` uses a CAS loop (single writer, so it
-/// succeeds first try) because atomic<double>::fetch_add is not portable.
+/// One thread's counter cell, cache-line-aligned so two threads' cells
+/// never share a line.
 struct alignas(64) Cell {
   std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0};
 };
 
+/// A CAS loop, because atomic<double>::fetch_add is not portable. A cell
+/// has a single writer, so it succeeds first try there.
 inline void atomic_add_double(std::atomic<double>& a, double d) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
@@ -91,19 +91,16 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) {
     if (!metrics_enabled() || n == 0) return;
-    cell().count.fetch_add(n, std::memory_order_relaxed);
+    cells_.local().count.fetch_add(n, std::memory_order_relaxed);
   }
   void increment() { add(1); }
   std::uint64_t value() const;
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(std::uint32_t id) : id_(id) {}
-  metrics_detail::Cell& cell();
+  Counter() = default;
 
-  const std::uint32_t id_;
-  mutable std::mutex mutex_;  ///< guards cells_ growth only
-  std::vector<std::unique_ptr<metrics_detail::Cell>> cells_;
+  ThreadSlots<metrics_detail::Cell> cells_;
 };
 
 /// Last-write-wins gauge (doubles as an up/down counter via add()).
@@ -158,18 +155,15 @@ class LogHistogram {
 
  private:
   friend class MetricsRegistry;
-  explicit LogHistogram(std::uint32_t id) : id_(id) {}
+  LogHistogram() = default;
 
   struct alignas(64) HistoCell {
     std::atomic<std::uint64_t> buckets[kBuckets] = {};
     std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0};
   };
-  HistoCell& cell();
 
-  const std::uint32_t id_;
-  mutable std::mutex mutex_;  ///< guards cells_ growth only
-  std::vector<std::unique_ptr<HistoCell>> cells_;
+  ThreadSlots<HistoCell> cells_;
 };
 
 /// Find-or-create factories on the process-wide registry. Thread-safe;

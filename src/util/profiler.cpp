@@ -7,7 +7,6 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -16,6 +15,8 @@
 #include "util/check.hpp"
 #include "util/csv.hpp"  // json_quote
 #include "util/metrics.hpp"
+#include "util/thread_slots.hpp"
+#include "util/trace.hpp"
 
 namespace pipesched {
 
@@ -25,33 +26,16 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-/// All threads' phase stacks. Stacks are registered on a thread's first
-/// active marker and leaked with the registry (threads may die while the
-/// sampler holds a pointer; the stack must outlive them both).
-struct StackRegistry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<PhaseStack>> stacks;
-};
-
-StackRegistry& stack_registry() {
-  static StackRegistry* r = new StackRegistry;  // leaked: outlives workers
-  return *r;
+/// All threads' phase stacks, leaked (threads may die while the sampler
+/// reads their stacks; the stacks must outlive them both).
+ThreadSlots<PhaseStack>& stacks() {
+  static auto* s = new ThreadSlots<PhaseStack>;
+  return *s;
 }
 
 }  // namespace
 
-PhaseStack& local_stack() {
-  thread_local PhaseStack* stack = nullptr;
-  if (stack == nullptr) {
-    auto owned = std::make_unique<PhaseStack>();
-    stack = owned.get();
-    StackRegistry& reg = stack_registry();
-    std::lock_guard lock(reg.mutex);
-    stack->tid = static_cast<std::uint32_t>(reg.stacks.size() + 1);
-    reg.stacks.push_back(std::move(owned));
-  }
-  return *stack;
-}
+PhaseStack& local_stack() { return stacks().local(); }
 
 }  // namespace prof_detail
 
@@ -96,20 +80,12 @@ std::string read_stack_path(const prof_detail::PhaseStack& stack) {
 }
 
 void take_sample() {
-  std::vector<std::pair<std::uint32_t, std::string>> live;
-  {
-    auto& reg = prof_detail::stack_registry();
-    std::lock_guard lock(reg.mutex);
-    for (const auto& stack : reg.stacks) {
-      std::string path = read_stack_path(*stack);
-      if (!path.empty()) live.emplace_back(stack->tid, std::move(path));
-    }
-  }
-  if (live.empty()) return;
+  std::vector<PhaseStackSnapshot> live = profiler_phase_stacks();
   auto& acc = accumulator();
   std::lock_guard lock(acc.mutex);
-  for (auto& sample : live) {
-    ++acc.counts[std::move(sample)];
+  for (PhaseStackSnapshot& sample : live) {
+    if (sample.path.empty()) continue;
+    ++acc.counts[{sample.tid, std::move(sample.path)}];
     ++acc.total;
   }
 }
@@ -134,6 +110,8 @@ struct SearchMonitor::Impl {
   /// search-hot data on every ~50us corpus block.)
   void reset(const char* label_in) {
     label = label_in;
+    prev_probes = 0;
+    prev_hits = 0;
     ring_size = 0;
     ring_next = 0;
     created = Clock::now();
@@ -142,8 +120,24 @@ struct SearchMonitor::Impl {
     dumped = false;
   }
 
+  /// The ring's entries, oldest first. Caller holds `mutex`.
+  std::vector<HeartbeatSnapshot> ring_copy() const {
+    std::vector<HeartbeatSnapshot> out;
+    out.reserve(ring_size);
+    const std::size_t start =
+        (ring_next + kRingCapacity - ring_size) % kRingCapacity;
+    for (std::size_t i = 0; i < ring_size; ++i) {
+      out.push_back(ring[(start + i) % kRingCapacity]);
+    }
+    return out;
+  }
+
   const char* label;
   std::uint64_t id = 0;
+  // Cache totals at the previous heartbeat: the hit rate is per interval.
+  // Written by the monitor's one writer only, so not under `mutex`.
+  std::uint64_t prev_probes = 0;
+  std::uint64_t prev_hits = 0;
 
   mutable std::mutex mutex;
   HeartbeatSnapshot ring[kRingCapacity];
@@ -202,7 +196,23 @@ SearchMonitor::~SearchMonitor() {
 }
 
 void SearchMonitor::heartbeat(std::uint64_t nodes, int incumbent_nops,
-                              std::uint32_t depth, double cache_hit_pct) {
+                              std::uint32_t depth, std::uint64_t cache_probes,
+                              std::uint64_t cache_hits) {
+  trace_counter("search/nodes_expanded", static_cast<double>(nodes));
+  if (incumbent_nops >= 0) {
+    trace_counter("search/incumbent_nops", incumbent_nops);
+  }
+  double cache_hit_pct = 0;
+  if (cache_probes > impl_->prev_probes) {
+    cache_hit_pct =
+        100.0 * static_cast<double>(cache_hits - impl_->prev_hits) /
+        static_cast<double>(cache_probes - impl_->prev_probes);
+    trace_counter("search/cache_hit_pct", cache_hit_pct);
+    impl_->prev_probes = cache_probes;
+    impl_->prev_hits = cache_hits;
+  }
+  trace_counter("search/depth", static_cast<double>(depth));
+
   const Clock::time_point now = Clock::now();
   std::lock_guard lock(impl_->mutex);
   HeartbeatSnapshot& slot = impl_->ring[impl_->ring_next];
@@ -224,14 +234,7 @@ void SearchMonitor::heartbeat(std::uint64_t nodes, int incumbent_nops,
 
 std::vector<HeartbeatSnapshot> SearchMonitor::ring() const {
   std::lock_guard lock(impl_->mutex);
-  std::vector<HeartbeatSnapshot> out;
-  out.reserve(impl_->ring_size);
-  const std::size_t start =
-      (impl_->ring_next + kRingCapacity - impl_->ring_size) % kRingCapacity;
-  for (std::size_t i = 0; i < impl_->ring_size; ++i) {
-    out.push_back(impl_->ring[(start + i) % kRingCapacity]);
-  }
-  return out;
+  return impl_->ring_copy();
 }
 
 const char* SearchMonitor::label() const { return impl_->label; }
@@ -248,26 +251,17 @@ std::vector<MonitorStatus> search_monitor_statuses() {
     MonitorStatus& status = out.emplace_back();
     status.label = mon->label;
     status.monitor_id = mon->id;
-    status.ring.reserve(mon->ring_size);
-    const std::size_t cap = SearchMonitor::kRingCapacity;
-    const std::size_t start = (mon->ring_next + cap - mon->ring_size) % cap;
-    for (std::size_t i = 0; i < mon->ring_size; ++i) {
-      status.ring.push_back(mon->ring[(start + i) % cap]);
-    }
+    status.ring = mon->ring_copy();
   }
   return out;
 }
 
 std::vector<PhaseStackSnapshot> profiler_phase_stacks() {
   std::vector<PhaseStackSnapshot> out;
-  auto& reg = prof_detail::stack_registry();
-  std::lock_guard lock(reg.mutex);
-  out.reserve(reg.stacks.size());
-  for (const auto& stack : reg.stacks) {
-    PhaseStackSnapshot& snap = out.emplace_back();
-    snap.tid = stack->tid;
-    snap.path = read_stack_path(*stack);
-  }
+  prof_detail::stacks().for_each(
+      [&](std::uint32_t tid, const prof_detail::PhaseStack& stack) {
+        out.push_back({tid, read_stack_path(stack)});
+      });
   return out;
 }
 
@@ -316,16 +310,12 @@ std::string stall_dump_json(const SearchMonitor::Impl& mon,
         << ",\"cache_hit_pct\":" << hb.cache_hit_pct << "}";
   }
   out << "],\"phase_stacks\":[";
-  {
-    auto& reg = prof_detail::stack_registry();
-    std::lock_guard lock(reg.mutex);
-    bool first = true;
-    for (const auto& stack : reg.stacks) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"tid\":" << stack->tid << ",\"path\":"
-          << json_quote(read_stack_path(*stack)) << "}";
-    }
+  bool first = true;
+  for (const PhaseStackSnapshot& stack : profiler_phase_stacks()) {
+    if (!first) out << ",";
+    first = false;
+    out << "{\"tid\":" << stack.tid << ",\"path\":"
+        << json_quote(stack.path) << "}";
   }
   out << "],\"metrics\":";
   if (metrics_enabled()) {
@@ -344,11 +334,7 @@ void dump_stall(SearchMonitor::Impl& mon, double seconds_since_progress,
   {
     std::lock_guard lock(mon.mutex);
     last_nodes = mon.last_nodes;
-    const std::size_t cap = SearchMonitor::kRingCapacity;
-    const std::size_t start = (mon.ring_next + cap - mon.ring_size) % cap;
-    for (std::size_t i = 0; i < mon.ring_size; ++i) {
-      ring.push_back(mon.ring[(start + i) % cap]);
-    }
+    ring = mon.ring_copy();
   }
   std::ostringstream text;
   text << "ps-watchdog: STALL in search '" << mon.label << "' (monitor #"
@@ -363,14 +349,9 @@ void dump_stall(SearchMonitor::Impl& mon, double seconds_since_progress,
          << " cache_hit_pct=" << std::setprecision(1) << hb.cache_hit_pct
          << "\n";
   }
-  {
-    auto& reg = prof_detail::stack_registry();
-    std::lock_guard lock(reg.mutex);
-    for (const auto& stack : reg.stacks) {
-      const std::string path = read_stack_path(*stack);
-      text << "ps-watchdog:   thread " << stack->tid << " phase: "
-           << (path.empty() ? "(idle)" : path) << "\n";
-    }
+  for (const PhaseStackSnapshot& stack : profiler_phase_stacks()) {
+    text << "ps-watchdog:   thread " << stack.tid << " phase: "
+         << (stack.path.empty() ? "(idle)" : stack.path) << "\n";
   }
   if (metrics_enabled()) {
     text << "ps-watchdog: " << metrics_summary_line() << "\n";

@@ -13,10 +13,10 @@
 //      no clock read, no lock, no allocation. The <2% corpus overhead
 //      budget is measured in EXPERIMENTS.md.
 //   2. No locks on the hot path when enabled. Each worker thread owns a
-//      fixed-depth *phase stack* (registered once under a mutex on the
-//      thread's first marker, then written only by that thread): a push
-//      is one relaxed frame store plus one release depth store, a pop is
-//      one release depth store. No sampling work happens on the worker.
+//      fixed-depth *phase stack* (a ThreadSlots slot, thread_slots.hpp,
+//      written only by that thread): a push is one relaxed frame store
+//      plus one release depth store, a pop is one release depth store.
+//      No sampling work happens on the worker.
 //   3. The sampler never stops workers. A dedicated sampler thread wakes
 //      at a configurable rate (default 997 Hz — co-prime with the
 //      1,024-expansion deadline/heartbeat tick, so the sampler cannot
@@ -33,10 +33,11 @@
 // On top of the same background thread sit two post-mortem primitives:
 //
 //   * Flight recorder: every live search registers a SearchMonitor and
-//     pushes a heartbeat snapshot (nodes, incumbent, depth, cache-hit
-//     delta) into the monitor's ring buffer on the existing
-//     1,024-expansion tick — UNCONDITIONALLY, tracing on or off, so the
-//     last N heartbeats of any search are always available post mortem.
+//     sends it a heartbeat (nodes, incumbent, depth, cache traffic) on
+//     its 1,024-expansion tick. The monitor pushes the snapshot into its
+//     ring buffer UNCONDITIONALLY, tracing on or off, so the last N
+//     heartbeats of any search are always available post mortem, and
+//     writes the same values as search/* trace counters.
 //   * Stall watchdog: when armed (watchdog_enable), the background
 //     thread checks every live monitor; a search whose nodes-expanded
 //     counter has not advanced for the configured window gets its ring
@@ -66,13 +67,14 @@ extern std::atomic<bool> g_enabled;
 /// One thread's phase stack. Written only by the owning thread; read
 /// asynchronously by the sampler. All fields are atomics so the
 /// cross-thread reads are defined (and TSan-clean); the ordering contract
-/// is documented on push()/pop().
+/// is documented on ProfPhaseAt.
 struct PhaseStack {
   std::atomic<std::uint32_t> depth{0};
   std::atomic<const char*> frames[kProfilerMaxDepth] = {};
-  std::uint32_t tid = 0;  ///< 1-based registration order (stable)
 };
 
+/// The calling thread's stack, registered on first use; its tid is the
+/// registration order.
 PhaseStack& local_stack();
 
 }  // namespace prof_detail
@@ -82,42 +84,6 @@ PhaseStack& local_stack();
 inline bool profiler_enabled() {
   return prof_detail::g_enabled.load(std::memory_order_relaxed);
 }
-
-/// RAII phase marker: the enclosing scope is attributed to `name` (a
-/// string literal) in every sample taken while the scope is live. Nests:
-/// an inner marker's samples collapse as "outer;inner". Inactive markers
-/// cost one branch in the constructor and destructor each.
-class ProfPhase {
- public:
-  explicit ProfPhase(const char* name) {
-    if (!profiler_enabled()) return;
-    stack_ = &prof_detail::local_stack();
-    const std::uint32_t d = stack_->depth.load(std::memory_order_relaxed);
-    if (d < kProfilerMaxDepth) {
-      stack_->frames[d].store(name, std::memory_order_relaxed);
-    }
-    // Release: the sampler's acquire read of depth observes the frame
-    // store above before it trusts frames[d].
-    stack_->depth.store(d + 1, std::memory_order_release);
-  }
-  ~ProfPhase() {
-    if (stack_ == nullptr) return;  // profiler was off at entry
-    const std::uint32_t d = stack_->depth.load(std::memory_order_relaxed);
-    stack_->depth.store(d - 1, std::memory_order_release);
-  }
-  ProfPhase(const ProfPhase&) = delete;
-  ProfPhase& operator=(const ProfPhase&) = delete;
-
- private:
-  prof_detail::PhaseStack* stack_ = nullptr;
-};
-
-// Scope-named phase helper: PS_PROF_PHASE("omega") attributes the
-// enclosing scope. Two-level concat so __LINE__ expands.
-#define PS_PROF_CONCAT_INNER(a, b) a##b
-#define PS_PROF_CONCAT(a, b) PS_PROF_CONCAT_INNER(a, b)
-#define PS_PROF_PHASE(name) \
-  ::pipesched::ProfPhase PS_PROF_CONCAT(ps_prof_phase_, __LINE__)(name)
 
 /// The calling thread's phase stack if profiling is on, else nullptr.
 /// Hot-loop helper: capture this ONCE per search/solve on the owning
@@ -133,8 +99,11 @@ inline prof_detail::PhaseStack* profiler_active_stack() {
   return profiler_enabled() ? &prof_detail::local_stack() : nullptr;
 }
 
-/// ProfPhase against a pre-captured stack (see profiler_active_stack).
-/// Must be constructed and destroyed on the stack's owning thread.
+/// RAII phase marker: the enclosing scope is attributed to `name` (a
+/// string literal) in every sample taken while the scope is live, on a
+/// stack captured by profiler_active_stack() (null = no-op). Nests: an
+/// inner marker's samples collapse as "outer;inner". Must be constructed
+/// and destroyed on the stack's owning thread.
 class ProfPhaseAt {
  public:
   ProfPhaseAt(prof_detail::PhaseStack* stack, const char* name)
@@ -144,6 +113,8 @@ class ProfPhaseAt {
     if (d < kProfilerMaxDepth) {
       stack_->frames[d].store(name, std::memory_order_relaxed);
     }
+    // Release: the sampler's acquire read of depth observes the frame
+    // store above before it trusts frames[d].
     stack_->depth.store(d + 1, std::memory_order_release);
   }
   ~ProfPhaseAt() {
@@ -158,9 +129,16 @@ class ProfPhaseAt {
   prof_detail::PhaseStack* stack_;
 };
 
+// Scope-named phase helpers: PS_PROF_PHASE("omega") attributes the
+// enclosing scope; PS_PROF_PHASE_AT(stack, "omega") does the same on a
+// pre-captured stack. Two-level concat so __LINE__ expands.
+#define PS_PROF_CONCAT_INNER(a, b) a##b
+#define PS_PROF_CONCAT(a, b) PS_PROF_CONCAT_INNER(a, b)
 #define PS_PROF_PHASE_AT(stack, name) \
   ::pipesched::ProfPhaseAt PS_PROF_CONCAT(ps_prof_phase_, __LINE__)(stack, \
                                                                     name)
+#define PS_PROF_PHASE(name) \
+  PS_PROF_PHASE_AT(::pipesched::profiler_active_stack(), name)
 
 /// Start the sampler thread and begin recording. Resets accumulated
 /// samples so one enable..disable session maps to one profile. `hz` is
@@ -215,7 +193,7 @@ std::string profiler_phase_table();
 // Flight recorder + stall watchdog
 // ---------------------------------------------------------------------
 
-/// One heartbeat snapshot, pushed by the search on its periodic tick.
+/// One heartbeat snapshot, as the ring keeps it.
 struct HeartbeatSnapshot {
   std::uint64_t t_us = 0;        ///< microseconds since monitor creation
   std::uint64_t nodes = 0;       ///< nodes expanded so far (this ledger)
@@ -228,8 +206,9 @@ struct HeartbeatSnapshot {
 /// snapshots plus the progress state the watchdog reads. Registered with
 /// the global monitor registry for its whole lifetime (RAII), so the
 /// watchdog only ever sees live searches. heartbeat() is called from the
-/// search's amortized 1,024-expansion tick — a short mutex push, which is
-/// uncontended unless the watchdog is reading at that instant.
+/// search's amortized 1,024-expansion tick (SearchBudget, sched/
+/// scheduler.hpp) — a short mutex push, which is uncontended unless the
+/// watchdog is reading at that instant.
 class SearchMonitor {
  public:
   static constexpr std::size_t kRingCapacity = 64;
@@ -244,11 +223,17 @@ class SearchMonitor {
   SearchMonitor(const SearchMonitor&) = delete;
   SearchMonitor& operator=(const SearchMonitor&) = delete;
 
-  /// Record one heartbeat. Unconditional (tracing off included): this is
-  /// the flight-recorder feed, and it is cheap enough to always run. Only
-  /// the search that owns the monitor calls it: one writer per monitor.
+  /// Record one heartbeat: `incumbent_nops` is -1 while the search has
+  /// no schedule, and `cache_probes`/`cache_hits` are the search's running
+  /// totals. The cache-hit rate covers the interval since the previous
+  /// heartbeat, not the search's lifetime: a cumulative ratio flattens
+  /// into a long-run average exactly when a long search is the thing
+  /// being diagnosed. The ring push is unconditional (tracing off
+  /// included); the same values also go out as the search/* trace
+  /// counters, which self-gate. Only the search that owns the monitor
+  /// calls it: one writer per monitor.
   void heartbeat(std::uint64_t nodes, int incumbent_nops, std::uint32_t depth,
-                 double cache_hit_pct);
+                 std::uint64_t cache_probes, std::uint64_t cache_hits);
 
   /// Last N snapshots, oldest first (test/diagnostic view).
   std::vector<HeartbeatSnapshot> ring() const;

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <ostream>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"  // json_quote
+#include "util/thread_slots.hpp"
 
 namespace pipesched {
 
@@ -18,40 +17,22 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-/// One thread's private event stream. Created on the thread's first
-/// recorded event, registered with the global registry, and owned by the
-/// registry for the process lifetime (threads may die before flush; a
-/// dangling thread_local pointer is never followed after clear() because
-/// buffers are reused, not freed).
+/// One thread's event stream. Its track id is its registration order,
+/// stamped on the events when they are merged.
 struct ThreadBuffer {
   std::vector<TraceEvent> events;
-  std::uint32_t tid = 0;
   std::string thread_name;
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+struct Collector {
+  ThreadSlots<ThreadBuffer> buffers;
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
 };
 
-Registry& registry() {
-  static Registry* r = new Registry;  // leaked: outlive all worker threads
-  return *r;
-}
-
-ThreadBuffer& local_buffer() {
-  thread_local ThreadBuffer* buffer = nullptr;
-  if (buffer == nullptr) {
-    auto owned = std::make_unique<ThreadBuffer>();
-    buffer = owned.get();
-    Registry& reg = registry();
-    std::lock_guard lock(reg.mutex);
-    buffer->tid = static_cast<std::uint32_t>(reg.buffers.size() + 1);
-    reg.buffers.push_back(std::move(owned));
-  }
-  return *buffer;
+Collector& collector() {
+  static Collector* c = new Collector;  // leaked: outlive all worker threads
+  return *c;
 }
 
 }  // namespace
@@ -59,20 +40,18 @@ ThreadBuffer& local_buffer() {
 std::uint64_t now_us() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - registry().epoch)
+          std::chrono::steady_clock::now() - collector().epoch)
           .count());
 }
 
 void record(TraceEvent::Phase phase, const char* name, std::uint64_t ts_us,
             std::uint64_t dur_us, double value) {
-  ThreadBuffer& buffer = local_buffer();
-  TraceEvent& e = buffer.events.emplace_back();
+  TraceEvent& e = collector().buffers.local().events.emplace_back();
   e.name = name;
   e.phase = phase;
   e.ts_us = ts_us;
   e.dur_us = dur_us;
   e.value = value;
-  e.tid = buffer.tid;
 }
 
 }  // namespace trace_detail
@@ -80,11 +59,7 @@ void record(TraceEvent::Phase phase, const char* name, std::uint64_t ts_us,
 void trace_enable() {
   if (trace_enabled()) return;
   trace_clear();
-  {
-    auto& reg = trace_detail::registry();
-    std::lock_guard lock(reg.mutex);
-    reg.epoch = std::chrono::steady_clock::now();
-  }
+  trace_detail::collector().epoch = std::chrono::steady_clock::now();
   trace_detail::g_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -93,26 +68,26 @@ void trace_disable() {
 }
 
 void trace_clear() {
-  auto& reg = trace_detail::registry();
-  std::lock_guard lock(reg.mutex);
-  for (auto& buffer : reg.buffers) buffer->events.clear();
+  trace_detail::collector().buffers.for_each(
+      [](std::uint32_t, trace_detail::ThreadBuffer& buffer) {
+        buffer.events.clear();
+      });
 }
 
 void trace_set_thread_name(const std::string& name) {
   if (!trace_enabled()) return;
-  trace_detail::local_buffer().thread_name = name;
+  trace_detail::collector().buffers.local().thread_name = name;
 }
 
 std::vector<TraceEvent> trace_snapshot() {
-  auto& reg = trace_detail::registry();
   std::vector<TraceEvent> merged;
-  {
-    std::lock_guard lock(reg.mutex);
-    for (const auto& buffer : reg.buffers) {
-      merged.insert(merged.end(), buffer->events.begin(),
-                    buffer->events.end());
-    }
-  }
+  trace_detail::collector().buffers.for_each(
+      [&](std::uint32_t tid, const trace_detail::ThreadBuffer& buffer) {
+        for (const TraceEvent& e : buffer.events) {
+          merged.push_back(e);
+          merged.back().tid = tid;
+        }
+      });
   std::stable_sort(merged.begin(), merged.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_us < b.ts_us;
@@ -131,17 +106,14 @@ void trace_write_json(std::ostream& out) {
     first = false;
     out << "\n";
   };
-  {
-    auto& reg = trace_detail::registry();
-    std::lock_guard lock(reg.mutex);
-    for (const auto& buffer : reg.buffers) {
-      if (buffer->thread_name.empty()) continue;
-      sep();
-      out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-          << buffer->tid << ",\"args\":{\"name\":"
-          << json_quote(buffer->thread_name) << "}}";
-    }
-  }
+  trace_detail::collector().buffers.for_each(
+      [&](std::uint32_t tid, const trace_detail::ThreadBuffer& buffer) {
+        if (buffer.thread_name.empty()) return;
+        sep();
+        out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
+            << tid << ",\"args\":{\"name\":"
+            << json_quote(buffer.thread_name) << "}}";
+      });
   for (const TraceEvent& e : trace_snapshot()) {
     sep();
     out << "{\"name\":" << json_quote(e.name) << ",\"pid\":1,\"tid\":"

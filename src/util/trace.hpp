@@ -9,8 +9,8 @@
 //      and one predictable branch — no allocation, no clock read, no
 //      lock. The <2% corpus overhead bound is measured in EXPERIMENTS.md.
 //   2. No locks on the hot path when enabled. Each thread appends to its
-//      own event buffer (registered once per thread under a mutex, then
-//      owned exclusively by that thread). Buffers are merged at flush.
+//      own event buffer, a ThreadSlots slot (util/thread_slots.hpp).
+//      Buffers are merged at flush.
 //   3. Trivially consumable output. Events are the standard trace-event
 //      phases: "X" (complete span), "C" (counter), "i" (instant), plus
 //      "M" thread-name metadata, with microsecond timestamps relative to
@@ -45,7 +45,7 @@ struct TraceEvent {
   std::uint64_t ts_us = 0;   ///< microseconds since the trace epoch
   std::uint64_t dur_us = 0;  ///< Complete spans only
   double value = 0;          ///< Counter samples only
-  std::uint32_t tid = 0;     ///< per-thread track id (assigned 1, 2, ...)
+  std::uint32_t tid = 0;     ///< per-thread track id (registration order)
 };
 
 namespace trace_detail {

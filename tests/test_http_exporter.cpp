@@ -193,8 +193,8 @@ TEST_F(HttpExporterTest, StatusReportsProgressAndMonitors) {
   progress.add();
   progress.add(/*errored=*/true);
   SearchMonitor monitor("status-test");
-  monitor.heartbeat(100, 5, 3, 50.0);
-  monitor.heartbeat(200, 4, 3, 60.0);
+  monitor.heartbeat(100, 5, 3, 2, 1);  // 50% cache hits
+  monitor.heartbeat(200, 4, 3, 7, 4);  // 60% since the previous beat
 
   const HttpResponse resp = get(server.port(), "/status");
   ASSERT_TRUE(resp.ok);

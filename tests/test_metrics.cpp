@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "core/compiler.hpp"
+#include "frontend/codegen.hpp"
+#include "frontend/parser.hpp"
 #include "ir/dag.hpp"
 #include "prometheus_grammar.hpp"
 #include "sched/optimal_scheduler.hpp"
@@ -411,18 +413,34 @@ TEST_F(MetricsTest, ThreadPoolMetricsCountTasks) {
 }
 
 TEST_F(MetricsTest, CompileStagesObserveDurations) {
+  const auto expect_observed = [](std::initializer_list<const char*> stages) {
+    const MetricsSnapshot snapshot = metrics_snapshot();
+    for (const char* stage : stages) {
+      const MetricsSnapshot::Series* s = snapshot.find(
+          "ps_compile_stage_seconds", {{"stage", stage}});
+      ASSERT_NE(s, nullptr) << stage;
+      EXPECT_GE(s->count, 1u) << stage;
+    }
+  };
   CompileOptions options;
   const CompileResult result = compile_source(
       "a = x + y;\nb = a * z;\nc = b + a;\n", options);
   EXPECT_FALSE(result.assembly.empty());
-  const MetricsSnapshot snapshot = metrics_snapshot();
-  for (const char* stage :
-       {"parse", "optimize", "dag_build", "schedule", "regalloc", "emit"}) {
-    const MetricsSnapshot::Series* s = snapshot.find(
-        "ps_compile_stage_seconds", {{"stage", stage}});
-    ASSERT_NE(s, nullptr) << stage;
-    EXPECT_GE(s->count, 1u) << stage;
-  }
+  expect_observed(
+      {"parse", "optimize", "dag_build", "schedule", "regalloc", "emit"});
+
+  // The register-limited path starts from tuples and spills this block
+  // to fit three registers.
+  metrics_reset();
+  options.registers = 3;
+  const RegisterLimitedResult limited = compile_with_register_limit(
+      generate_tuples(parse_source("a = x + y;\nb = z * w;\nc = a + b;\n"
+                                   "d = a * b;\n")),
+      options);
+  EXPECT_FALSE(limited.compiled.assembly.empty());
+  EXPECT_GE(limited.values_spilled, 1);
+  expect_observed(
+      {"optimize", "spill", "dag_build", "schedule", "regalloc", "emit"});
 }
 
 }  // namespace

@@ -296,7 +296,8 @@ TEST_F(ProfilerTest, RingKeepsLastHeartbeatsInOrder) {
   for (std::size_t i = 1; i <= pushes; ++i) {
     monitor.heartbeat(/*nodes=*/i * 1024, /*incumbent_nops=*/
                       static_cast<int>(pushes - i), /*depth=*/
-                      static_cast<std::uint32_t>(i), /*cache_hit_pct=*/50.0);
+                      static_cast<std::uint32_t>(i), /*cache_probes=*/2 * i,
+                      /*cache_hits=*/i);
   }
   const std::vector<HeartbeatSnapshot> ring = monitor.ring();
   ASSERT_EQ(ring.size(), SearchMonitor::kRingCapacity);
@@ -322,14 +323,14 @@ TEST_F(ProfilerTest, WatchdogDumpsStalledSearchOnceAndSparesProgress) {
 
   const std::uint64_t before = watchdog_stall_count();
   SearchMonitor stalled("bnb");
-  stalled.heartbeat(4096, 7, 12, 33.0);  // ...then silence: a stall
+  stalled.heartbeat(4096, 7, 12, 3, 1);  // ...then silence: a stall
 
   std::atomic<bool> stop{false};
   std::thread progressing_search([&stop] {
     SearchMonitor progressing("cp");
     std::uint64_t nodes = 0;
     while (!stop.load()) {
-      progressing.heartbeat(nodes += 1024, -1, 3, 0.0);
+      progressing.heartbeat(nodes += 1024, -1, 3, 0, 0);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
@@ -372,7 +373,7 @@ TEST_F(ProfilerTest, WatchdogIgnoresHealthyHeartbeats) {
     SearchMonitor monitor("bnb");
     std::uint64_t nodes = 0;
     while (!stop.load()) {
-      monitor.heartbeat(nodes += 1024, -1, 2, 0.0);
+      monitor.heartbeat(nodes += 1024, -1, 2, 0, 0);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });

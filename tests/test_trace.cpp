@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <sstream>
 #include <set>
 #include <string>
@@ -20,6 +21,8 @@
 
 #include "core/corpus_runner.hpp"
 #include "ir/dag.hpp"
+#include "sched/cp_scheduler.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sched/optimal_scheduler.hpp"
 #include "synth/generator.hpp"
 #include "util/progress.hpp"
@@ -28,6 +31,28 @@
 
 namespace pipesched {
 namespace {
+
+/// One heartbeat's search/* counter samples. Every heartbeat starts with
+/// search/nodes_expanded and ends with search/depth.
+struct Heartbeat {
+  double nodes = 0;
+  std::optional<double> incumbent;
+  double depth = -1;
+};
+
+std::vector<Heartbeat> heartbeats(const std::vector<TraceEvent>& events) {
+  std::vector<Heartbeat> beats;
+  for (const TraceEvent& e : events) {
+    if (e.name == "search/nodes_expanded") {
+      beats.emplace_back().nodes = e.value;
+    } else if (e.name == "search/incumbent_nops" && !beats.empty()) {
+      beats.back().incumbent = e.value;
+    } else if (e.name == "search/depth" && !beats.empty()) {
+      beats.back().depth = e.value;
+    }
+  }
+  return beats;
+}
 
 /// Minimal structural JSON check: braces/brackets balance outside string
 /// literals and the document is non-empty. (CI additionally validates
@@ -218,6 +243,69 @@ TEST_F(TraceTest, SearchHeartbeatEmitsCounterTracks) {
   EXPECT_TRUE(saw_nodes);
   EXPECT_TRUE(saw_depth);
   EXPECT_TRUE(saw_span);
+
+  // The CP backend sends the same end-of-search heartbeat.
+  SearchConfig cp;
+  cp.backend = OptimalBackend::Cp;
+  trace_enable();
+  const ScheduleResult cp_result =
+      cp_schedule(Machine::paper_simulation(), dag, cp);
+  trace_disable();
+  ASSERT_LT(cp_result.stats.nodes_expanded, 1024u);  // a sub-tick search
+  const std::vector<Heartbeat> cp_beats = heartbeats(trace_snapshot());
+  ASSERT_EQ(cp_beats.size(), 1u);
+  EXPECT_EQ(cp_beats[0].nodes,
+            static_cast<double>(cp_result.stats.nodes_expanded));
+  EXPECT_EQ(cp_beats[0].incumbent,
+            std::optional<double>(cp_result.stats.best_nops));
+
+  // Under a register ceiling that the list seed breaks, CP first walks
+  // for an order that fits.
+  GeneratorParams walk_params;
+  walk_params.statements = 20;
+  walk_params.variables = 12;
+  walk_params.constants = 2;
+  walk_params.seed = 3;
+  const BasicBlock walk_block = generate_block(walk_params);
+  const DepGraph walk_dag(walk_block);
+  const Machine machine = Machine::paper_simulation();
+  const std::vector<TupleIndex> list_order = list_schedule_order(walk_dag);
+  const int seed_nops =
+      evaluate_order(machine, walk_dag, list_order).total_nops();
+  SearchConfig config;
+  config.backend = OptimalBackend::Cp;
+  config.curtail_lambda = 0;
+  config.max_live_registers = 5;
+  ASSERT_TRUE(breaks_register_ceiling(walk_dag, list_order, config));
+
+  trace_enable();
+  const ScheduleResult walked = cp_schedule(machine, walk_dag, config);
+  trace_disable();
+  ASSERT_TRUE(walked.stats.completed);
+  ASSERT_TRUE(walked.stats.feasible);
+  ASSERT_NE(walked.stats.initial_nops, seed_nops);
+
+  // The heartbeats before the first incumbent sample come from the
+  // pressure walk, which runs while the list seed is the only schedule
+  // and breaks the ceiling: none may report it as the incumbent, and they
+  // report the walk's own depth. From the walk's repaired order on, every
+  // heartbeat carries an incumbent no worse than that order.
+  const std::vector<Heartbeat> beats = heartbeats(trace_snapshot());
+  std::size_t walk = 0;
+  while (walk < beats.size() && !beats[walk].incumbent) ++walk;
+  ASSERT_GE(walk, 1u);
+  ASSERT_LT(walk, beats.size());
+  bool walk_depth = false;
+  for (std::size_t i = 0; i < walk; ++i) walk_depth |= beats[i].depth > 0;
+  EXPECT_TRUE(walk_depth);
+  EXPECT_NE(*beats[walk].incumbent, seed_nops);
+  for (std::size_t i = walk; i < beats.size(); ++i) {
+    ASSERT_TRUE(beats[i].incumbent) << "heartbeat " << i;
+    EXPECT_LE(*beats[i].incumbent, walked.stats.initial_nops);
+  }
+  // The end-of-search heartbeat covers every expanded node.
+  EXPECT_EQ(beats.back().nodes,
+            static_cast<double>(walked.stats.nodes_expanded));
 }
 
 TEST_F(TraceTest, CorpusRunTracesBlocksAndProgressCounter) {

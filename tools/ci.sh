@@ -5,9 +5,10 @@
 #      configuration that catches lifetime and UB bugs the optimizer hides;
 #   3. Debug + TSan (-DPIPESCHED_SANITIZE=thread), focused on the
 #      concurrency surface — the thread pool that runs corpus blocks, the
-#      result cache, the sampling profiler and the HTTP exporter. TSan
-#      cannot be combined with ASan, hence the separate lane; it builds
-#      only the concurrency-relevant tests to keep the lane fast.
+#      result cache, the per-thread slots under the trace collector and
+#      the metrics registry, the sampling profiler and the HTTP exporter.
+#      TSan cannot be combined with ASan, hence the separate lane; it
+#      builds only the concurrency-relevant tests to keep the lane fast.
 # Then a short perfbench run per workload, smoke lanes over the built
 # binaries, and the bench regression gates.
 #
@@ -41,12 +42,17 @@ cmake -B build-ci-tsan -S . \
   -DPIPESCHED_SANITIZE=thread
 echo "==== building build-ci-tsan (concurrency tests) ===="
 cmake --build build-ci-tsan -j "${jobs}" \
-  --target test_util test_result_cache test_profiler test_http_exporter
+  --target test_util test_result_cache test_trace test_metrics \
+  test_profiler test_http_exporter
 echo "==== TSan: thread pool ===="
 ./build-ci-tsan/tests/test_util --gtest_filter='ThreadPool.*'
 echo "==== TSan: result cache (concurrent readers during appends) ===="
 ./build-ci-tsan/tests/test_result_cache \
   --gtest_filter='ResultCacheConcurrency.*'
+echo "==== TSan: trace collector (per-thread buffers from pool workers) ===="
+./build-ci-tsan/tests/test_trace
+echo "==== TSan: metrics registry (per-thread cells, concurrent readers) ===="
+./build-ci-tsan/tests/test_metrics
 echo "==== TSan: sampling profiler (sampler racing annotated workers) ===="
 ./build-ci-tsan/tests/test_profiler
 echo "==== TSan: HTTP exporter (concurrent scrapes racing a live search) ===="

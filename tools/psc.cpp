@@ -360,9 +360,19 @@ void print_stats(const SearchStats& stats) {
             << ", initial NOPs " << stats.initial_nops << ", final NOPs "
             << stats.best_nops << ", "
             << static_cast<long>(stats.seconds * 1e6) << "us\n";
-  if (!stats.feasible) {
-    std::cerr << "; search: INFEASIBLE — no schedule fits the register "
-                 "ceiling; final NOPs is -1 (not a real optimum)\n";
+  if (!stats.feasible && stats.completed) {
+    std::cerr << "; search: proven infeasible — no schedule fits the "
+                 "register ceiling\n";
+  } else if (!stats.feasible) {
+    // A curtailed search proves nothing: it ran out of budget before any
+    // schedule within the ceiling turned up. The emitted code is the
+    // fallback order, whose NOPs the register-limited compile reports.
+    std::cerr << "; search: no schedule within the register ceiling found "
+                 "before the "
+              << curtail_reason_name(stats.curtail_reason)
+              << " budget ran out (not proven infeasible); the fallback "
+                 "order has "
+              << stats.best_nops << " NOPs\n";
   }
   if (stats.result_cache_hit) {
     std::cerr << "; result cache: hit (schedule served from cache, no "
