@@ -13,10 +13,6 @@
 //                      export the final snapshot to <path> (.prom/.txt =
 //                      Prometheus text exposition, .json = JSON);
 //   PS_PROGRESS=1      live corpus progress on stderr;
-//   PS_RESULT_CACHE=<path>  persistent cross-run result cache file for the
-//                      optimal searches (see cache/result_cache.hpp) — the
-//                      warm-run CI lane points two successive corpus runs
-//                      at one file and asserts the second mostly hits;
 //   PS_PROFILE=<path>  sample every thread's phase stack during the corpus
 //                      run and write collapsed-stack lines to <path>
 //                      (flamegraph.pl/speedscope input; a phase-share
@@ -90,9 +86,6 @@ inline CorpusRunOptions paper_run_options(std::uint64_t lambda = 50000) {
   // and search sizes almost exactly (98.5% vs 98.83%, mean ~520 vs 427
   // placements per completed block).
   options.search.lower_bound_prune = true;
-  if (const char* env = std::getenv("PS_RESULT_CACHE")) {
-    if (env[0] != '\0') options.search.result_cache_path = env;
-  }
   if (const char* env = std::getenv("PS_BACKEND")) {
     if (env[0] != '\0') {
       PS_CHECK(parse_optimal_backend(env, &options.search.backend),

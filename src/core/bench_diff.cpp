@@ -51,13 +51,11 @@ class Differ {
     // Search-shape totals: report, never fail. The curtail counts live
     // here too — which budget counter trips depends on the backend's
     // internal search shape, not on answer correctness.
-    // Result-cache hit counts are informational too: a warm run hits
-    // where a cold run misses, while the optima above must stay exact.
     for (const char* field :
          {"curtailed_lambda_blocks", "curtailed_deadline_blocks",
           "total_omega_calls", "total_nodes_expanded",
           "total_schedules_examined", "total_cache_probes",
-          "total_cache_hits", "total_result_cache_hits"}) {
+          "total_cache_hits"}) {
       info({"metrics", field});
     }
 
@@ -216,7 +214,7 @@ JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
   std::uint64_t initial_nops = 0, final_nops = 0, omega = 0, nodes = 0,
                 examined = 0, probes = 0, hits = 0;
   std::size_t errors = 0, infeasible = 0, optimal = 0, curtailed_lambda = 0,
-              curtailed_deadline = 0, result_cache_hits = 0;
+              curtailed_deadline = 0;
   double total_seconds = 0;
   std::vector<double> seconds;
   seconds.reserve(records.size());
@@ -232,11 +230,8 @@ JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
       initial_nops +=
           static_cast<std::uint64_t>(number_or(r, "initial_nops", 0));
       final_nops += static_cast<std::uint64_t>(number_or(r, "final_nops", 0));
-    } else {
-      ++infeasible;
     }
-    if (bool_field(r, "completed", false)) ++optimal;
-    if (bool_field(r, "result_cache_hit", false)) ++result_cache_hits;
+    if (bool_field(r, "completed", false)) ++(feasible ? optimal : infeasible);
     const JsonValue* reason = r.find("curtail_reason");
     if (reason != nullptr && reason->is_string()) {
       if (reason->as_string() == "lambda") ++curtailed_lambda;
@@ -273,7 +268,6 @@ JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
   metric("total_schedules_examined", examined);
   metric("total_cache_probes", probes);
   metric("total_cache_hits", hits);
-  metric("total_result_cache_hits", result_cache_hits);
 
   std::vector<std::pair<std::string, JsonValue>> total_col;
   if (!seconds.empty()) {

@@ -4,9 +4,6 @@
 #include "frontend/opt/passes.hpp"
 #include "frontend/parser.hpp"
 #include "regalloc/spill.hpp"
-#include "sched/exhaustive_scheduler.hpp"
-#include "sched/greedy_scheduler.hpp"
-#include "sched/list_scheduler.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -24,13 +21,8 @@ Schedule run_scheduler(SchedulerKind kind, const Machine& machine,
   // list-schedule seed pass from the optimal search. Every policy fills
   // its full stats ledger itself (Scheduler-interface contract).
   TraceSpan trace_span(scheduler_kind_name(kind));
-  // The optimal policy goes through run_optimal_backend so the persistent
-  // result cache (SearchConfig::result_cache_path) covers plain compiles,
-  // not just the register-limited and corpus paths.
   ScheduleResult result =
-      kind == SchedulerKind::Optimal
-          ? run_optimal_backend(machine, dag, search, initial)
-          : make_scheduler(kind, search)->run(machine, dag, initial);
+      make_scheduler(kind, search)->run(machine, dag, initial);
   if (stats) *stats = result.stats;
   return std::move(result.schedule);
 }

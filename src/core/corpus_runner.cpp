@@ -5,7 +5,6 @@
 #include <memory>
 #include <sstream>
 
-#include "cache/result_cache.hpp"
 #include "ir/dag.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -28,7 +27,6 @@ void fill_run_record(RunRecord& record, const SearchStats& stats) {
   record.cache_hits = stats.cache_hits;
   record.cache_evictions = stats.cache_evictions;
   record.cache_superseded = stats.cache_superseded;
-  record.result_cache_hit = stats.result_cache_hit;
   record.completed = stats.completed;
   record.curtail_reason = stats.curtail_reason;
   record.feasible = stats.feasible;
@@ -94,14 +92,6 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
   static LogHistogram& block_seconds = metrics_histogram(
       "ps_corpus_block_seconds", {},
       "Wall-clock seconds per corpus block (generate + schedule)");
-  if (!options.search.result_cache_path.empty()) {
-    // Load the cache log now, not inside the first block's timer on every
-    // worker. A failed open is left to the blocks: each records the error.
-    try {
-      ResultCache::open_shared(options.search.result_cache_path);
-    } catch (const std::exception&) {
-    }
-  }
   parallel_for_each(pool, params.size(), [&](std::size_t i) {
     // Per-block span on the worker's own track: the timeline shows which
     // worker ran which block and how the pool's load balanced.
@@ -182,10 +172,9 @@ void fill_column(CorpusSummary::Column& col, std::size_t total_runs,
     if (r->feasible) {
       ++feasible;
       final_nops += r->final_nops;
-    } else {
+    } else if (r->completed) {  // curtailed without a schedule: unproven
       ++col.infeasible;
     }
-    if (r->result_cache_hit) ++col.result_cache_hits;
     if (r->curtail_reason == CurtailReason::Lambda) ++col.curtailed_lambda;
     if (r->curtail_reason == CurtailReason::Deadline) {
       ++col.curtailed_deadline;
@@ -214,8 +203,6 @@ void fill_column(CorpusSummary::Column& col, std::size_t total_runs,
   col.avg_omega_calls = omega / n;
   col.avg_nodes_expanded = nodes / n;
   col.cache_hit_percent = probes > 0 ? 100.0 * hits / probes : 0.0;
-  col.result_cache_hit_percent =
-      100.0 * static_cast<double>(col.result_cache_hits) / n;
   col.avg_seconds = secs / n;
   // One sort for all three quantiles (the old pattern — percentile() per
   // row — re-sorted the whole sample each time).
@@ -285,9 +272,6 @@ std::string render_corpus_summary(const CorpusSummary& summary) {
   });
   row("Cache Hit Rate", [](const CorpusSummary::Column& c) {
     return compact_double(c.cache_hit_percent, 4) + "%";
-  });
-  row("Result Cache Hit Rate", [](const CorpusSummary::Column& c) {
-    return compact_double(c.result_cache_hit_percent, 4) + "%";
   });
   row("Avg. Search Time", [](const CorpusSummary::Column& c) {
     return compact_double(c.avg_seconds * 1e6, 3) + "us";
@@ -373,7 +357,6 @@ void emit_record_fields(const RunRecord& r, std::size_t index, Emit&& emit) {
   emit("cache_hits", std::to_string(r.cache_hits), true);
   emit("cache_evictions", std::to_string(r.cache_evictions), true);
   emit("cache_superseded", std::to_string(r.cache_superseded), true);
-  emit("result_cache_hit", r.result_cache_hit ? "true" : "false", true);
   emit("completed", r.completed ? "true" : "false", true);
   emit("curtail_reason", curtail_reason_name(r.curtail_reason), false);
   emit("feasible", r.feasible ? "true" : "false", true);
@@ -466,8 +449,6 @@ void write_bench_column(std::ostream& out, const char* name,
   field("avg_omega_calls", num(c.avg_omega_calls), false);
   field("avg_nodes_expanded", num(c.avg_nodes_expanded), false);
   field("cache_hit_percent", num(c.cache_hit_percent), false);
-  field("result_cache_hits", std::to_string(c.result_cache_hits), false);
-  field("result_cache_hit_percent", num(c.result_cache_hit_percent), false);
   field("avg_seconds", num(c.avg_seconds), false);
   field("p50_seconds", num(c.p50_seconds), false);
   field("p90_seconds", num(c.p90_seconds), false);
@@ -499,20 +480,17 @@ void write_bench_metrics(std::ostream& out,
   std::uint64_t initial_nops = 0, final_nops = 0, omega = 0, nodes = 0,
                 examined = 0, probes = 0, hits = 0;
   std::size_t errors = 0, infeasible = 0, optimal = 0, curtailed_lambda = 0,
-              curtailed_deadline = 0, result_cache_hits = 0;
+              curtailed_deadline = 0;
   for (const RunRecord& r : records) {
     if (!r.error.empty()) {
       ++errors;
       continue;
     }
-    if (r.result_cache_hit) ++result_cache_hits;
     if (r.feasible) {
       initial_nops += static_cast<std::uint64_t>(r.initial_nops);
       final_nops += static_cast<std::uint64_t>(r.final_nops);
-    } else {
-      ++infeasible;
     }
-    if (r.completed) ++optimal;
+    if (r.completed) ++(r.feasible ? optimal : infeasible);
     if (r.curtail_reason == CurtailReason::Lambda) ++curtailed_lambda;
     if (r.curtail_reason == CurtailReason::Deadline) ++curtailed_deadline;
     omega += r.omega_calls;
@@ -539,8 +517,7 @@ void write_bench_metrics(std::ostream& out,
   field("total_nodes_expanded", nodes, false);
   field("total_schedules_examined", examined, false);
   field("total_cache_probes", probes, false);
-  field("total_cache_hits", hits, false);
-  field("total_result_cache_hits", result_cache_hits, true);
+  field("total_cache_hits", hits, true);
   out << indent << "}";
 }
 

@@ -24,7 +24,7 @@ namespace pipesched {
 struct RunRecord {
   int block_size = 0;       ///< instructions after optimization
   int initial_nops = 0;     ///< NOPs of the list (seed) schedule
-  int final_nops = 0;       ///< NOPs of the best schedule (-1: infeasible)
+  int final_nops = 0;       ///< NOPs of the best schedule (-1: none fits)
   std::uint64_t omega_calls = 0;
   std::uint64_t schedules_examined = 0;
   std::uint64_t nodes_expanded = 0;   ///< search-tree descents
@@ -32,8 +32,6 @@ struct RunRecord {
   std::uint64_t cache_hits = 0;       ///< subtrees pruned as dominated
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_superseded = 0;
-  /// Block served from the persistent result cache (no search ran).
-  bool result_cache_hit = false;
   bool completed = true;    ///< condition [1] (provably optimal)
   CurtailReason curtail_reason = CurtailReason::None;
   bool feasible = true;     ///< pressure-constrained search found a schedule
@@ -93,8 +91,10 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
 /// Aggregate statistics in the shape of the paper's Table 7: one column
 /// for completed (optimal) runs, one for truncated runs, one for totals.
 /// Errored blocks are counted (per column `errors`) but excluded from the
-/// completed/truncated partition and from every average; infeasible
-/// blocks are excluded from the final-NOPs average only.
+/// completed/truncated partition and from every average. Blocks with no
+/// schedule within the register ceiling are excluded from the final-NOPs
+/// average only; `infeasible` counts those whose search completed, so it
+/// never counts a search that was curtailed before a schedule turned up.
 struct CorpusSummary {
   struct Column {
     std::size_t runs = 0;
@@ -105,11 +105,6 @@ struct CorpusSummary {
     double avg_omega_calls = 0;
     double avg_nodes_expanded = 0;
     double cache_hit_percent = 0;  ///< hits / probes over the column
-    /// Blocks served from the persistent result cache.
-    std::size_t result_cache_hits = 0;
-    /// result_cache_hits / non-error blocks (0 when the cache is off —
-    /// the warm-run CI lane asserts >= 95 here on a second pass).
-    double result_cache_hit_percent = 0;
     double avg_seconds = 0;
     /// Per-block wall-time distribution (seconds) over the non-error
     /// records — the tail is what deadline/λ tuning actually fights.
@@ -117,7 +112,7 @@ struct CorpusSummary {
     double p90_seconds = 0;
     double p99_seconds = 0;
     std::size_t errors = 0;             ///< blocks whose run threw
-    std::size_t infeasible = 0;         ///< no schedule within the ceiling
+    std::size_t infeasible = 0;         ///< proven: none fits the ceiling
     std::size_t curtailed_lambda = 0;   ///< stopped by the curtail point
     std::size_t curtailed_deadline = 0; ///< stopped by the wall-clock budget
     double avg_pruned_window = 0;

@@ -45,6 +45,12 @@ class DepGraph {
   DepGraph(const BasicBlock& block,
            const std::vector<std::pair<TupleIndex, TupleIndex>>& extra_edges);
 
+  /// The graph keeps a pointer to its block, so a temporary block would
+  /// dangle as soon as the constructor returned.
+  explicit DepGraph(BasicBlock&&) = delete;
+  DepGraph(BasicBlock&&,
+           const std::vector<std::pair<TupleIndex, TupleIndex>>&) = delete;
+
   std::size_t size() const { return preds_.size(); }
   const BasicBlock& block() const { return *block_; }
 

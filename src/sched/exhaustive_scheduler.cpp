@@ -1,103 +1,133 @@
 #include "sched/exhaustive_scheduler.hpp"
 
-#include "util/check.hpp"
 #include <utility>
+
+#include "util/check.hpp"
 #include "util/timer.hpp"
 
 namespace pipesched {
 
 namespace {
 
-struct ExhaustiveState {
-  const DepGraph* dag;
-  PipelineTimer* timer;
-  std::vector<int> unplaced_preds;
-  ExhaustiveResult* result;
-  std::uint64_t max_schedules;
-  int best_nops = -1;  // -1 = no complete schedule yet
-
-  bool budget_left() const {
-    return max_schedules == 0 ||
-           result->schedules_examined < max_schedules;
-  }
-};
-
-void descend(ExhaustiveState& state) {
-  const std::size_t n = state.dag->size();
-  if (state.timer->depth() == n) {
-    ++state.result->schedules_examined;
-    const int mu = state.timer->total_nops();
-    if (state.best_nops < 0 || mu < state.best_nops) {
-      state.best_nops = mu;
-      state.result->best = state.timer->snapshot();
+/// Depth-first walk over every legal order, keeping the cheapest. The
+/// oracle caps it by a count of complete orders; the Scheduler path by
+/// the SearchBudget the exact backends share.
+class Enumeration {
+ public:
+  Enumeration(const Machine& machine, const DepGraph& dag,
+              std::uint64_t max_schedules, SearchBudget* budget)
+      : dag_(dag),
+        timer_(machine, dag),
+        unplaced_preds_(dag.size()),
+        max_schedules_(max_schedules),
+        budget_(budget) {
+    for (std::size_t i = 0; i < dag.size(); ++i) {
+      unplaced_preds_[i] =
+          static_cast<int>(dag.preds(static_cast<TupleIndex>(i)).size());
     }
-    return;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!state.budget_left()) {
-      state.result->completed = false;
+
+  void run() {
+    descend();
+    PS_CHECK(stats_.schedules_examined > 0 || dag_.size() == 0,
+             "exhaustive search evaluated no schedule (cap too small?)");
+  }
+
+  Schedule& best() { return best_; }
+  int best_nops() const { return best_nops_; }
+  /// omega_calls and schedules_examined both count complete orders.
+  const SearchStats& stats() const { return stats_; }
+
+ private:
+  /// The first complete order is always evaluated, so a curtailed run
+  /// still returns a legal schedule.
+  bool budget_left() {
+    if (stats_.schedules_examined == 0) return true;
+    if (budget_ != nullptr) return !budget_->curtail(stats_);
+    return max_schedules_ == 0 || stats_.schedules_examined < max_schedules_;
+  }
+
+  void descend() {
+    const std::size_t n = dag_.size();
+    if (timer_.depth() == n) {
+      ++stats_.schedules_examined;
+      ++stats_.omega_calls;
+      const int mu = timer_.total_nops();
+      if (best_nops_ < 0 || mu < best_nops_) {
+        best_nops_ = mu;
+        best_ = timer_.snapshot();
+      }
       return;
     }
-    if (state.unplaced_preds[i] != 0 ||
-        state.timer->is_placed(static_cast<TupleIndex>(i))) {
-      continue;
-    }
-    // Ground truth must branch over heterogeneous unit-signature groups
-    // exactly like the optimal search (one group for homogeneous ops).
-    const auto& groups = state.timer->machine().unit_groups(
-        state.dag->block().tuple(static_cast<TupleIndex>(i)).op);
-    const std::size_t branches = groups.empty() ? 1 : groups.size();
-    for (std::size_t g = 0; g < branches && state.budget_left(); ++g) {
-      if (groups.empty()) {
-        state.timer->push(static_cast<TupleIndex>(i));
-      } else {
-        state.timer->push(static_cast<TupleIndex>(i), groups[g]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!budget_left()) {
+        stats_.completed = false;
+        return;
       }
-      for (TupleIndex s : state.dag->succs(static_cast<TupleIndex>(i))) {
-        --state.unplaced_preds[static_cast<std::size_t>(s)];
+      if (unplaced_preds_[i] != 0 ||
+          timer_.is_placed(static_cast<TupleIndex>(i))) {
+        continue;
       }
-      descend(state);
-      for (TupleIndex s : state.dag->succs(static_cast<TupleIndex>(i))) {
-        ++state.unplaced_preds[static_cast<std::size_t>(s)];
+      // Ground truth must branch over heterogeneous unit-signature groups
+      // exactly like the optimal search (one group for homogeneous ops).
+      const auto& groups = timer_.machine().unit_groups(
+          dag_.block().tuple(static_cast<TupleIndex>(i)).op);
+      const std::size_t branches = groups.empty() ? 1 : groups.size();
+      for (std::size_t g = 0; g < branches && budget_left(); ++g) {
+        if (groups.empty()) {
+          timer_.push(static_cast<TupleIndex>(i));
+        } else {
+          timer_.push(static_cast<TupleIndex>(i), groups[g]);
+        }
+        if (budget_ != nullptr && budget_->count_node(stats_)) {
+          budget_->tick(stats_, best_nops_, timer_.depth(), 0, 0);
+        }
+        for (TupleIndex s : dag_.succs(static_cast<TupleIndex>(i))) {
+          --unplaced_preds_[static_cast<std::size_t>(s)];
+        }
+        descend();
+        for (TupleIndex s : dag_.succs(static_cast<TupleIndex>(i))) {
+          ++unplaced_preds_[static_cast<std::size_t>(s)];
+        }
+        timer_.pop();
       }
-      state.timer->pop();
     }
   }
-}
+
+  const DepGraph& dag_;
+  PipelineTimer timer_;
+  std::vector<int> unplaced_preds_;
+  const std::uint64_t max_schedules_;  ///< the oracle's cap (0 = none)
+  SearchBudget* const budget_;         ///< null on the oracle path
+  Schedule best_;
+  int best_nops_ = -1;  // -1 = no complete schedule yet
+  SearchStats stats_;
+};
 
 }  // namespace
 
 ExhaustiveResult exhaustive_schedule(const Machine& machine,
                                      const DepGraph& dag,
                                      std::uint64_t max_schedules) {
-  ExhaustiveResult result;
-  PipelineTimer timer(machine, dag);
-  ExhaustiveState state;
-  state.dag = &dag;
-  state.timer = &timer;
-  state.unplaced_preds.resize(dag.size());
-  for (std::size_t i = 0; i < dag.size(); ++i) {
-    state.unplaced_preds[i] =
-        static_cast<int>(dag.preds(static_cast<TupleIndex>(i)).size());
-  }
-  state.result = &result;
-  state.max_schedules = max_schedules;
-  descend(state);
-  PS_CHECK(result.schedules_examined > 0 || dag.size() == 0,
-           "exhaustive search evaluated no schedule (cap too small?)");
-  return result;
+  Enumeration search(machine, dag, max_schedules, nullptr);
+  search.run();
+  return {std::move(search.best()), search.stats().schedules_examined,
+          search.stats().completed};
 }
 
 ScheduleResult ExhaustiveScheduler::run(const Machine& machine,
                                         const DepGraph& dag,
                                         const PipelineState&) const {
   Timer wall;
-  ExhaustiveResult searched = exhaustive_schedule(machine, dag);
+  SearchBudget budget(config_, "exhaustive");
+  Enumeration search(machine, dag, 0, &budget);
+  search.run();
+  if (SearchBudget::observed()) {
+    budget.tick(search.stats(), search.best_nops(), 0, 0, 0);
+  }
   ScheduleResult result;
-  result.schedule = std::move(searched.best);
-  result.stats.schedules_examined = searched.schedules_examined;
-  result.stats.omega_calls = searched.schedules_examined;
-  result.stats.completed = searched.completed;
+  result.schedule = std::move(search.best());
+  result.stats = search.stats();
   result.stats.initial_nops = result.schedule.total_nops();
   result.stats.best_nops = result.stats.initial_nops;
   result.stats.seconds = wall.seconds();

@@ -31,14 +31,25 @@ ExhaustiveResult exhaustive_schedule(const Machine& machine,
 /// Scheduler-interface wrapper. Ground-truth oracle; claims optimality
 /// when the enumeration ran to completion. The stats ledger maps
 /// evaluated orders onto both schedules_examined and omega_calls (one
-/// full timing evaluation each). `initial` is ignored, as it always has
-/// been for this kind: the oracle evaluates drained-entry blocks only.
+/// full timing evaluation each), so config.curtail_lambda caps complete
+/// orders; config.deadline_seconds is sampled, and a heartbeat sent,
+/// every 1,024 pushes (nodes_expanded), through the SearchBudget the
+/// exact backends share. The first complete order is always evaluated,
+/// so a curtailed run still returns a legal schedule. `initial` is
+/// ignored, as it always has been for this kind: the oracle evaluates
+/// drained-entry blocks only.
 class ExhaustiveScheduler final : public Scheduler {
  public:
+  explicit ExhaustiveScheduler(const SearchConfig& config)
+      : config_(config) {}
+
   const char* name() const override { return "exhaustive"; }
   bool claims_optimality() const override { return true; }
   ScheduleResult run(const Machine& machine, const DepGraph& dag,
                      const PipelineState& initial = {}) const override;
+
+ private:
+  SearchConfig config_;
 };
 
 }  // namespace pipesched

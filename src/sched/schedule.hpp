@@ -115,13 +115,6 @@ struct SearchStats {
   /// initial evaluation is not counted).
   std::uint64_t incumbent_improvements = 0;
 
-  /// True when this result was served from the persistent result cache
-  /// (SearchConfig::result_cache_path) instead of a live search. Hits
-  /// synthesize a completed SearchStats: best_nops/initial_nops are the
-  /// cached values, all search counters are zero, and `seconds` is the
-  /// lookup time.
-  bool result_cache_hit = false;
-
   double seconds = 0.0;
 };
 

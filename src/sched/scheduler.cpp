@@ -4,7 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "cache/result_cache.hpp"
 #include "sched/cp_scheduler.hpp"
 #include "sched/exhaustive_scheduler.hpp"
 #include "sched/greedy_scheduler.hpp"
@@ -100,7 +99,7 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
       }
       PS_CHECK(false, "unknown optimal backend");
     case SchedulerKind::Exhaustive:
-      return std::make_unique<ExhaustiveScheduler>();
+      return std::make_unique<ExhaustiveScheduler>(config);
   }
   PS_CHECK(false, "unknown scheduler kind");
 }
@@ -108,55 +107,8 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
 ScheduleResult run_optimal_backend(const Machine& machine, const DepGraph& dag,
                                    const SearchConfig& config,
                                    const PipelineState& initial) {
-  if (config.result_cache_path.empty()) {
-    return make_scheduler(SchedulerKind::Optimal, config)
-        ->run(machine, dag, initial);
-  }
-
-  // Persistent tier: consult the cross-run result cache before spending
-  // any search effort. The canonical form captures everything the proven
-  // optimum depends on; a verified hit short-circuits the whole search.
-  Timer lookup_timer;
-  const std::shared_ptr<ResultCache> cache =
-      ResultCache::open_shared(config.result_cache_path);
-  std::string canonical;
-  CachedSchedule cached;
-  bool hit = false;
-  {
-    // Canonicalization + the verified probe are the cache's whole cost on
-    // a warm run; the profile shows whether they ever rival the search.
-    PS_PROF_PHASE("result_cache_lookup");
-    canonical = ResultCache::canonical_form(machine, dag, config, initial);
-    hit = cache->lookup(canonical, &cached);
-  }
-  if (hit) {
-    ScheduleResult result;
-    result.schedule = std::move(cached.schedule);
-    result.stats.completed = true;
-    result.stats.feasible = true;
-    result.stats.initial_nops = cached.initial_nops;
-    result.stats.best_nops = cached.best_nops;
-    result.stats.result_cache_hit = true;
-    result.stats.seconds = lookup_timer.seconds();
-    return result;
-  }
-
-  ScheduleResult result =
-      make_scheduler(SchedulerKind::Optimal, config)->run(machine, dag, initial);
-  // Only PROVEN results are memoized: a completed feasible search's
-  // best_nops is the true optimum under any budget/backend/pruning
-  // configuration, so the entry stays valid for every future query with
-  // the same canonical form. Curtailed or infeasible results are never
-  // stored.
-  if (result.stats.completed && result.stats.feasible) {
-    PS_PROF_PHASE("result_cache_store");
-    CachedSchedule to_store;
-    to_store.initial_nops = result.stats.initial_nops;
-    to_store.best_nops = result.stats.best_nops;
-    to_store.schedule = result.schedule;
-    cache->store(canonical, to_store);
-  }
-  return result;
+  return make_scheduler(SchedulerKind::Optimal, config)
+      ->run(machine, dag, initial);
 }
 
 std::vector<int> equivalence_classes(const Machine& machine,

@@ -99,16 +99,6 @@ struct SearchConfig {
   /// optimal schedule *among the feasible ones*; stats.feasible reports
   /// whether any complete feasible schedule was found.
   int max_live_registers = 0;
-
-  /// Persistent cross-run result cache (empty = disabled). When set,
-  /// run_optimal_backend consults the append-log cache at this path
-  /// before dispatching a backend and memoizes proven-optimal results
-  /// after. Lookups are verified byte-for-byte against the canonical
-  /// query (see cache/result_cache.hpp), so a stale or colliding entry
-  /// degrades to a miss, never a wrong schedule. Exposed as
-  /// `psc --result-cache <path>` and the PS_RESULT_CACHE env knob of the
-  /// benches.
-  std::string result_cache_path;
 };
 
 /// What every Scheduler::run returns: the schedule plus a fully-populated

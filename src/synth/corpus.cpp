@@ -35,18 +35,4 @@ std::vector<GeneratorParams> corpus_params(const CorpusSpec& spec) {
   return out;
 }
 
-std::vector<GeneratorParams> duplicated_corpus_params(const CorpusSpec& spec,
-                                                      int copies) {
-  const std::vector<GeneratorParams> unique = corpus_params(spec);
-  std::vector<GeneratorParams> out;
-  out.reserve(unique.size() * static_cast<std::size_t>(copies > 0 ? copies : 0));
-  // Whole passes (not adjacent repeats) so duplicate pairs land far apart
-  // in the work queue — adjacent copies would race each other through the
-  // scheduler before the first store lands.
-  for (int c = 0; c < copies; ++c) {
-    out.insert(out.end(), unique.begin(), unique.end());
-  }
-  return out;
-}
-
 }  // namespace pipesched

@@ -24,11 +24,4 @@ struct CorpusSpec {
 /// Deterministic parameter sets for the corpus.
 std::vector<GeneratorParams> corpus_params(const CorpusSpec& spec);
 
-/// `copies` full passes over the `spec.total_runs` distinct parameter
-/// sets, concatenated (identical seeds => identical blocks). This is the
-/// result-cache workload: every block after the first pass is an exact
-/// duplicate, so a sound cache should serve it without searching.
-std::vector<GeneratorParams> duplicated_corpus_params(const CorpusSpec& spec,
-                                                      int copies);
-
 }  // namespace pipesched

@@ -357,9 +357,9 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     if (integer_syntax) {
       // Keep integer-syntax tokens exact when they fit int64; doubles
-      // round everything past 2^53, which the exact-compare consumers
-      // (bench_diff correctness fields, the result-cache records) cannot
-      // tolerate. Out-of-range integers fall through to the double path.
+      // round everything past 2^53, which the exact-compare consumer
+      // (bench_diff's correctness fields) cannot tolerate. Out-of-range
+      // integers fall through to the double path.
       errno = 0;
       char* end = nullptr;
       const long long parsed = std::strtoll(token.c_str(), &end, 10);

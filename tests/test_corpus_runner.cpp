@@ -7,7 +7,9 @@
 //   * deadline expiry curtails like lambda: completed=false, the curtail
 //     reason is recorded, and the incumbent is a simulator-valid schedule;
 //   * the CSV/JSONL per-block exports and the BENCH_corpus.json roll-up
-//     are written and internally consistent.
+//     are written and internally consistent;
+//   * every roll-up counts a block as optimal or infeasible only when its
+//     search completed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/bench_diff.hpp"
 #include "core/corpus_runner.hpp"
 #include "ir/block_parser.hpp"
 #include "ir/dag.hpp"
@@ -71,21 +74,6 @@ void expect_records_equal(const RunRecord& a, const RunRecord& b,
   EXPECT_EQ(a.pruned_dominance, b.pruned_dominance) << index;
   EXPECT_EQ(a.pruned_pressure, b.pruned_pressure) << index;
   EXPECT_EQ(a.error, b.error) << index;
-}
-
-TEST(CorpusRunner, UnopenableResultCacheFailsEachBlockNotTheRun) {
-  const auto params = small_corpus(6);
-  CorpusRunOptions options;
-  options.search.curtail_lambda = 2000;
-  options.threads = 2;
-  options.search.result_cache_path =
-      "/nonexistent-dir-ps-test/sub/cache.pscache";
-  const std::vector<RunRecord> records = run_corpus(params, options);
-  ASSERT_EQ(records.size(), params.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].block_size == 0) continue;  // optimized away: no lookup
-    EXPECT_NE(records[i].error.find("result cache"), std::string::npos) << i;
-  }
 }
 
 TEST(CorpusRunner, FaultInjectionKeepsOtherRecords) {
@@ -418,6 +406,59 @@ TEST(CorpusRunner, ExportsAndRollupSurviveFaultAndDeadline) {
   for (const RunRecord& r : records) {
     if (!r.reproducer.empty()) std::filesystem::remove(r.reproducer);
   }
+}
+
+TEST(CorpusRunner, RollupsCountOnlyCompletedSearchesAsOptimalOrInfeasible) {
+  // One record per search outcome under a register ceiling. A search
+  // curtailed before any schedule fit proves nothing, and a search that
+  // proved infeasibility found no optimum, so each roll-up must read one
+  // optimal block and one infeasible block.
+  auto record = [](bool completed, bool feasible, int final_nops) {
+    RunRecord r;
+    r.block_size = 10;
+    r.initial_nops = 6;
+    r.final_nops = final_nops;
+    r.completed = completed;
+    r.curtail_reason =
+        completed ? CurtailReason::None : CurtailReason::Lambda;
+    r.feasible = feasible;
+    return r;
+  };
+  const std::vector<RunRecord> records = {
+      record(true, true, 3),     // optimal
+      record(true, false, -1),   // proven infeasible
+      record(false, true, 4),    // curtailed with a schedule
+      record(false, false, -1),  // curtailed with none
+  };
+
+  const CorpusSummary summary = summarize_corpus(records);
+  EXPECT_EQ(summary.total.infeasible, 1u);
+  EXPECT_EQ(summary.completed.infeasible, 1u);
+  EXPECT_EQ(summary.truncated.infeasible, 0u);
+  EXPECT_EQ(summary.completed.runs - summary.completed.infeasible, 1u);
+  EXPECT_EQ(summary.total.curtailed_lambda, 2u);
+
+  const std::filesystem::path dir(testing::TempDir());
+  const std::string bench_path = (dir / "ps_outcomes_BENCH.json").string();
+  const std::string jsonl_path = (dir / "ps_outcomes.jsonl").string();
+  write_corpus_bench_json(summary, records, CorpusBenchMeta{}, bench_path);
+  write_corpus_jsonl(records, jsonl_path);
+  const JsonValue bench = parse_json_file(bench_path);
+  const JsonValue rollup = rollup_from_records(parse_jsonl_file(jsonl_path));
+  for (const JsonValue* doc : {&bench, &rollup}) {
+    auto metric = [&](const char* field) {
+      const JsonValue* v = doc->find_path({"metrics", field});
+      PS_CHECK(v != nullptr, "roll-up missing metrics." << field);
+      return v->as_int64();
+    };
+    EXPECT_EQ(metric("blocks"), 4);
+    EXPECT_EQ(metric("optimal_blocks"), 1);
+    EXPECT_EQ(metric("infeasible_blocks"), 1);
+    EXPECT_EQ(metric("curtailed_lambda_blocks"), 2);
+    EXPECT_EQ(metric("total_final_nops"), 7);
+  }
+  std::filesystem::remove(bench_path);
+  std::filesystem::remove(jsonl_path);
 }
 
 }  // namespace

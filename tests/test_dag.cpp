@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "ir/block_parser.hpp"
 #include "ir/dag.hpp"
@@ -17,6 +20,16 @@ const char* kFigure3 =
     "3: Load #a\n"
     "4: Mul 1, 3\n"
     "5: Store #a, 4\n";
+
+// The graph keeps a pointer to its block, so a temporary block must not
+// bind to either constructor; a named block still does.
+using ExtraEdges = std::vector<std::pair<TupleIndex, TupleIndex>>;
+static_assert(!std::is_constructible_v<DepGraph, BasicBlock&&>);
+static_assert(
+    !std::is_constructible_v<DepGraph, BasicBlock&&, const ExtraEdges&>);
+static_assert(std::is_constructible_v<DepGraph, const BasicBlock&>);
+static_assert(
+    std::is_constructible_v<DepGraph, const BasicBlock&, const ExtraEdges&>);
 
 bool has_edge(const DepGraph& dag, TupleIndex from, TupleIndex to,
               DepKind kind) {

@@ -2,7 +2,9 @@
 // with the curtail point disabled it must find exactly the exhaustive
 // optimum, under every combination of pruning rules, machines and random
 // blocks — the pruning rules are only allowed to cut *provably equivalent
-// or worse* schedules.
+// or worse* schedules. The exhaustive scheduler's own budget is checked
+// here too: on a block far too large to enumerate, lambda and the
+// deadline must each stop it with a legal schedule.
 #include <gtest/gtest.h>
 
 #include "ir/dag.hpp"
@@ -10,6 +12,7 @@
 #include "sched/greedy_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/optimal_scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 
 namespace pipesched {
@@ -186,6 +189,50 @@ TEST(Optimal, CurtailedSearchReportsTruncation) {
     found = true;
   }
   EXPECT_TRUE(found) << "no block with improvable seed schedule found";
+}
+
+/// A generated 30-statement block: far too many legal orders to enumerate.
+BasicBlock thirty_statement_block() {
+  GeneratorParams params;
+  params.statements = 30;
+  params.variables = 8;
+  params.constants = 3;
+  params.seed = 11;
+  return generate_block(params);
+}
+
+TEST(Exhaustive, LambdaCapsCompleteOrders) {
+  const BasicBlock block = thirty_statement_block();
+  const DepGraph dag(block);
+  const Machine machine = Machine::paper_simulation();
+  SearchConfig config;
+  config.curtail_lambda = 1000;
+  const ScheduleResult result =
+      make_scheduler(SchedulerKind::Exhaustive, config)->run(machine, dag);
+  EXPECT_FALSE(result.stats.completed);
+  EXPECT_EQ(result.stats.curtail_reason, CurtailReason::Lambda);
+  EXPECT_LE(result.stats.omega_calls, 1000u);
+  EXPECT_EQ(result.stats.schedules_examined, result.stats.omega_calls);
+  EXPECT_TRUE(dag.is_legal_order(result.schedule.order));
+  EXPECT_TRUE(validate_padded(machine, dag, result.schedule).ok);
+  EXPECT_EQ(result.stats.best_nops, result.schedule.total_nops());
+}
+
+TEST(Exhaustive, DeadlineStopsAnUncappedEnumeration) {
+  const BasicBlock block = thirty_statement_block();
+  const DepGraph dag(block);
+  const Machine machine = Machine::paper_simulation();
+  SearchConfig config;
+  config.curtail_lambda = 0;
+  config.deadline_seconds = 0.05;
+  const ScheduleResult result =
+      make_scheduler(SchedulerKind::Exhaustive, config)->run(machine, dag);
+  EXPECT_FALSE(result.stats.completed);
+  EXPECT_EQ(result.stats.curtail_reason, CurtailReason::Deadline);
+  EXPECT_GT(result.stats.schedules_examined, 0u);
+  EXPECT_LT(result.stats.seconds, 5.0);
+  EXPECT_TRUE(dag.is_legal_order(result.schedule.order));
+  EXPECT_TRUE(validate_padded(machine, dag, result.schedule).ok);
 }
 
 TEST(Optimal, ZeroNopSeedShortCircuits) {

@@ -5,8 +5,8 @@
 #      configuration that catches lifetime and UB bugs the optimizer hides;
 #   3. Debug + TSan (-DPIPESCHED_SANITIZE=thread), focused on the
 #      concurrency surface — the thread pool that runs corpus blocks, the
-#      result cache, the per-thread slots under the trace collector and
-#      the metrics registry, the sampling profiler and the HTTP exporter.
+#      per-thread slots under the trace collector and the metrics
+#      registry, the sampling profiler and the HTTP exporter.
 #      TSan cannot be combined with ASan, hence the separate lane; it
 #      builds only the concurrency-relevant tests to keep the lane fast.
 # Then a short perfbench run per workload, smoke lanes over the built
@@ -42,13 +42,10 @@ cmake -B build-ci-tsan -S . \
   -DPIPESCHED_SANITIZE=thread
 echo "==== building build-ci-tsan (concurrency tests) ===="
 cmake --build build-ci-tsan -j "${jobs}" \
-  --target test_util test_result_cache test_trace test_metrics \
-  test_profiler test_http_exporter
+  --target test_util test_trace test_metrics test_profiler \
+  test_http_exporter
 echo "==== TSan: thread pool ===="
 ./build-ci-tsan/tests/test_util --gtest_filter='ThreadPool.*'
-echo "==== TSan: result cache (concurrent readers during appends) ===="
-./build-ci-tsan/tests/test_result_cache \
-  --gtest_filter='ResultCacheConcurrency.*'
 echo "==== TSan: trace collector (per-thread buffers from pool workers) ===="
 ./build-ci-tsan/tests/test_trace
 echo "==== TSan: metrics registry (per-thread cells, concurrent readers) ===="
@@ -303,40 +300,6 @@ cli_flag_smoke() {
   done
   # A well-formed invocation must still succeed.
   echo "x = a * b;" | "./${build}/tools/psc" --lambda 100 > /dev/null
-
-  # --result-cache audit: an empty path is a usage error (exit 2, the
-  # invalid-value diagnostic) ...
-  rc=0
-  out="$(echo "x = a;" | "./${build}/tools/psc" --result-cache "" 2>&1)" \
-    || rc=$?
-  if [[ "${rc}" -ne 2 ]] || \
-     ! grep -q "psc: invalid value for" <<< "${out}"; then
-    echo "FAIL: psc --result-cache '' exited ${rc}: ${out}" >&2
-    exit 1
-  fi
-  # ... an unwritable directory fails up front with a clean psc: line ...
-  rc=0
-  out="$(echo "x = a;" | "./${build}/tools/psc" \
-    --result-cache /nonexistent-ci-dir/cache.pscache 2>&1)" || rc=$?
-  if [[ "${rc}" -ne 2 ]] || ! grep -q "^psc: " <<< "${out}"; then
-    echo "FAIL: psc --result-cache bad-dir exited ${rc}: ${out}" >&2
-    exit 1
-  fi
-  # ... and so does a cache file from a different format version.
-  local cache_dir
-  cache_dir="$(mktemp -d)"
-  echo "x = a;" | "./${build}/tools/psc" \
-    --result-cache "${cache_dir}/v.pscache" > /dev/null
-  printf '\x63' | dd of="${cache_dir}/v.pscache" bs=1 seek=8 count=1 \
-    conv=notrunc 2> /dev/null
-  rc=0
-  out="$(echo "x = a;" | "./${build}/tools/psc" \
-    --result-cache "${cache_dir}/v.pscache" 2>&1)" || rc=$?
-  if [[ "${rc}" -ne 2 ]] || ! grep -q "format version" <<< "${out}"; then
-    echo "FAIL: psc --result-cache version-mismatch exited ${rc}: ${out}" >&2
-    exit 1
-  fi
-  rm -rf "${cache_dir}"
 }
 
 cli_flag_smoke build-ci-release
@@ -358,48 +321,6 @@ gate_dir="$(mktemp -d)"
 ./build-ci-release/tools/bench_diff --rel-tol 1.0 \
   BENCH_corpus.json "${gate_dir}/BENCH_corpus.json"
 rm -rf "${gate_dir}"
-
-# Result-cache bench gate: same policy for the cold/warm cache bench's
-# warm-run roll-up (every field deterministic except wall time).
-echo "==== result cache bench gate (build-ci-release) ===="
-./build-ci-release/tools/bench_diff \
-  BENCH_corpus_cache.json BENCH_corpus_cache.json
-gate_dir="$(mktemp -d)"
-(cd "${gate_dir}" && \
-  PS_CORPUS_RUNS=300 "${OLDPWD}/build-ci-release/bench/bench_result_cache" \
-  > /dev/null)
-./build-ci-release/tools/bench_diff --rel-tol 1.0 \
-  BENCH_corpus_cache.json "${gate_dir}/BENCH_corpus_cache.json"
-rm -rf "${gate_dir}"
-
-# Warm-run lane: the same corpus twice against one persistent cache file.
-# The second pass must be served almost entirely from the cache (>= 95%
-# hit rate; the misses are the curtailed blocks, which are never stored),
-# and its roll-up must agree with the cold pass on every exact field —
-# cached optima are byte-for-byte the fresh optima.
-echo "==== result cache warm-run lane (build-ci-release) ===="
-warm_dir="$(mktemp -d)"
-repo_root="${PWD}"
-mkdir "${warm_dir}/cold" "${warm_dir}/warm"
-(cd "${warm_dir}/cold" && \
-  PS_CORPUS_RUNS=300 PS_RESULT_CACHE="${warm_dir}/corpus.pscache" \
-  "${repo_root}/build-ci-release/bench/bench_table7" > /dev/null)
-(cd "${warm_dir}/warm" && \
-  PS_CORPUS_RUNS=300 PS_RESULT_CACHE="${warm_dir}/corpus.pscache" \
-  "${repo_root}/build-ci-release/bench/bench_table7" > /dev/null)
-python3 - "${warm_dir}/warm/BENCH_corpus.json" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    roll = json.load(f)
-hits = roll["metrics"]["total_result_cache_hits"]
-blocks = roll["metrics"]["blocks"]
-rate = 100.0 * hits / blocks
-print(f"warm pass: {hits}/{blocks} result-cache hits ({rate:.2f}%)")
-assert rate >= 95.0, f"warm hit rate {rate:.2f}% < 95%"
-PY
-./build-ci-release/tools/bench_diff --rel-tol 1.0 \
-  "${warm_dir}/cold/BENCH_corpus.json" "${warm_dir}/warm/BENCH_corpus.json"
-rm -rf "${warm_dir}"
 
 # Corpus smoke under the sanitizers: the wall-clock deadline and the
 # per-block fault/reproducer paths are timing- and exception-heavy, so

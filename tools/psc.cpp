@@ -10,7 +10,6 @@
 #include <sstream>
 #include <string>
 
-#include "cache/result_cache.hpp"
 #include "core/compiler.hpp"
 #include "core/corpus_runner.hpp"
 #include "core/program_compiler.hpp"
@@ -61,17 +60,11 @@ scheduling:
                         branch-and-bound) | cp (constraint-propagation
                         over issue slots)
   --lambda <N>          curtail point (0 = search to exhaustion;
-                        default 50000)
+                        default 50000); caps complete orders under
+                        --scheduler exhaustive
   --deadline <secs>     wall-clock budget per search (0 = none); expiry
                         keeps the best schedule found so far, like lambda
   --no-cache            disable the state-dominance (transposition) cache
-  --result-cache <path> persistent cross-run result cache: consult the
-                        append-log file at <path> before each optimal
-                        search and memoize proven-optimal schedules after.
-                        Lookups are verified byte-for-byte against the
-                        canonical block+machine+config form, so collisions
-                        and stale entries degrade to misses, never wrong
-                        schedules
   --split <W>           schedule straight-line blocks with the Section 5.3
                         window splitter instead of the global search
   --registers <N>       register-limited compilation: spill + pressure-
@@ -144,7 +137,6 @@ struct Args {
   std::uint64_t lambda = 50000;
   double deadline = 0;
   bool dominance_cache = true;
-  std::string result_cache_path;
   int split_window = 0;
   int register_limit = 0;
   DelayMechanism mechanism = DelayMechanism::NopPadding;
@@ -286,11 +278,6 @@ Args parse_args(int argc, char** argv) {
       if (args.deadline < 0) invalid_flag_value(arg, value);
     } else if (arg == "--no-cache") {
       args.dominance_cache = false;
-    } else if (arg == "--result-cache") {
-      args.result_cache_path = next();
-      if (args.result_cache_path.empty()) {
-        invalid_flag_value(arg, args.result_cache_path);
-      }
     } else if (arg == "--split") {
       args.split_window = parse_int_flag(arg, next());
     } else if (arg == "--registers") {
@@ -374,10 +361,6 @@ void print_stats(const SearchStats& stats) {
                  "order has "
               << stats.best_nops << " NOPs\n";
   }
-  if (stats.result_cache_hit) {
-    std::cerr << "; result cache: hit (schedule served from cache, no "
-                 "search ran)\n";
-  }
   if (stats.seconds > 0 && stats.nodes_expanded > 0) {
     std::cerr << "; throughput: "
               << compact_double(static_cast<double>(stats.nodes_expanded) /
@@ -456,7 +439,6 @@ int compile_one_block(BasicBlock block, const Machine& machine,
   options.search.curtail_lambda = args.lambda;
   options.search.deadline_seconds = args.deadline;
   options.search.dominance_cache = args.dominance_cache;
-  options.search.result_cache_path = args.result_cache_path;
   options.optimize = args.optimize;
   options.reassociate = args.reassociate;
   options.emit.mechanism = args.mechanism;
@@ -492,7 +474,6 @@ int compile_one_block(BasicBlock block, const Machine& machine,
     config.search.curtail_lambda = args.lambda;
     config.search.deadline_seconds = args.deadline;
     config.search.dominance_cache = args.dominance_cache;
-    config.search.result_cache_path = args.result_cache_path;
     const SplitResult result = split_schedule(machine, dag, config);
     const Allocation allocation =
         linear_scan(prepared, result.schedule.order, options.registers);
@@ -593,7 +574,6 @@ int run_compile(const Args& args, HttpExporter* server) {
   options.block.search.curtail_lambda = args.lambda;
   options.block.search.deadline_seconds = args.deadline;
   options.block.search.dominance_cache = args.dominance_cache;
-  options.block.search.result_cache_path = args.result_cache_path;
   options.block.optimize = args.optimize;
   options.block.reassociate = args.reassociate;
   options.block.emit.mechanism = args.mechanism;
@@ -642,17 +622,6 @@ int run(int argc, char** argv) {
     }
   });
 
-  if (!args.result_cache_path.empty()) {
-    // Open (and thereby validate) the cache file before any compilation
-    // work: an unwritable directory or a version-mismatched file is a
-    // usage error (exit 2), not a mid-compile crash.
-    try {
-      ResultCache::open_shared(args.result_cache_path);
-    } catch (const Error& e) {
-      std::cerr << "psc: " << e.what() << "\n";
-      std::exit(2);
-    }
-  }
   if (!args.trace_path.empty()) trace_enable();
   // --stats derives its quantile rows and totals from the registry, so it
   // needs collection on even when no --metrics file was requested.
@@ -671,7 +640,7 @@ int run(int argc, char** argv) {
       serve_options.port = static_cast<std::uint16_t>(args.serve_port);
       server = std::make_unique<HttpExporter>(serve_options);
     } catch (const Error& e) {
-      // A taken port is a usage error (exit 2), like a bad cache file.
+      // A taken port is a usage error (exit 2), like a bad flag value.
       std::cerr << "psc: " << e.what() << "\n";
       std::exit(2);
     }
