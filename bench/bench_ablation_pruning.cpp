@@ -89,13 +89,16 @@ int main() {
     const auto records = run_corpus(params, options);
     const CorpusSummary summary = summarize_corpus(records);
     std::cout << pad_right(variant.name, 28)
-              << pad_left(compact_double(summary.total.avg_omega_calls, 5),
+              << pad_left(compact_double(summary.total.average(
+                                             &SearchStats::omega_calls),
+                                         5),
                           14)
               << pad_left(compact_double(summary.completed.percent, 4), 12)
               << pad_left(compact_double(summary.total.avg_final_nops, 3),
                           16)
               << "\n";
-    csv.row_of(variant.name, summary.total.avg_omega_calls,
+    csv.row_of(variant.name,
+               summary.total.average(&SearchStats::omega_calls),
                summary.completed.percent, summary.total.avg_final_nops);
   }
   std::cout << "\nCSV written to ablation_pruning.csv\n";

@@ -23,12 +23,14 @@ int main() {
   CsvWriter csv("fig1.csv");
   csv.row({"block_size", "omega_calls"});
   for (const RunRecord& r : records) {
-    if (!r.completed || r.block_size == 0) continue;
+    if (r.stats.outcome() != SearchOutcome::Optimal || r.block_size == 0) {
+      continue;
+    }
     ++completed;
     points.push_back({static_cast<double>(r.block_size),
-                      static_cast<double>(r.omega_calls)});
-    by_size.add(r.block_size, static_cast<double>(r.omega_calls));
-    csv.row_of(r.block_size, r.omega_calls);
+                      static_cast<double>(r.stats.omega_calls)});
+    by_size.add(r.block_size, static_cast<double>(r.stats.omega_calls));
+    csv.row_of(r.block_size, r.stats.omega_calls);
   }
 
   ChartOptions options;

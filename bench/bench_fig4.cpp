@@ -20,8 +20,8 @@ int main() {
   GroupedStats final_nops;
   for (const RunRecord& r : records) {
     if (r.block_size == 0) continue;
-    initial.add(r.block_size, r.initial_nops);
-    final_nops.add(r.block_size, r.final_nops);
+    initial.add(r.block_size, r.stats.initial_nops);
+    final_nops.add(r.block_size, r.stats.best_nops);
   }
 
   ChartOptions options;

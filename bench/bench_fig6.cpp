@@ -23,7 +23,7 @@ int main() {
   GroupedStats micros;
   for (const RunRecord& r : records) {
     if (r.block_size == 0) continue;
-    micros.add(r.block_size, r.seconds * 1e6);
+    micros.add(r.block_size, r.stats.seconds * 1e6);
   }
 
   ChartOptions chart;

@@ -19,7 +19,9 @@ int main() {
   GroupedStats optimal_pct;
   for (const RunRecord& r : records) {
     if (r.block_size == 0) continue;
-    optimal_pct.add(r.block_size, r.completed ? 100.0 : 0.0);
+    optimal_pct.add(
+        r.block_size,
+        r.stats.outcome() == SearchOutcome::Optimal ? 100.0 : 0.0);
   }
 
   ChartOptions chart;

@@ -27,7 +27,7 @@ int main() {
 
   std::vector<std::size_t> truncated;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!records[i].completed) truncated.push_back(i);
+    if (!records[i].stats.completed) truncated.push_back(i);
   }
   std::cout << "corpus: " << runs << " blocks at lambda = " << kBaseLambda
             << "; truncated searches: " << truncated.size() << "\n\n";
@@ -49,7 +49,7 @@ int main() {
       config.curtail_lambda = lambda;
       return optimal_schedule(base.machine, dag, config);
     };
-    const int nops_base = records[index].final_nops;
+    const int nops_base = records[index].stats.best_nops;
     const OptimalResult x10 = run_at(kBaseLambda * 10);
     const OptimalResult x50 = run_at(kBaseLambda * 50);
     improved_x10 += x10.stats.best_nops < nops_base;

@@ -68,11 +68,14 @@ int main() {
               << pad_left(compact_double(s.total.avg_initial_nops, 4), 13)
               << pad_left(compact_double(s.total.avg_final_nops, 4), 11)
               << pad_left(compact_double(s.completed.percent, 4), 12)
-              << pad_left(compact_double(s.total.avg_omega_calls, 5), 12)
+              << pad_left(
+                     compact_double(
+                         s.total.average(&SearchStats::omega_calls), 5),
+                     12)
               << "\n";
     csv.row_of(machine.name(), s.total.avg_initial_nops,
                s.total.avg_final_nops, s.completed.percent,
-               s.total.avg_omega_calls);
+               s.total.average(&SearchStats::omega_calls));
   }
   std::cout << "\nduplicated units should show strictly fewer final NOPs "
                "than the single-unit variant.\n";

@@ -24,7 +24,7 @@ int main() {
     int registers;
     Accumulator nops;
     Accumulator spills;
-    Accumulator infeasible;
+    Accumulator fallback;  ///< % of blocks that ended without a schedule
   };
   std::vector<Row> rows;
   for (int registers : {32, 10, 8, 6, 5, 4, 3}) {
@@ -46,7 +46,16 @@ int main() {
           compile_with_register_limit(block, options);
       row.nops.add(result.compiled.schedule.total_nops());
       row.spills.add(result.values_spilled);
-      row.infeasible.add(result.scheduler_feasible ? 0 : 100);
+      switch (result.compiled.stats.outcome()) {
+        case SearchOutcome::Optimal:
+        case SearchOutcome::Curtailed:
+          row.fallback.add(0);
+          break;
+        case SearchOutcome::Infeasible:
+        case SearchOutcome::NoSchedule:
+          row.fallback.add(100);
+          break;
+      }
     }
   }
 
@@ -62,10 +71,10 @@ int main() {
     std::cout << pad_left(std::to_string(row.registers), 10)
               << pad_left(compact_double(row.nops.mean(), 4), 11)
               << pad_left(compact_double(row.spills.mean(), 3), 12)
-              << pad_left(compact_double(row.infeasible.mean(), 3), 12)
+              << pad_left(compact_double(row.fallback.mean(), 3), 12)
               << "\n";
     csv.row_of(row.registers, row.nops.mean(), row.spills.mean(),
-               row.infeasible.mean());
+               row.fallback.mean());
   }
   std::cout << "\nCSV written to pressure.csv\n";
   return 0;

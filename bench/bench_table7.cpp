@@ -52,7 +52,8 @@ int main() {
                         const CorpusSummary::Column& column) {
     csv.row_of(variant, name, column.runs, column.percent,
                column.avg_instructions, column.avg_initial_nops,
-               column.avg_final_nops, column.avg_omega_calls,
+               column.avg_final_nops,
+               column.average(&SearchStats::omega_calls),
                column.avg_seconds);
   };
   dump("paper_protocol", "completed", summary.completed);
@@ -71,7 +72,7 @@ int main() {
   meta.curtail_lambda = options.search.curtail_lambda;
   meta.deadline_seconds = options.search.deadline_seconds;
   meta.total_wall_seconds = total_seconds;
-  write_corpus_bench_json(summary, records, meta, "BENCH_corpus.json");
+  write_corpus_bench_json(summary, meta, "BENCH_corpus.json");
   std::cout << "CSV written to table7.csv; per-block records in "
                "corpus_records.jsonl; roll-up in BENCH_corpus.json\n";
   return 0;

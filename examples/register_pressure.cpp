@@ -34,7 +34,7 @@ int main() {
 
   std::cout << pad_left("registers", 10) << pad_left("spills", 8)
             << pad_left("NOPs", 6) << pad_left("cycles", 8)
-            << pad_left("searchable", 12) << "\n";
+            << pad_left("search", 13) << "\n";
   for (int registers : {32, 8, 6, 5, 4, 3}) {
     CompileOptions options;
     options.registers = registers;
@@ -48,7 +48,8 @@ int main() {
               << pad_left(
                      std::to_string(result.compiled.schedule.completion_cycle()),
                      8)
-              << pad_left(result.scheduler_feasible ? "yes" : "fallback", 12)
+              << pad_left(search_outcome_name(result.compiled.stats.outcome()),
+                          13)
               << "\n";
   }
 

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <sstream>
 
+#include "core/corpus_runner.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace pipesched {
@@ -41,22 +41,16 @@ class Differ {
     exact({"curtail_lambda"});
     exact({"deadline_seconds"});
 
-    // Correctness-critical exact totals.
-    for (const char* field :
-         {"blocks", "errors", "optimal_blocks", "infeasible_blocks",
-          "total_initial_nops", "total_final_nops"}) {
-      exact({"metrics", field});
-    }
-
-    // Search-shape totals: report, never fail. The curtail counts live
-    // here too — which budget counter trips depends on the backend's
-    // internal search shape, not on answer correctness.
-    for (const char* field :
-         {"curtailed_lambda_blocks", "curtailed_deadline_blocks",
-          "total_omega_calls", "total_nodes_expanded",
-          "total_schedules_examined", "total_cache_probes",
-          "total_cache_hits"}) {
-      info({"metrics", field});
+    // The roll-up's integer totals: each is exact (correctness-critical)
+    // or info (search shape: reported, never a failure), as the roll-up
+    // itself declares.
+    for (const CorpusMetric& metric :
+         corpus_metrics(CorpusSummary::Column{})) {
+      if (metric.exact) {
+        exact({"metrics", metric.key});
+      } else {
+        info({"metrics", metric.key});
+      }
     }
 
     // Timing: noise-aware.
@@ -192,16 +186,6 @@ class Differ {
   BenchDiffResult result_;
 };
 
-double number_or(const JsonValue& record, const char* key, double fallback) {
-  const JsonValue* v = record.find(key);
-  return v != nullptr && v->is_number() ? v->as_number() : fallback;
-}
-
-bool bool_field(const JsonValue& record, const char* key, bool fallback) {
-  const JsonValue* v = record.find(key);
-  return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
-}
-
 }  // namespace
 
 BenchDiffResult diff_bench_rollups(const JsonValue& baseline,
@@ -210,85 +194,34 @@ BenchDiffResult diff_bench_rollups(const JsonValue& baseline,
   return Differ(baseline, candidate, options).run();
 }
 
-JsonValue rollup_from_records(const std::vector<JsonValue>& records) {
-  std::uint64_t initial_nops = 0, final_nops = 0, omega = 0, nodes = 0,
-                examined = 0, probes = 0, hits = 0;
-  std::size_t errors = 0, infeasible = 0, optimal = 0, curtailed_lambda = 0,
-              curtailed_deadline = 0;
-  double total_seconds = 0;
-  std::vector<double> seconds;
-  seconds.reserve(records.size());
-  for (const JsonValue& r : records) {
-    const JsonValue* error = r.find("error");
-    if (error != nullptr && error->is_string() &&
-        !error->as_string().empty()) {
-      ++errors;
-      continue;
-    }
-    const bool feasible = bool_field(r, "feasible", true);
-    if (feasible) {
-      initial_nops +=
-          static_cast<std::uint64_t>(number_or(r, "initial_nops", 0));
-      final_nops += static_cast<std::uint64_t>(number_or(r, "final_nops", 0));
-    }
-    if (bool_field(r, "completed", false)) ++(feasible ? optimal : infeasible);
-    const JsonValue* reason = r.find("curtail_reason");
-    if (reason != nullptr && reason->is_string()) {
-      if (reason->as_string() == "lambda") ++curtailed_lambda;
-      if (reason->as_string() == "deadline") ++curtailed_deadline;
-    }
-    omega += static_cast<std::uint64_t>(number_or(r, "omega_calls", 0));
-    nodes += static_cast<std::uint64_t>(number_or(r, "nodes_expanded", 0));
-    examined +=
-        static_cast<std::uint64_t>(number_or(r, "schedules_examined", 0));
-    probes += static_cast<std::uint64_t>(number_or(r, "cache_probes", 0));
-    hits += static_cast<std::uint64_t>(number_or(r, "cache_hits", 0));
-    const double s = number_or(r, "seconds", 0);
-    total_seconds += s;
-    seconds.push_back(s);
+JsonValue rollup_from_records(const std::vector<JsonValue>& lines) {
+  std::vector<RunRecord> records;
+  records.reserve(lines.size());
+  for (const JsonValue& line : lines) {
+    records.push_back(parse_run_record(line));
   }
 
-  std::vector<std::pair<std::string, JsonValue>> metrics;
   // Counters aggregate as exact integers (make_integer) so the diff's
   // exact-compare path never sees a rounded value.
-  auto metric = [&](const char* key, std::uint64_t v) {
-    metrics.emplace_back(key,
-                         JsonValue::make_integer(static_cast<std::int64_t>(v)));
-  };
-  metric("blocks", records.size());
-  metric("errors", errors);
-  metric("optimal_blocks", optimal);
-  metric("infeasible_blocks", infeasible);
-  metric("curtailed_lambda_blocks", curtailed_lambda);
-  metric("curtailed_deadline_blocks", curtailed_deadline);
-  metric("total_initial_nops", initial_nops);
-  metric("total_final_nops", final_nops);
-  metric("total_omega_calls", omega);
-  metric("total_nodes_expanded", nodes);
-  metric("total_schedules_examined", examined);
-  metric("total_cache_probes", probes);
-  metric("total_cache_hits", hits);
-
-  std::vector<std::pair<std::string, JsonValue>> total_col;
-  if (!seconds.empty()) {
-    const auto n = static_cast<double>(seconds.size());
-    total_col.emplace_back("avg_seconds",
-                           JsonValue::make_number(total_seconds / n));
-    const std::vector<double> qs =
-        quantiles(std::move(seconds), {50.0, 90.0, 99.0});
-    total_col.emplace_back("p50_seconds", JsonValue::make_number(qs[0]));
-    total_col.emplace_back("p90_seconds", JsonValue::make_number(qs[1]));
-    total_col.emplace_back("p99_seconds", JsonValue::make_number(qs[2]));
-  } else {
-    for (const char* key :
-         {"avg_seconds", "p50_seconds", "p90_seconds", "p99_seconds"}) {
-      total_col.emplace_back(key, JsonValue::make_number(0));
-    }
+  const CorpusSummary::Column total = summarize_corpus(records).total;
+  std::vector<std::pair<std::string, JsonValue>> metrics;
+  for (const CorpusMetric& m : corpus_metrics(total)) {
+    metrics.emplace_back(
+        m.key, JsonValue::make_integer(static_cast<std::int64_t>(m.value)));
   }
+  std::vector<std::pair<std::string, JsonValue>> total_col = {
+      {"avg_seconds", JsonValue::make_number(total.avg_seconds)},
+      {"p50_seconds", JsonValue::make_number(total.p50_seconds)},
+      {"p90_seconds", JsonValue::make_number(total.p90_seconds)},
+      {"p99_seconds", JsonValue::make_number(total.p99_seconds)},
+  };
 
+  // The records carry no whole-run wall time; the sum of the per-block
+  // seconds stands in for it.
+  const auto timed_blocks = static_cast<double>(total.runs - total.errors);
   std::vector<std::pair<std::string, JsonValue>> root;
   root.emplace_back("total_wall_seconds",
-                    JsonValue::make_number(total_seconds));
+                    JsonValue::make_number(total.avg_seconds * timed_blocks));
   root.emplace_back("metrics", JsonValue::make_object(std::move(metrics)));
   root.emplace_back("total", JsonValue::make_object(std::move(total_col)));
   return JsonValue::make_object(std::move(root));
@@ -321,12 +254,12 @@ std::string render_bench_diff(const BenchDiffResult& result) {
     return "?";
   };
   std::ostringstream oss;
-  oss << pad_right("status", 11) << pad_right("field", 34)
+  oss << pad_right("status", 11) << pad_right("field", 40)
       << pad_left("baseline", 16) << "  " << pad_left("candidate", 16)
       << "  delta\n";
   for (const BenchDiffLine& line : result.lines) {
     oss << pad_right(status_name(line.status), 11)
-        << pad_right(line.field, 34) << pad_left(line.baseline, 16) << "  "
+        << pad_right(line.field, 40) << pad_left(line.baseline, 16) << "  "
         << pad_left(line.candidate, 16) << "  " << line.delta << "\n";
   }
   oss << (result.ok()

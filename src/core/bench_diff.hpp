@@ -6,8 +6,8 @@
 // by field under a three-way policy:
 //
 //   * exact fields   — config identity (machine, lambda, deadline) and
-//     correctness-critical totals (block counts, errors, optima,
-//     curtailed counts, total NOPs). Any difference fails: these are
+//     correctness-critical totals (block and error counts, one count per
+//     search outcome, total NOPs). Any difference fails: these are
 //     deterministic for a fixed corpus seed, so a delta means the
 //     scheduler's RESULTS changed, not its speed. A missing field also
 //     fails — a schema that silently dropped a correctness field must
@@ -19,10 +19,12 @@
 //     over the baseline: the floor keeps microsecond jitter on tiny
 //     corpora from tripping the relative check, the relative check keeps
 //     slow corpora honest. Improvements never fail.
-//   * info fields    — search-shape totals (omega calls, nodes expanded,
-//     cache traffic). Reported in the delta table for diagnosis, never a
-//     failure by themselves: they legitimately move when pruning
-//     heuristics change.
+//   * info fields    — search-shape totals (curtail reasons and one total
+//     per search counter: omega calls, nodes, prunes, cache traffic).
+//     Reported in the delta table for diagnosis, never a failure by
+//     themselves: they legitimately move when pruning heuristics change.
+// corpus_metrics() (core/corpus_runner.hpp) gives each "metrics" key its
+// class.
 #pragma once
 
 #include <cstddef>
@@ -69,9 +71,11 @@ BenchDiffResult diff_bench_rollups(const JsonValue& baseline,
                                    const BenchDiffOptions& options = {});
 
 /// Aggregate one corpus_records.jsonl per-block export into the roll-up
-/// shape diff_bench_rollups() consumes (exact totals + timing quantiles).
-/// Exposed so tests can exercise the aggregation directly.
-JsonValue rollup_from_records(const std::vector<JsonValue>& records);
+/// shape diff_bench_rollups() consumes, through the summarize_corpus()
+/// and corpus_metrics() that BENCH_corpus.json is written from;
+/// "total_wall_seconds" is the sum of the per-block seconds. Exposed so
+/// tests can exercise the aggregation directly.
+JsonValue rollup_from_records(const std::vector<JsonValue>& lines);
 
 /// Load both paths and compare. ".jsonl" inputs are treated as per-block
 /// record exports and aggregated first; anything else is parsed as a

@@ -120,7 +120,6 @@ RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
     PS_COMPILE_STAGE("schedule");
     return run_optimal_backend(options.machine, dag, search);
   }();
-  result.scheduler_feasible = searched.stats.feasible;
   out.stats = searched.stats;
   if (searched.stats.feasible) {
     out.schedule = searched.schedule;

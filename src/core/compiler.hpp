@@ -74,12 +74,13 @@ CompileResult compile_block(const BasicBlock& block,
 /// Outcome of register-limited compilation (Section 3.1's discipline):
 /// spill code is created BEFORE scheduling so that allocation afterwards
 /// can never need new spills, and the scheduler itself is barred from
-/// exceeding the register file.
+/// exceeding the register file. When the search ends without a schedule
+/// (compiled.stats.outcome() is Infeasible or NoSchedule), the safe
+/// post-spill original order is emitted and its NOPs are reported in
+/// compiled.stats.best_nops.
 struct RegisterLimitedResult {
   CompileResult compiled;
   int values_spilled = 0;       ///< spill temporaries introduced
-  bool scheduler_feasible = true;  ///< constrained search found a schedule
-                                   ///< (else the safe original order is used)
 };
 
 /// Compile `block` so the final code provably fits in
@@ -94,8 +95,7 @@ RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
 
 /// Run one scheduling policy on a prepared DAG. `stats` (optional)
 /// receives search counters; heuristic schedulers fill timing fields only.
-/// `initial` carries residual pipeline occupancy at block entry (ignored
-/// by the exhaustive scheduler, which is defined on drained pipelines).
+/// `initial` carries residual pipeline occupancy at block entry.
 Schedule run_scheduler(SchedulerKind kind, const Machine& machine,
                        const DepGraph& dag, const SearchConfig& search,
                        SearchStats* stats = nullptr,

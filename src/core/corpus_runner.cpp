@@ -1,13 +1,16 @@
 #include "core/corpus_runner.hpp"
 
+#include <array>
 #include <atomic>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "ir/dag.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
 #include "util/stats.hpp"
@@ -16,29 +19,6 @@
 #include "util/trace.hpp"
 
 namespace pipesched {
-
-void fill_run_record(RunRecord& record, const SearchStats& stats) {
-  record.initial_nops = stats.initial_nops;
-  record.final_nops = stats.best_nops;
-  record.omega_calls = stats.omega_calls;
-  record.schedules_examined = stats.schedules_examined;
-  record.nodes_expanded = stats.nodes_expanded;
-  record.cache_probes = stats.cache_probes;
-  record.cache_hits = stats.cache_hits;
-  record.cache_evictions = stats.cache_evictions;
-  record.cache_superseded = stats.cache_superseded;
-  record.completed = stats.completed;
-  record.curtail_reason = stats.curtail_reason;
-  record.feasible = stats.feasible;
-  record.pruned_window = stats.pruned_window;
-  record.pruned_readiness = stats.pruned_readiness;
-  record.pruned_equivalence = stats.pruned_equivalence;
-  record.pruned_alpha_beta = stats.pruned_alpha_beta;
-  record.pruned_lower_bound = stats.pruned_lower_bound;
-  record.pruned_dominance = stats.pruned_dominance;
-  record.pruned_pressure = stats.pruned_pressure;
-  record.seconds = stats.seconds;
-}
 
 namespace {
 
@@ -111,15 +91,14 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
       } else {
         if (options.fault_hook) options.fault_hook(i, block);
         const DepGraph dag(block);
-        const ScheduleResult result =
-            run_optimal_backend(options.machine, dag, options.search);
-        fill_run_record(record, result.stats);
+        record.stats =
+            run_optimal_backend(options.machine, dag, options.search).stats;
       }
     } catch (const std::exception& e) {
       // One bad block must not destroy the batch: record the failure and
       // keep scheduling the rest of the corpus.
       record.error = e.what()[0] ? e.what() : "unknown exception";
-      record.completed = false;
+      record.stats.completed = false;
       if (!options.reproducer_prefix.empty() && !block.empty()) {
         record.reproducer = dump_reproducer(options.reproducer_prefix, i,
                                             block, record.error);
@@ -140,6 +119,25 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
 
 namespace {
 
+std::size_t counter_row(std::uint64_t SearchStats::*counter) {
+  for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+    if (kSearchCounters[i].member == counter) return i;
+  }
+  PS_CHECK(false, "not a kSearchCounters member");
+}
+
+double row_average(const CorpusSummary::Column& col, std::size_t row) {
+  const std::size_t clean = col.runs - col.errors;
+  return clean ? static_cast<double>(col.counters[row]) /
+                     static_cast<double>(clean)
+               : 0.0;
+}
+
+std::size_t outcome_count(const CorpusSummary::Column& col,
+                          SearchOutcome outcome) {
+  return col.outcomes[static_cast<std::size_t>(outcome)];
+}
+
 void fill_column(CorpusSummary::Column& col, std::size_t total_runs,
                  const std::vector<const RunRecord*>& records) {
   col.runs = records.size();
@@ -147,61 +145,51 @@ void fill_column(CorpusSummary::Column& col, std::size_t total_runs,
                     ? 100.0 * static_cast<double>(records.size()) /
                           static_cast<double>(total_runs)
                     : 0.0;
-  if (records.empty()) return;
   double insns = 0;
   double initial = 0;
-  double final_nops = 0;
-  double omega = 0;
-  double nodes = 0;
-  double probes = 0;
-  double hits = 0;
   double secs = 0;
-  double pr_window = 0, pr_ready = 0, pr_equiv = 0, pr_ab = 0, pr_lb = 0,
-         pr_dom = 0, pr_pressure = 0;
-  std::vector<double> block_seconds;  // retained for the quantile rows
+  std::vector<double> block_seconds;  // non-error records, for quantiles
   block_seconds.reserve(records.size());
-  std::size_t clean = 0;     // non-error records: the averaging population
-  std::size_t feasible = 0;  // population for the final-NOPs average
   for (const RunRecord* r : records) {
     if (!r->error.empty()) {
       ++col.errors;
       continue;
     }
-    ++clean;
-    block_seconds.push_back(r->seconds);
-    if (r->feasible) {
-      ++feasible;
-      final_nops += r->final_nops;
-    } else if (r->completed) {  // curtailed without a schedule: unproven
-      ++col.infeasible;
+    const SearchStats& s = r->stats;
+    const SearchOutcome outcome = s.outcome();
+    ++col.outcomes[static_cast<std::size_t>(outcome)];
+    if (outcome == SearchOutcome::Optimal ||
+        outcome == SearchOutcome::Curtailed) {
+      col.scheduled_initial_nops += static_cast<std::uint64_t>(s.initial_nops);
+      col.scheduled_final_nops += static_cast<std::uint64_t>(s.best_nops);
     }
-    if (r->curtail_reason == CurtailReason::Lambda) ++col.curtailed_lambda;
-    if (r->curtail_reason == CurtailReason::Deadline) {
+    if (s.curtail_reason == CurtailReason::Lambda) ++col.curtailed_lambda;
+    if (s.curtail_reason == CurtailReason::Deadline) {
       ++col.curtailed_deadline;
     }
+    for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+      col.counters[i] += s.*kSearchCounters[i].member;
+    }
     insns += r->block_size;
-    initial += r->initial_nops;
-    omega += static_cast<double>(r->omega_calls);
-    nodes += static_cast<double>(r->nodes_expanded);
-    probes += static_cast<double>(r->cache_probes);
-    hits += static_cast<double>(r->cache_hits);
-    secs += r->seconds;
-    pr_window += static_cast<double>(r->pruned_window);
-    pr_ready += static_cast<double>(r->pruned_readiness);
-    pr_equiv += static_cast<double>(r->pruned_equivalence);
-    pr_ab += static_cast<double>(r->pruned_alpha_beta);
-    pr_lb += static_cast<double>(r->pruned_lower_bound);
-    pr_dom += static_cast<double>(r->pruned_dominance);
-    pr_pressure += static_cast<double>(r->pruned_pressure);
+    initial += s.initial_nops;
+    secs += s.seconds;
+    block_seconds.push_back(s.seconds);
   }
-  if (clean == 0) return;
-  const auto n = static_cast<double>(clean);
+  col.infeasible = outcome_count(col, SearchOutcome::Infeasible);
+  if (block_seconds.empty()) return;
+  const auto n = static_cast<double>(block_seconds.size());
   col.avg_instructions = insns / n;
   col.avg_initial_nops = initial / n;
+  const std::size_t scheduled = outcome_count(col, SearchOutcome::Optimal) +
+                                outcome_count(col, SearchOutcome::Curtailed);
   col.avg_final_nops =
-      feasible ? final_nops / static_cast<double>(feasible) : 0.0;
-  col.avg_omega_calls = omega / n;
-  col.avg_nodes_expanded = nodes / n;
+      scheduled ? static_cast<double>(col.scheduled_final_nops) /
+                      static_cast<double>(scheduled)
+                : 0.0;
+  const auto probes = static_cast<double>(
+      col.counters[counter_row(&SearchStats::cache_probes)]);
+  const auto hits = static_cast<double>(
+      col.counters[counter_row(&SearchStats::cache_hits)]);
   col.cache_hit_percent = probes > 0 ? 100.0 * hits / probes : 0.0;
   col.avg_seconds = secs / n;
   // One sort for all three quantiles (the old pattern — percentile() per
@@ -211,16 +199,14 @@ void fill_column(CorpusSummary::Column& col, std::size_t total_runs,
   col.p50_seconds = qs[0];
   col.p90_seconds = qs[1];
   col.p99_seconds = qs[2];
-  col.avg_pruned_window = pr_window / n;
-  col.avg_pruned_readiness = pr_ready / n;
-  col.avg_pruned_equivalence = pr_equiv / n;
-  col.avg_pruned_alpha_beta = pr_ab / n;
-  col.avg_pruned_lower_bound = pr_lb / n;
-  col.avg_pruned_dominance = pr_dom / n;
-  col.avg_pruned_pressure = pr_pressure / n;
 }
 
 }  // namespace
+
+double CorpusSummary::Column::average(
+    std::uint64_t SearchStats::*counter) const {
+  return row_average(*this, counter_row(counter));
+}
 
 CorpusSummary summarize_corpus(const std::vector<RunRecord>& records) {
   std::vector<const RunRecord*> completed;
@@ -229,7 +215,17 @@ CorpusSummary summarize_corpus(const std::vector<RunRecord>& records) {
   for (const RunRecord& r : records) {
     all.push_back(&r);
     if (!r.error.empty()) continue;  // counted via Column::errors on totals
-    (r.completed ? completed : truncated).push_back(&r);
+    switch (r.stats.outcome()) {
+      case SearchOutcome::Optimal:
+        completed.push_back(&r);
+        break;
+      case SearchOutcome::Curtailed:
+      case SearchOutcome::NoSchedule:
+        truncated.push_back(&r);
+        break;
+      case SearchOutcome::Infeasible:  // proven, but not optimal: totals only
+        break;
+    }
   }
   CorpusSummary summary;
   fill_column(summary.completed, records.size(), completed);
@@ -264,12 +260,12 @@ std::string render_corpus_summary(const CorpusSummary& summary) {
   row("Avg. Final NOPs", [](const CorpusSummary::Column& c) {
     return compact_double(c.avg_final_nops, 3);
   });
-  row("Avg. Omega Calls", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_omega_calls, 4);
-  });
-  row("Avg. Nodes Expanded", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_nodes_expanded, 4);
-  });
+  for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+    if (kSearchCounters[i].summary == nullptr) continue;
+    row(kSearchCounters[i].summary, [i](const CorpusSummary::Column& c) {
+      return compact_double(row_average(c, i), 4);
+    });
+  }
   row("Cache Hit Rate", [](const CorpusSummary::Column& c) {
     return compact_double(c.cache_hit_percent, 4) + "%";
   });
@@ -297,27 +293,6 @@ std::string render_corpus_summary(const CorpusSummary& summary) {
   row("Errored Blocks", [](const CorpusSummary::Column& c) {
     return std::to_string(c.errors);
   });
-  row("Avg. Window Prunes [5a]", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_window, 4);
-  });
-  row("Avg. Readiness Prunes [5b]", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_readiness, 4);
-  });
-  row("Avg. Equivalence Prunes [5c]", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_equivalence, 4);
-  });
-  row("Avg. Alpha-Beta Prunes [6]", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_alpha_beta, 4);
-  });
-  row("Avg. Lower-Bound Prunes", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_lower_bound, 4);
-  });
-  row("Avg. Dominance Prunes", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_dominance, 4);
-  });
-  row("Avg. Pressure Prunes", [](const CorpusSummary::Column& c) {
-    return compact_double(c.avg_pruned_pressure, 4);
-  });
   if (metrics_enabled()) {
     // Registry cross-check: process-wide totals accumulated by the
     // instrumentation layers during this (and any earlier) corpus run.
@@ -342,38 +317,43 @@ std::string render_corpus_summary(const CorpusSummary& summary) {
 
 namespace {
 
-/// One definition of the export layout so the CSV and JSONL files can
-/// never drift apart.
+/// One definition of the per-block layout: visit(key, field) for every
+/// field in export order. The CSV and JSONL writers and
+/// parse_run_record() all walk it, so the three can never drift apart.
+template <typename Record, typename Visit>
+void visit_record_fields(Record& r, Visit&& visit) {
+  auto& s = r.stats;
+  visit("block_size", r.block_size);
+  visit("initial_nops", s.initial_nops);
+  visit("final_nops", s.best_nops);
+  visit("completed", s.completed);
+  visit("curtail_reason", s.curtail_reason);
+  visit("feasible", s.feasible);
+  for (const SearchCounter& c : kSearchCounters) visit(c.key, s.*c.member);
+  visit("seconds", s.seconds);
+  visit("error", r.error);
+  visit("reproducer", r.reproducer);
+}
+
+/// The layout rendered for export: emit(key, text, numeric), where a
+/// numeric cell (a number or a bool) is valid JSON as it stands.
 template <typename Emit>
 void emit_record_fields(const RunRecord& r, std::size_t index, Emit&& emit) {
   emit("index", std::to_string(index), true);
-  emit("block_size", std::to_string(r.block_size), true);
-  emit("initial_nops", std::to_string(r.initial_nops), true);
-  emit("final_nops", std::to_string(r.final_nops), true);
-  emit("omega_calls", std::to_string(r.omega_calls), true);
-  emit("schedules_examined", std::to_string(r.schedules_examined), true);
-  emit("nodes_expanded", std::to_string(r.nodes_expanded), true);
-  emit("cache_probes", std::to_string(r.cache_probes), true);
-  emit("cache_hits", std::to_string(r.cache_hits), true);
-  emit("cache_evictions", std::to_string(r.cache_evictions), true);
-  emit("cache_superseded", std::to_string(r.cache_superseded), true);
-  emit("completed", r.completed ? "true" : "false", true);
-  emit("curtail_reason", curtail_reason_name(r.curtail_reason), false);
-  emit("feasible", r.feasible ? "true" : "false", true);
-  emit("pruned_window", std::to_string(r.pruned_window), true);
-  emit("pruned_readiness", std::to_string(r.pruned_readiness), true);
-  emit("pruned_equivalence", std::to_string(r.pruned_equivalence), true);
-  emit("pruned_alpha_beta", std::to_string(r.pruned_alpha_beta), true);
-  emit("pruned_lower_bound", std::to_string(r.pruned_lower_bound), true);
-  emit("pruned_dominance", std::to_string(r.pruned_dominance), true);
-  emit("pruned_pressure", std::to_string(r.pruned_pressure), true);
-  {
-    std::ostringstream oss;
-    oss << r.seconds;
-    emit("seconds", oss.str(), true);
-  }
-  emit("error", r.error, false);
-  emit("reproducer", r.reproducer, false);
+  visit_record_fields(r, [&](const char* key, const auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      emit(key, field ? "true" : "false", true);
+    } else if constexpr (std::is_same_v<T, CurtailReason>) {
+      emit(key, curtail_reason_name(field), false);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      emit(key, field, false);
+    } else {
+      std::ostringstream oss;
+      oss << field;
+      emit(key, oss.str(), true);
+    }
+  });
 }
 
 }  // namespace
@@ -382,18 +362,10 @@ void write_corpus_csv(const std::vector<RunRecord>& records,
                       const std::string& path) {
   CsvWriter csv(path);
   std::vector<std::string> header;
-  if (!records.empty()) {
-    emit_record_fields(records.front(), 0,
-                       [&](const char* key, const std::string&, bool) {
-                         header.push_back(key);
-                       });
-  } else {
-    RunRecord dummy;
-    emit_record_fields(dummy, 0,
-                       [&](const char* key, const std::string&, bool) {
-                         header.push_back(key);
-                       });
-  }
+  emit_record_fields(RunRecord{}, 0,
+                     [&](const char* key, const std::string&, bool) {
+                       header.push_back(key);
+                     });
   csv.row(header);
   for (std::size_t i = 0; i < records.size(); ++i) {
     std::vector<std::string> cells;
@@ -427,104 +399,105 @@ void write_corpus_jsonl(const std::vector<RunRecord>& records,
   out.close();
 }
 
+RunRecord parse_run_record(const JsonValue& line) {
+  RunRecord r;
+  r.stats.completed = false;  // a line that does not say proves nothing
+  visit_record_fields(r, [&](const char* key, auto& field) {
+    const JsonValue* v = line.find(key);
+    if (v == nullptr) return;
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (v->is_bool()) field = v->as_bool();
+    } else if constexpr (std::is_same_v<T, CurtailReason>) {
+      for (CurtailReason c : {CurtailReason::Lambda, CurtailReason::Deadline}) {
+        if (v->is_string() && v->as_string() == curtail_reason_name(c)) {
+          field = c;
+        }
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (v->is_string()) field = v->as_string();
+    } else if constexpr (std::is_same_v<T, double>) {
+      if (v->is_number()) field = v->as_number();
+    } else if (v->is_integer()) {
+      field = static_cast<T>(v->as_int64());
+    }
+  });
+  return r;
+}
+
+std::vector<CorpusMetric> corpus_metrics(const CorpusSummary::Column& total) {
+  std::vector<CorpusMetric> metrics = {{"blocks", total.runs, true},
+                                       {"errors", total.errors, true}};
+  for (SearchOutcome o :
+       {SearchOutcome::Optimal, SearchOutcome::Infeasible,
+        SearchOutcome::Curtailed, SearchOutcome::NoSchedule}) {
+    metrics.push_back({std::string(search_outcome_name(o)) + "_blocks",
+                       outcome_count(total, o), true});
+  }
+  // Which budget trips first depends on the search's shape, not on
+  // whether its answers are right.
+  metrics.push_back({"curtailed_lambda_blocks", total.curtailed_lambda, false});
+  metrics.push_back(
+      {"curtailed_deadline_blocks", total.curtailed_deadline, false});
+  metrics.push_back({"total_initial_nops", total.scheduled_initial_nops, true});
+  metrics.push_back({"total_final_nops", total.scheduled_final_nops, true});
+  for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+    metrics.push_back({std::string("total_") + kSearchCounters[i].key,
+                       total.counters[i], false});
+  }
+  return metrics;
+}
+
 namespace {
+
+using JsonFields = std::vector<std::pair<std::string, std::string>>;
+
+/// `"name": {` then one `"key": value` member per line, then `}`.
+void write_json_object(std::ostream& out, const char* name,
+                       const JsonFields& fields, const char* indent) {
+  out << indent << json_quote(name) << ": {\n";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    out << indent << "  " << json_quote(fields[i].first) << ": "
+        << fields[i].second << (i + 1 < fields.size() ? ",\n" : "\n");
+  }
+  out << indent << "}";
+}
 
 void write_bench_column(std::ostream& out, const char* name,
                         const CorpusSummary::Column& c, const char* indent) {
-  out << indent << json_quote(name) << ": {\n";
-  const std::string inner = std::string(indent) + "  ";
-  auto field = [&](const char* key, const std::string& value, bool last) {
-    out << inner << json_quote(key) << ": " << value << (last ? "\n" : ",\n");
-  };
   auto num = [](double v) {
     std::ostringstream oss;
     oss << v;
     return oss.str();
   };
-  field("runs", std::to_string(c.runs), false);
-  field("percent", num(c.percent), false);
-  field("avg_instructions", num(c.avg_instructions), false);
-  field("avg_initial_nops", num(c.avg_initial_nops), false);
-  field("avg_final_nops", num(c.avg_final_nops), false);
-  field("avg_omega_calls", num(c.avg_omega_calls), false);
-  field("avg_nodes_expanded", num(c.avg_nodes_expanded), false);
-  field("cache_hit_percent", num(c.cache_hit_percent), false);
-  field("avg_seconds", num(c.avg_seconds), false);
-  field("p50_seconds", num(c.p50_seconds), false);
-  field("p90_seconds", num(c.p90_seconds), false);
-  field("p99_seconds", num(c.p99_seconds), false);
-  field("errors", std::to_string(c.errors), false);
-  field("infeasible", std::to_string(c.infeasible), false);
-  field("curtailed_lambda", std::to_string(c.curtailed_lambda), false);
-  field("curtailed_deadline", std::to_string(c.curtailed_deadline), false);
-  field("avg_pruned_window", num(c.avg_pruned_window), false);
-  field("avg_pruned_readiness", num(c.avg_pruned_readiness), false);
-  field("avg_pruned_equivalence", num(c.avg_pruned_equivalence), false);
-  field("avg_pruned_alpha_beta", num(c.avg_pruned_alpha_beta), false);
-  field("avg_pruned_lower_bound", num(c.avg_pruned_lower_bound), false);
-  field("avg_pruned_dominance", num(c.avg_pruned_dominance), false);
-  field("avg_pruned_pressure", num(c.avg_pruned_pressure), true);
-  out << indent << "}";
-}
-
-}  // namespace
-
-namespace {
-
-/// The exact-integer roll-up: deterministic for a fixed corpus seed, so
-/// bench_diff can compare these fields bit-for-bit where the summary
-/// averages would drift through floating-point formatting.
-void write_bench_metrics(std::ostream& out,
-                         const std::vector<RunRecord>& records,
-                         const char* indent) {
-  std::uint64_t initial_nops = 0, final_nops = 0, omega = 0, nodes = 0,
-                examined = 0, probes = 0, hits = 0;
-  std::size_t errors = 0, infeasible = 0, optimal = 0, curtailed_lambda = 0,
-              curtailed_deadline = 0;
-  for (const RunRecord& r : records) {
-    if (!r.error.empty()) {
-      ++errors;
-      continue;
-    }
-    if (r.feasible) {
-      initial_nops += static_cast<std::uint64_t>(r.initial_nops);
-      final_nops += static_cast<std::uint64_t>(r.final_nops);
-    }
-    if (r.completed) ++(r.feasible ? optimal : infeasible);
-    if (r.curtail_reason == CurtailReason::Lambda) ++curtailed_lambda;
-    if (r.curtail_reason == CurtailReason::Deadline) ++curtailed_deadline;
-    omega += r.omega_calls;
-    nodes += r.nodes_expanded;
-    examined += r.schedules_examined;
-    probes += r.cache_probes;
-    hits += r.cache_hits;
-  }
-  out << indent << json_quote("metrics") << ": {\n";
-  const std::string inner = std::string(indent) + "  ";
-  auto field = [&](const char* key, std::uint64_t value, bool last) {
-    out << inner << json_quote(key) << ": " << value
-        << (last ? "\n" : ",\n");
+  JsonFields fields = {
+      {"runs", std::to_string(c.runs)},
+      {"percent", num(c.percent)},
+      {"avg_instructions", num(c.avg_instructions)},
+      {"avg_initial_nops", num(c.avg_initial_nops)},
+      {"avg_final_nops", num(c.avg_final_nops)},
   };
-  field("blocks", records.size(), false);
-  field("errors", errors, false);
-  field("optimal_blocks", optimal, false);
-  field("infeasible_blocks", infeasible, false);
-  field("curtailed_lambda_blocks", curtailed_lambda, false);
-  field("curtailed_deadline_blocks", curtailed_deadline, false);
-  field("total_initial_nops", initial_nops, false);
-  field("total_final_nops", final_nops, false);
-  field("total_omega_calls", omega, false);
-  field("total_nodes_expanded", nodes, false);
-  field("total_schedules_examined", examined, false);
-  field("total_cache_probes", probes, false);
-  field("total_cache_hits", hits, true);
-  out << indent << "}";
+  for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+    if (kSearchCounters[i].summary == nullptr) continue;
+    fields.emplace_back(std::string("avg_") + kSearchCounters[i].key,
+                        num(row_average(c, i)));
+  }
+  fields.insert(fields.end(),
+                {{"cache_hit_percent", num(c.cache_hit_percent)},
+                 {"avg_seconds", num(c.avg_seconds)},
+                 {"p50_seconds", num(c.p50_seconds)},
+                 {"p90_seconds", num(c.p90_seconds)},
+                 {"p99_seconds", num(c.p99_seconds)},
+                 {"errors", std::to_string(c.errors)},
+                 {"infeasible", std::to_string(c.infeasible)},
+                 {"curtailed_lambda", std::to_string(c.curtailed_lambda)},
+                 {"curtailed_deadline", std::to_string(c.curtailed_deadline)}});
+  write_json_object(out, name, fields, indent);
 }
 
 }  // namespace
 
 void write_corpus_bench_json(const CorpusSummary& summary,
-                             const std::vector<RunRecord>& records,
                              const CorpusBenchMeta& meta,
                              const std::string& path) {
   std::ofstream out(path);
@@ -540,7 +513,11 @@ void write_corpus_bench_json(const CorpusSummary& summary,
       << meta.deadline_seconds << ",\n";
   out << "  " << json_quote("total_wall_seconds") << ": "
       << meta.total_wall_seconds << ",\n";
-  write_bench_metrics(out, records, "  ");
+  JsonFields metrics;
+  for (const CorpusMetric& m : corpus_metrics(summary.total)) {
+    metrics.emplace_back(m.key, std::to_string(m.value));
+  }
+  write_json_object(out, "metrics", metrics, "  ");
   out << ",\n";
   write_bench_column(out, "completed", summary.completed, "  ");
   out << ",\n";

@@ -9,6 +9,8 @@
 // failure can be reproduced in isolation.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -20,44 +22,21 @@
 
 namespace pipesched {
 
-/// Per-block outcome of one corpus run.
+class JsonValue;
+
+/// Per-block result of one corpus run.
 struct RunRecord {
-  int block_size = 0;       ///< instructions after optimization
-  int initial_nops = 0;     ///< NOPs of the list (seed) schedule
-  int final_nops = 0;       ///< NOPs of the best schedule (-1: none fits)
-  std::uint64_t omega_calls = 0;
-  std::uint64_t schedules_examined = 0;
-  std::uint64_t nodes_expanded = 0;   ///< search-tree descents
-  std::uint64_t cache_probes = 0;     ///< dominance-cache traffic
-  std::uint64_t cache_hits = 0;       ///< subtrees pruned as dominated
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_superseded = 0;
-  bool completed = true;    ///< condition [1] (provably optimal)
-  CurtailReason curtail_reason = CurtailReason::None;
-  bool feasible = true;     ///< pressure-constrained search found a schedule
-
-  /// Branches killed per pruning rule (see SearchStats).
-  std::uint64_t pruned_window = 0;
-  std::uint64_t pruned_readiness = 0;
-  std::uint64_t pruned_equivalence = 0;
-  std::uint64_t pruned_alpha_beta = 0;
-  std::uint64_t pruned_lower_bound = 0;
-  std::uint64_t pruned_dominance = 0;
-  std::uint64_t pruned_pressure = 0;
-
-  double seconds = 0.0;
+  int block_size = 0;  ///< instructions after optimization
+  /// The search's stats; stats.best_nops is exported as "final_nops".
+  SearchStats stats;
 
   /// Non-empty when this block's run threw: the exception message. The
-  /// counter fields above are whatever was recorded before the failure.
+  /// stats above are whatever was recorded before the failure.
   std::string error;
   /// Path of the `--tuples` replay dump written for a failed block
   /// (empty when no reproducer was requested or the dump itself failed).
   std::string reproducer;
 };
-
-/// Copy one search's counters into a per-block record (shared by the
-/// corpus runner and psc's per-block export).
-void fill_run_record(RunRecord& record, const SearchStats& stats);
 
 struct CorpusRunOptions {
   Machine machine = Machine::paper_simulation();
@@ -89,12 +68,12 @@ std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
                                   const CorpusRunOptions& options);
 
 /// Aggregate statistics in the shape of the paper's Table 7: one column
-/// for completed (optimal) runs, one for truncated runs, one for totals.
-/// Errored blocks are counted (per column `errors`) but excluded from the
-/// completed/truncated partition and from every average. Blocks with no
-/// schedule within the register ceiling are excluded from the final-NOPs
-/// average only; `infeasible` counts those whose search completed, so it
-/// never counts a search that was curtailed before a schedule turned up.
+/// for optimal runs, one for truncated runs (SearchOutcome::Curtailed and
+/// NoSchedule), one for totals. A proven-infeasible block counts only in
+/// the totals column (its `infeasible` count). Errored blocks are counted
+/// (per column `errors`) but excluded from every other count and average.
+/// Blocks that end without a schedule are excluded from the final-NOPs
+/// average only.
 struct CorpusSummary {
   struct Column {
     std::size_t runs = 0;
@@ -102,8 +81,6 @@ struct CorpusSummary {
     double avg_instructions = 0;
     double avg_initial_nops = 0;
     double avg_final_nops = 0;
-    double avg_omega_calls = 0;
-    double avg_nodes_expanded = 0;
     double cache_hit_percent = 0;  ///< hits / probes over the column
     double avg_seconds = 0;
     /// Per-block wall-time distribution (seconds) over the non-error
@@ -115,13 +92,16 @@ struct CorpusSummary {
     std::size_t infeasible = 0;         ///< proven: none fits the ceiling
     std::size_t curtailed_lambda = 0;   ///< stopped by the curtail point
     std::size_t curtailed_deadline = 0; ///< stopped by the wall-clock budget
-    double avg_pruned_window = 0;
-    double avg_pruned_readiness = 0;
-    double avg_pruned_equivalence = 0;
-    double avg_pruned_alpha_beta = 0;
-    double avg_pruned_lower_bound = 0;
-    double avg_pruned_dominance = 0;
-    double avg_pruned_pressure = 0;
+    /// Exact totals over the non-error runs: how many ended in each
+    /// SearchOutcome (indexed by it), the initial and final NOPs of those
+    /// that kept a schedule, and each kSearchCounters row.
+    std::array<std::size_t, 4> outcomes{};
+    std::uint64_t scheduled_initial_nops = 0;
+    std::uint64_t scheduled_final_nops = 0;
+    std::array<std::uint64_t, kSearchCounterCount> counters{};
+
+    /// Average of one kSearchCounters member over the non-error runs.
+    double average(std::uint64_t SearchStats::*counter) const;
   };
   Column completed;
   Column truncated;
@@ -149,14 +129,31 @@ struct CorpusBenchMeta {
   double total_wall_seconds = 0;  ///< whole-corpus wall time
 };
 
-/// Single-JSON-object roll-up of a corpus run (summary columns + run
-/// metadata + a "metrics" section of exact integer totals computed from
-/// `records`) so successive PRs can track the perf trajectory. The exact
-/// totals are what `bench_diff` compares bit-for-bit: unlike the summary
-/// averages they carry no floating-point formatting noise.
+/// One exact integer total of a roll-up's "metrics" section.
+struct CorpusMetric {
+  std::string key;
+  std::uint64_t value = 0;
+  bool exact = false;  ///< bench_diff fails on a change; else it reports it
+};
+
+/// The "metrics" section, read off the summary's totals column: block,
+/// error and per-outcome counts ("<search_outcome_name>_blocks"), the
+/// curtail-reason counts, the NOPs of the blocks that kept a schedule,
+/// and "total_<key>" for every kSearchCounters row.
+std::vector<CorpusMetric> corpus_metrics(const CorpusSummary::Column& total);
+
+/// Single-JSON-object roll-up of a corpus run (run metadata, the
+/// corpus_metrics() section, and the three summary columns) so successive
+/// PRs can track the perf trajectory. The exact totals are what
+/// `bench_diff` compares bit-for-bit: unlike the summary averages they
+/// carry no floating-point formatting noise.
 void write_corpus_bench_json(const CorpusSummary& summary,
-                             const std::vector<RunRecord>& records,
                              const CorpusBenchMeta& meta,
                              const std::string& path);
+
+/// Read one write_corpus_jsonl() line back into a record. An absent or
+/// mistyped field keeps its default, except that a line without
+/// "completed" counts as curtailed.
+RunRecord parse_run_record(const JsonValue& line);
 
 }  // namespace pipesched

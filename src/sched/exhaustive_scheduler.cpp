@@ -15,9 +15,10 @@ namespace {
 class Enumeration {
  public:
   Enumeration(const Machine& machine, const DepGraph& dag,
-              std::uint64_t max_schedules, SearchBudget* budget)
+              std::uint64_t max_schedules, SearchBudget* budget,
+              const PipelineState& initial = {})
       : dag_(dag),
-        timer_(machine, dag),
+        timer_(machine, dag, initial),
         unplaced_preds_(dag.size()),
         max_schedules_(max_schedules),
         budget_(budget) {
@@ -117,10 +118,15 @@ ExhaustiveResult exhaustive_schedule(const Machine& machine,
 
 ScheduleResult ExhaustiveScheduler::run(const Machine& machine,
                                         const DepGraph& dag,
-                                        const PipelineState&) const {
+                                        const PipelineState& initial) const {
   Timer wall;
+  // The seed the exact backends start from, so initial_nops means the
+  // same thing under every exact scheduler.
+  const int seed_nops =
+      evaluate_order(machine, dag, seed_order(dag, config_), initial)
+          .total_nops();
   SearchBudget budget(config_, "exhaustive");
-  Enumeration search(machine, dag, 0, &budget);
+  Enumeration search(machine, dag, 0, &budget, initial);
   search.run();
   if (SearchBudget::observed()) {
     budget.tick(search.stats(), search.best_nops(), 0, 0, 0);
@@ -128,9 +134,10 @@ ScheduleResult ExhaustiveScheduler::run(const Machine& machine,
   ScheduleResult result;
   result.schedule = std::move(search.best());
   result.stats = search.stats();
-  result.stats.initial_nops = result.schedule.total_nops();
-  result.stats.best_nops = result.stats.initial_nops;
+  result.stats.initial_nops = seed_nops;
+  result.stats.best_nops = result.schedule.total_nops();
   result.stats.seconds = wall.seconds();
+  flush_search_metrics(result.stats);
   return result;
 }
 

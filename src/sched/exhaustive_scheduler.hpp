@@ -35,9 +35,11 @@ ExhaustiveResult exhaustive_schedule(const Machine& machine,
 /// orders; config.deadline_seconds is sampled, and a heartbeat sent,
 /// every 1,024 pushes (nodes_expanded), through the SearchBudget the
 /// exact backends share. The first complete order is always evaluated,
-/// so a curtailed run still returns a legal schedule. `initial` is
-/// ignored, as it always has been for this kind: the oracle evaluates
-/// drained-entry blocks only.
+/// so a curtailed run still returns a legal schedule. Like the optimal
+/// backends, it starts from the residual pipeline state `initial`,
+/// reports the seed order's NOPs as initial_nops and flushes its stats
+/// into the metrics registry. exhaustive_schedule() stays on drained
+/// pipelines.
 class ExhaustiveScheduler final : public Scheduler {
  public:
   explicit ExhaustiveScheduler(const SearchConfig& config)

@@ -20,6 +20,16 @@ const char* curtail_reason_name(CurtailReason reason) {
   return "?";
 }
 
+const char* search_outcome_name(SearchOutcome outcome) {
+  switch (outcome) {
+    case SearchOutcome::Optimal: return "optimal";
+    case SearchOutcome::Infeasible: return "infeasible";
+    case SearchOutcome::Curtailed: return "curtailed";
+    case SearchOutcome::NoSchedule: return "no_schedule";
+  }
+  return "?";
+}
+
 int Schedule::total_nops() const {
   return std::accumulate(nops.begin(), nops.end(), 0);
 }

@@ -6,6 +6,9 @@
 // mu (Definition 5), and the concrete issue cycle of each instruction.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,21 @@ enum class CurtailReason { None, Lambda, Deadline };
 
 const char* curtail_reason_name(CurtailReason reason);
 
+/// How a search ended. The paper has two endings: the space is exhausted
+/// (termination condition [1], proven optimal) or the curtail point is
+/// reached (condition [2], possibly suboptimal). A register ceiling splits
+/// each by whether any schedule within it turned up.
+enum class SearchOutcome {
+  Optimal,     ///< exhausted with a schedule: proven optimal
+  Infeasible,  ///< exhausted with none: proven that nothing fits the ceiling
+  Curtailed,   ///< a budget ran out; the schedule kept may be suboptimal
+  NoSchedule,  ///< a budget ran out before any schedule fit the ceiling
+};
+
+/// "optimal", "infeasible", "curtailed" or "no_schedule". A corpus
+/// roll-up counts each outcome as "<name>_blocks".
+const char* search_outcome_name(SearchOutcome outcome);
+
 /// Statistics from one scheduler invocation. Field names follow the
 /// paper's Section 4.2.3 terminology.
 struct SearchStats {
@@ -55,16 +73,17 @@ struct SearchStats {
   /// Complete schedules whose cost reached comparison with the incumbent.
   std::uint64_t schedules_examined = 0;
 
-  /// True when the search space was exhausted (termination condition [1]:
-  /// result provably optimal); false when the curtail point or the
-  /// wall-clock deadline truncated it (condition [2]: possibly
-  /// suboptimal). `curtail_reason` says which budget expired.
+  /// True when the search space was exhausted (termination condition [1]);
+  /// false when the curtail point or the wall-clock deadline truncated it
+  /// (condition [2]). `curtail_reason` says which budget expired. Read
+  /// the ending through outcome(), which also weighs `feasible`.
   bool completed = true;
   CurtailReason curtail_reason = CurtailReason::None;
 
   /// NOPs of the seed (list) schedule and of the best schedule found.
-  /// best_nops is -1 when `feasible` is false: no schedule within the
-  /// pressure ceiling exists, so there is no meaningful cost to report.
+  /// A backend reports best_nops = -1 when `feasible` is false: it found
+  /// no schedule within the pressure ceiling, so it has no cost to report
+  /// (compile_with_register_limit then stores its fallback order's NOPs).
   int initial_nops = 0;
   int best_nops = 0;
 
@@ -116,6 +135,88 @@ struct SearchStats {
   std::uint64_t incumbent_improvements = 0;
 
   double seconds = 0.0;
+
+  /// How the search ended, from the two stored bits.
+  SearchOutcome outcome() const {
+    if (completed) {
+      return feasible ? SearchOutcome::Optimal : SearchOutcome::Infeasible;
+    }
+    return feasible ? SearchOutcome::Curtailed : SearchOutcome::NoSchedule;
+  }
 };
+
+/// A Prometheus counter family that per-search counters flush into.
+struct SearchCounterFamily {
+  const char* name;
+  const char* label;  ///< the label that tells its series apart ("" if none)
+  const char* help;
+};
+
+inline constexpr SearchCounterFamily kPrunedFamily{
+    "ps_search_pruned_total", "rule",
+    "Branches killed, by pruning rule (see optimal_scheduler.hpp)"};
+inline constexpr SearchCounterFamily kCacheEventFamily{
+    "ps_search_cache_events_total", "event",
+    "Dominance/transposition cache traffic, by event"};
+
+/// One per-search counter of SearchStats and every name it is reported
+/// under. Each std::uint64_t member of SearchStats has one row in
+/// kSearchCounters, and every consumer outside the backends (the metrics
+/// flush, the per-block CSV/JSONL, the corpus summary and roll-up, psc
+/// --stats) iterates that table, so a new counter is one member plus one
+/// row.
+struct SearchCounter {
+  std::uint64_t SearchStats::*member;
+  const char* key;  ///< CSV/JSONL field; roll-ups add "total_" or "avg_"
+  SearchCounterFamily family;
+  const char* label;    ///< its series' label value ("" when unlabelled)
+  const char* summary;  ///< corpus-summary row; null when not summarized
+};
+
+inline constexpr SearchCounter kSearchCounters[] = {
+    {&SearchStats::omega_calls, "omega_calls",
+     {"ps_search_omega_calls_total", "",
+      "Incremental NOP-insertion (omega) invocations"},
+     "", "Avg. Omega Calls"},
+    {&SearchStats::schedules_examined, "schedules_examined",
+     {"ps_search_schedules_examined_total", "",
+      "Complete schedules compared against the incumbent"},
+     "", nullptr},
+    {&SearchStats::nodes_expanded, "nodes_expanded",
+     {"ps_search_nodes_expanded_total", "", "Search-tree nodes expanded"},
+     "", "Avg. Nodes Expanded"},
+    {&SearchStats::incumbent_improvements, "incumbent_improvements",
+     {"ps_search_incumbent_improvements_total", "",
+      "Times a complete schedule strictly beat the incumbent"},
+     "", nullptr},
+    {&SearchStats::pruned_window, "pruned_window", kPrunedFamily, "window",
+     "Avg. Window Prunes [5a]"},
+    {&SearchStats::pruned_readiness, "pruned_readiness", kPrunedFamily,
+     "readiness", "Avg. Readiness Prunes [5b]"},
+    {&SearchStats::pruned_equivalence, "pruned_equivalence", kPrunedFamily,
+     "equivalence", "Avg. Equivalence Prunes [5c]"},
+    {&SearchStats::pruned_alpha_beta, "pruned_alpha_beta", kPrunedFamily,
+     "alpha_beta", "Avg. Alpha-Beta Prunes [6]"},
+    {&SearchStats::pruned_lower_bound, "pruned_lower_bound", kPrunedFamily,
+     "lower_bound", "Avg. Lower-Bound Prunes"},
+    {&SearchStats::pruned_dominance, "pruned_dominance", kPrunedFamily,
+     "dominance", "Avg. Dominance Prunes"},
+    {&SearchStats::pruned_pressure, "pruned_pressure", kPrunedFamily,
+     "pressure", "Avg. Pressure Prunes"},
+    {&SearchStats::cache_probes, "cache_probes", kCacheEventFamily, "probe",
+     nullptr},
+    {&SearchStats::cache_hits, "cache_hits", kCacheEventFamily, "hit",
+     nullptr},
+    {&SearchStats::cache_misses, "cache_misses", kCacheEventFamily, "miss",
+     nullptr},
+    {&SearchStats::cache_evictions, "cache_evictions", kCacheEventFamily,
+     "evict", nullptr},
+    {&SearchStats::cache_superseded, "cache_superseded", kCacheEventFamily,
+     "supersede", nullptr},
+    {&SearchStats::cache_verified_rejects, "cache_verified_rejects",
+     kCacheEventFamily, "verified_reject", nullptr},
+};
+
+inline constexpr std::size_t kSearchCounterCount = std::size(kSearchCounters);
 
 }  // namespace pipesched

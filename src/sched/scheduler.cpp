@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <tuple>
 #include <utility>
 
@@ -280,48 +281,16 @@ void flush_search_metrics(const SearchStats& stats) {
   if (!metrics_enabled()) return;
   static Counter& runs = metrics_counter(
       "ps_search_runs_total", {}, "Optimal-backend searches completed");
-  static Counter& nodes = metrics_counter(
-      "ps_search_nodes_expanded_total", {}, "Search-tree nodes expanded");
-  static Counter& omega = metrics_counter(
-      "ps_search_omega_calls_total", {},
-      "Incremental NOP-insertion (omega) invocations");
-  static Counter& examined = metrics_counter(
-      "ps_search_schedules_examined_total", {},
-      "Complete schedules compared against the incumbent");
-  static Counter& improved = metrics_counter(
-      "ps_search_incumbent_improvements_total", {},
-      "Times a complete schedule strictly beat the incumbent");
-  static const char* kPrunesHelp =
-      "Branches killed, by pruning rule (see optimal_scheduler.hpp)";
-  static Counter& pruned_window = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "window"}}, kPrunesHelp);
-  static Counter& pruned_readiness = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "readiness"}}, kPrunesHelp);
-  static Counter& pruned_equivalence = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "equivalence"}}, kPrunesHelp);
-  static Counter& pruned_alpha_beta = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "alpha_beta"}}, kPrunesHelp);
-  static Counter& pruned_lower_bound = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "lower_bound"}}, kPrunesHelp);
-  static Counter& pruned_dominance = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "dominance"}}, kPrunesHelp);
-  static Counter& pruned_pressure = metrics_counter(
-      "ps_search_pruned_total", {{"rule", "pressure"}}, kPrunesHelp);
-  static const char* kCacheHelp =
-      "Dominance/transposition cache traffic, by event";
-  static Counter& cache_probes = metrics_counter(
-      "ps_search_cache_events_total", {{"event", "probe"}}, kCacheHelp);
-  static Counter& cache_hits = metrics_counter(
-      "ps_search_cache_events_total", {{"event", "hit"}}, kCacheHelp);
-  static Counter& cache_misses = metrics_counter(
-      "ps_search_cache_events_total", {{"event", "miss"}}, kCacheHelp);
-  static Counter& cache_evictions = metrics_counter(
-      "ps_search_cache_events_total", {{"event", "evict"}}, kCacheHelp);
-  static Counter& cache_superseded = metrics_counter(
-      "ps_search_cache_events_total", {{"event", "supersede"}}, kCacheHelp);
-  static Counter& cache_verified_rejects = metrics_counter(
-      "ps_search_cache_events_total", {{"event", "verified_reject"}},
-      kCacheHelp);
+  static const std::array<Counter*, kSearchCounterCount> counters = [] {
+    std::array<Counter*, kSearchCounterCount> out{};
+    for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+      const SearchCounter& c = kSearchCounters[i];
+      MetricLabels labels;
+      if (c.label[0] != '\0') labels.emplace_back(c.family.label, c.label);
+      out[i] = &metrics_counter(c.family.name, labels, c.family.help);
+    }
+    return out;
+  }();
   static const char* kCurtailHelp =
       "Searches truncated before exhausting the space, by expired budget";
   static Counter& curtailed_lambda = metrics_counter(
@@ -332,23 +301,9 @@ void flush_search_metrics(const SearchStats& stats) {
       "ps_search_seconds", {}, "Wall-clock seconds per search");
 
   runs.increment();
-  nodes.add(stats.nodes_expanded);
-  omega.add(stats.omega_calls);
-  examined.add(stats.schedules_examined);
-  improved.add(stats.incumbent_improvements);
-  pruned_window.add(stats.pruned_window);
-  pruned_readiness.add(stats.pruned_readiness);
-  pruned_equivalence.add(stats.pruned_equivalence);
-  pruned_alpha_beta.add(stats.pruned_alpha_beta);
-  pruned_lower_bound.add(stats.pruned_lower_bound);
-  pruned_dominance.add(stats.pruned_dominance);
-  pruned_pressure.add(stats.pruned_pressure);
-  cache_probes.add(stats.cache_probes);
-  cache_hits.add(stats.cache_hits);
-  cache_misses.add(stats.cache_misses);
-  cache_evictions.add(stats.cache_evictions);
-  cache_superseded.add(stats.cache_superseded);
-  cache_verified_rejects.add(stats.cache_verified_rejects);
+  for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
+    counters[i]->add(stats.*kSearchCounters[i].member);
+  }
   if (stats.curtail_reason == CurtailReason::Lambda) {
     curtailed_lambda.increment();
   } else if (stats.curtail_reason == CurtailReason::Deadline) {

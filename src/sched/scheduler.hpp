@@ -240,7 +240,8 @@ std::vector<int> latency_heights(const Machine& machine, const DepGraph& dag);
 /// The hot loops keep mutating plain local counters (zero added cost per
 /// node); the registry receives the totals in one batch here, so registry
 /// sums are exactly the sums of the per-search stats — a property the
-/// test suite asserts. Shared by every optimal backend.
+/// test suite asserts. Each kSearchCounters row names its series. Called
+/// once per run by both optimal backends and the exhaustive scheduler.
 void flush_search_metrics(const SearchStats& stats);
 
 }  // namespace pipesched

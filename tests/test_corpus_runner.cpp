@@ -9,10 +9,11 @@
 //   * the CSV/JSONL per-block exports and the BENCH_corpus.json roll-up
 //     are written and internally consistent;
 //   * every roll-up counts a block as optimal or infeasible only when its
-//     search completed.
+//     search completed, and all of them count the same four outcomes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "ir/dag.hpp"
 #include "sched/cp_scheduler.hpp"
 #include "sim/simulator.hpp"
+#include "synth/corpus.hpp"
 #include "synth/generator.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -54,25 +56,14 @@ std::string slurp(const std::string& path) {
 void expect_records_equal(const RunRecord& a, const RunRecord& b,
                           std::size_t index) {
   EXPECT_EQ(a.block_size, b.block_size) << index;
-  EXPECT_EQ(a.initial_nops, b.initial_nops) << index;
-  EXPECT_EQ(a.final_nops, b.final_nops) << index;
-  EXPECT_EQ(a.omega_calls, b.omega_calls) << index;
-  EXPECT_EQ(a.schedules_examined, b.schedules_examined) << index;
-  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << index;
-  EXPECT_EQ(a.cache_probes, b.cache_probes) << index;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << index;
-  EXPECT_EQ(a.cache_evictions, b.cache_evictions) << index;
-  EXPECT_EQ(a.cache_superseded, b.cache_superseded) << index;
-  EXPECT_EQ(a.completed, b.completed) << index;
-  EXPECT_EQ(a.curtail_reason, b.curtail_reason) << index;
-  EXPECT_EQ(a.feasible, b.feasible) << index;
-  EXPECT_EQ(a.pruned_window, b.pruned_window) << index;
-  EXPECT_EQ(a.pruned_readiness, b.pruned_readiness) << index;
-  EXPECT_EQ(a.pruned_equivalence, b.pruned_equivalence) << index;
-  EXPECT_EQ(a.pruned_alpha_beta, b.pruned_alpha_beta) << index;
-  EXPECT_EQ(a.pruned_lower_bound, b.pruned_lower_bound) << index;
-  EXPECT_EQ(a.pruned_dominance, b.pruned_dominance) << index;
-  EXPECT_EQ(a.pruned_pressure, b.pruned_pressure) << index;
+  EXPECT_EQ(a.stats.initial_nops, b.stats.initial_nops) << index;
+  EXPECT_EQ(a.stats.best_nops, b.stats.best_nops) << index;
+  EXPECT_EQ(a.stats.completed, b.stats.completed) << index;
+  EXPECT_EQ(a.stats.curtail_reason, b.stats.curtail_reason) << index;
+  EXPECT_EQ(a.stats.feasible, b.stats.feasible) << index;
+  for (const SearchCounter& c : kSearchCounters) {
+    EXPECT_EQ(a.stats.*c.member, b.stats.*c.member) << c.key << " " << index;
+  }
   EXPECT_EQ(a.error, b.error) << index;
 }
 
@@ -93,7 +84,7 @@ TEST(CorpusRunner, FaultInjectionKeepsOtherRecords) {
   ASSERT_EQ(records.size(), params.size());
 
   EXPECT_NE(records[7].error.find("injected fault"), std::string::npos);
-  EXPECT_FALSE(records[7].completed);
+  EXPECT_FALSE(records[7].stats.completed);
   ASSERT_FALSE(records[7].reproducer.empty());
   EXPECT_TRUE(std::filesystem::exists(records[7].reproducer));
 
@@ -110,8 +101,8 @@ TEST(CorpusRunner, FaultInjectionKeepsOtherRecords) {
     EXPECT_GT(records[i].block_size, 0) << i;
     // A zero-NOP list-schedule seed can satisfy the search before a single
     // omega call, so only the result fields are guaranteed populated.
-    EXPECT_TRUE(records[i].feasible) << i;
-    EXPECT_GE(records[i].final_nops, 0) << i;
+    EXPECT_TRUE(records[i].stats.feasible) << i;
+    EXPECT_GE(records[i].stats.best_nops, 0) << i;
   }
 
   const CorpusSummary summary = summarize_corpus(records);
@@ -265,18 +256,18 @@ TEST(CorpusRunner, PruneCountersAreLiveAndSummarized) {
 
   std::uint64_t ab = 0, ready = 0, dominance = 0, hits = 0;
   for (const RunRecord& r : records) {
-    ab += r.pruned_alpha_beta;
-    ready += r.pruned_readiness;
-    dominance += r.pruned_dominance;
-    hits += r.cache_hits;
+    ab += r.stats.pruned_alpha_beta;
+    ready += r.stats.pruned_readiness;
+    dominance += r.stats.pruned_dominance;
+    hits += r.stats.cache_hits;
   }
   EXPECT_GT(ab, 0u);
   EXPECT_GT(ready, 0u);
   EXPECT_EQ(dominance, hits);  // duplicated counter must stay in lock-step
 
   const CorpusSummary summary = summarize_corpus(records);
-  EXPECT_GT(summary.total.avg_pruned_alpha_beta, 0.0);
-  EXPECT_GT(summary.total.avg_pruned_readiness, 0.0);
+  EXPECT_GT(summary.total.average(&SearchStats::pruned_alpha_beta), 0.0);
+  EXPECT_GT(summary.total.average(&SearchStats::pruned_readiness), 0.0);
   // Per-block wall-time quantiles: ordered, and bounded by the extremes
   // of a sorted sample (p50 <= p90 <= p99).
   EXPECT_GT(summary.total.p50_seconds, 0.0);
@@ -314,8 +305,8 @@ TEST(CorpusRunner, ExportsAndRollupSurviveFaultAndDeadline) {
   // Any block the deadline curtailed must still carry a valid incumbent.
   const Machine machine = Machine::paper_simulation();
   for (std::size_t i = 0; i < records.size(); ++i) {
-    if (i == 3 || records[i].completed) continue;
-    EXPECT_EQ(records[i].curtail_reason, CurtailReason::Deadline) << i;
+    if (i == 3 || records[i].stats.completed) continue;
+    EXPECT_EQ(records[i].stats.curtail_reason, CurtailReason::Deadline) << i;
     const BasicBlock block = generate_block(params[i]);
     const DepGraph dag(block);
     SearchConfig config = options.search;
@@ -335,7 +326,7 @@ TEST(CorpusRunner, ExportsAndRollupSurviveFaultAndDeadline) {
   meta.curtail_lambda = options.search.curtail_lambda;
   meta.deadline_seconds = options.search.deadline_seconds;
   meta.total_wall_seconds = 1.0;
-  write_corpus_bench_json(summary, records, meta, bench_path);
+  write_corpus_bench_json(summary, meta, bench_path);
 
   const std::string csv = slurp(csv_path);
   const std::string jsonl = slurp(jsonl_path);
@@ -375,12 +366,12 @@ TEST(CorpusRunner, ExportsAndRollupSurviveFaultAndDeadline) {
       ++want_errors;
       continue;
     }
-    if (r.feasible) {
-      want_initial += static_cast<std::uint64_t>(r.initial_nops);
-      want_final += static_cast<std::uint64_t>(r.final_nops);
+    if (r.stats.feasible) {
+      want_initial += static_cast<std::uint64_t>(r.stats.initial_nops);
+      want_final += static_cast<std::uint64_t>(r.stats.best_nops);
     }
-    if (r.completed) ++want_optimal;
-    want_nodes += r.nodes_expanded;
+    if (r.stats.completed) ++want_optimal;
+    want_nodes += r.stats.nodes_expanded;
   }
   auto metric = [&](const char* field) {
     const JsonValue* v = doc.find_path({"metrics", field});
@@ -416,12 +407,12 @@ TEST(CorpusRunner, RollupsCountOnlyCompletedSearchesAsOptimalOrInfeasible) {
   auto record = [](bool completed, bool feasible, int final_nops) {
     RunRecord r;
     r.block_size = 10;
-    r.initial_nops = 6;
-    r.final_nops = final_nops;
-    r.completed = completed;
-    r.curtail_reason =
+    r.stats.initial_nops = 6;
+    r.stats.best_nops = final_nops;
+    r.stats.completed = completed;
+    r.stats.curtail_reason =
         completed ? CurtailReason::None : CurtailReason::Lambda;
-    r.feasible = feasible;
+    r.stats.feasible = feasible;
     return r;
   };
   const std::vector<RunRecord> records = {
@@ -433,7 +424,7 @@ TEST(CorpusRunner, RollupsCountOnlyCompletedSearchesAsOptimalOrInfeasible) {
 
   const CorpusSummary summary = summarize_corpus(records);
   EXPECT_EQ(summary.total.infeasible, 1u);
-  EXPECT_EQ(summary.completed.infeasible, 1u);
+  EXPECT_EQ(summary.completed.infeasible, 0u);
   EXPECT_EQ(summary.truncated.infeasible, 0u);
   EXPECT_EQ(summary.completed.runs - summary.completed.infeasible, 1u);
   EXPECT_EQ(summary.total.curtailed_lambda, 2u);
@@ -441,7 +432,7 @@ TEST(CorpusRunner, RollupsCountOnlyCompletedSearchesAsOptimalOrInfeasible) {
   const std::filesystem::path dir(testing::TempDir());
   const std::string bench_path = (dir / "ps_outcomes_BENCH.json").string();
   const std::string jsonl_path = (dir / "ps_outcomes.jsonl").string();
-  write_corpus_bench_json(summary, records, CorpusBenchMeta{}, bench_path);
+  write_corpus_bench_json(summary, CorpusBenchMeta{}, bench_path);
   write_corpus_jsonl(records, jsonl_path);
   const JsonValue bench = parse_json_file(bench_path);
   const JsonValue rollup = rollup_from_records(parse_jsonl_file(jsonl_path));
@@ -456,6 +447,67 @@ TEST(CorpusRunner, RollupsCountOnlyCompletedSearchesAsOptimalOrInfeasible) {
     EXPECT_EQ(metric("infeasible_blocks"), 1);
     EXPECT_EQ(metric("curtailed_lambda_blocks"), 2);
     EXPECT_EQ(metric("total_final_nops"), 7);
+  }
+  std::filesystem::remove(bench_path);
+  std::filesystem::remove(jsonl_path);
+}
+
+TEST(CorpusRunner, EveryRollupAgreesOnACorpusWithAllFourOutcomes) {
+  // The first 200 corpus blocks under a 4-register ceiling at lambda =
+  // 300 end in all four outcomes. Table 7's completed column holds the
+  // optimal blocks only, and the bench JSON and the JSONL roll-up report
+  // the same integer totals.
+  std::vector<GeneratorParams> params = corpus_params(CorpusSpec{});
+  params.resize(200);
+  CorpusRunOptions options;
+  options.search.max_live_registers = 4;
+  options.search.curtail_lambda = 300;
+  options.threads = 2;
+  const std::vector<RunRecord> records = run_corpus(params, options);
+
+  std::array<std::size_t, 4> outcomes{};  // indexed by SearchOutcome
+  for (const RunRecord& r : records) {
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    ++outcomes[static_cast<std::size_t>(r.stats.outcome())];
+  }
+  const auto count = [&](SearchOutcome o) {
+    return outcomes[static_cast<std::size_t>(o)];
+  };
+  EXPECT_EQ(count(SearchOutcome::Optimal), 112u);
+  EXPECT_EQ(count(SearchOutcome::Infeasible), 15u);
+  EXPECT_EQ(count(SearchOutcome::Curtailed), 32u);
+  EXPECT_EQ(count(SearchOutcome::NoSchedule), 41u);
+
+  const CorpusSummary summary = summarize_corpus(records);
+  EXPECT_EQ(summary.completed.runs, count(SearchOutcome::Optimal));
+  EXPECT_EQ(summary.truncated.runs, count(SearchOutcome::Curtailed) +
+                                        count(SearchOutcome::NoSchedule));
+  EXPECT_EQ(summary.total.runs, records.size());
+  EXPECT_EQ(summary.total.infeasible, count(SearchOutcome::Infeasible));
+  EXPECT_EQ(summary.completed.infeasible + summary.truncated.infeasible, 0u);
+
+  const std::filesystem::path dir(testing::TempDir());
+  const std::string bench_path = (dir / "ps_four_outcomes_BENCH.json").string();
+  const std::string jsonl_path = (dir / "ps_four_outcomes.jsonl").string();
+  write_corpus_bench_json(summary, CorpusBenchMeta{}, bench_path);
+  write_corpus_jsonl(records, jsonl_path);
+  const JsonValue bench = parse_json_file(bench_path);
+  const JsonValue rollup = rollup_from_records(parse_jsonl_file(jsonl_path));
+  const auto& bench_metrics = bench.find("metrics")->as_object();
+  ASSERT_EQ(bench_metrics.size(),
+            rollup.find("metrics")->as_object().size());
+  for (const auto& [key, value] : bench_metrics) {
+    const JsonValue* other = rollup.find_path({"metrics", key});
+    ASSERT_NE(other, nullptr) << key;
+    EXPECT_EQ(value.as_int64(), other->as_int64()) << key;
+  }
+  for (SearchOutcome o :
+       {SearchOutcome::Optimal, SearchOutcome::Infeasible,
+        SearchOutcome::Curtailed, SearchOutcome::NoSchedule}) {
+    const std::string key = std::string(search_outcome_name(o)) + "_blocks";
+    EXPECT_EQ(bench.find_path({"metrics", key})->as_int64(),
+              static_cast<std::int64_t>(count(o)))
+        << key;
   }
   std::filesystem::remove(bench_path);
   std::filesystem::remove(jsonl_path);

@@ -193,7 +193,8 @@ TEST(CpDifferential, AgreesWithBranchAndBoundAtScale) {
 /// Residual pipeline occupancy at block entry changes earliest start
 /// times for the first instructions; the backends must agree there too
 /// (the corpus runs with drained entry, so this branch needs its own
-/// sweep).
+/// sweep), and so must the exhaustive scheduler on blocks of at most nine
+/// tuples.
 TEST(CpDifferential, AgreesUnderResidualEntryState) {
   Rng rng(0xE9712);
   std::size_t pairs = 0;
@@ -223,6 +224,15 @@ TEST(CpDifferential, AgreesUnderResidualEntryState) {
     ASSERT_TRUE(bnb.stats.completed && cp.stats.completed);
     ASSERT_EQ(bnb.stats.best_nops, cp.stats.best_nops)
         << describe_case(pairs, params, machine, block, 0);
+    if (block.size() <= 9) {
+      // The enumeration starts from the same residual state.
+      const ScheduleResult all =
+          make_scheduler(SchedulerKind::Exhaustive, config)
+              ->run(machine, dag, entry);
+      ASSERT_TRUE(all.stats.completed);
+      EXPECT_EQ(all.stats.best_nops, bnb.stats.best_nops)
+          << describe_case(pairs, params, machine, block, 0);
+    }
     ++pairs;
   }
 }

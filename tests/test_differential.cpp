@@ -180,16 +180,16 @@ TEST(CacheTelemetry, CorpusRunnerThreadsCacheCounters) {
 
   std::uint64_t probes = 0, hits = 0, nodes = 0;
   for (const RunRecord& r : records) {
-    probes += r.cache_probes;
-    hits += r.cache_hits;
-    nodes += r.nodes_expanded;
-    EXPECT_LE(r.cache_hits, r.cache_probes);
+    probes += r.stats.cache_probes;
+    hits += r.stats.cache_hits;
+    nodes += r.stats.nodes_expanded;
+    EXPECT_LE(r.stats.cache_hits, r.stats.cache_probes);
   }
   EXPECT_GT(nodes, 0u);
   EXPECT_GT(probes, 0u);
 
   const CorpusSummary summary = summarize_corpus(records);
-  EXPECT_GT(summary.total.avg_nodes_expanded, 0.0);
+  EXPECT_GT(summary.total.average(&SearchStats::nodes_expanded), 0.0);
   if (hits > 0) {
     EXPECT_GT(summary.total.cache_hit_percent, 0.0);
   }

@@ -13,13 +13,14 @@
 //
 // The fingerprint sums perfbench's exact fields over the slice: final
 // NOPs, simulated code cycles, the proven-optimal count, nodes, omega
-// calls and every prune counter. Timing never enters it, so a pure-speed
-// or pure-deletion change must reproduce every constant below bit for
-// bit. A change that alters search behaviour on purpose updates the
+// calls and every prune counter; regs_tight also counts each search
+// outcome. Timing never enters it, so a pure-speed or pure-deletion
+// change must reproduce every constant below bit for bit. A change that alters search behaviour on purpose updates the
 // constants and records the old and new values in CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -189,14 +190,19 @@ TEST(Fingerprint, RegsTightSlice) {
   add(6, 16, 28);
 
   Fingerprint f;
+  std::array<int, 4> outcomes{};  // indexed by SearchOutcome
   for (const std::string& source : sources) {
     const RegisterLimitedResult limited = compile_with_register_limit(
         generate_tuples(parse_source(source)), options);
     add_block(f, limited.compiled, options.machine);
+    ++outcomes[static_cast<std::size_t>(limited.compiled.stats.outcome())];
   }
   const Fingerprint expected{368, 1654, 6, 67686, 69051,
                              0, 1611310, 0, 1377, 0, 46918, 309801};
   EXPECT_EQ(f, expected);
+  // Optimal, proven infeasible, curtailed with a schedule, curtailed
+  // with none: every long block ends without a schedule.
+  EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
 }
 
 }  // namespace

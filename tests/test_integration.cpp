@@ -128,9 +128,9 @@ TEST(CorpusRunner, DeterministicAcrossThreadCounts) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].block_size, b[i].block_size) << i;
-    EXPECT_EQ(a[i].final_nops, b[i].final_nops) << i;
-    EXPECT_EQ(a[i].omega_calls, b[i].omega_calls) << i;
-    EXPECT_EQ(a[i].completed, b[i].completed) << i;
+    EXPECT_EQ(a[i].stats.best_nops, b[i].stats.best_nops) << i;
+    EXPECT_EQ(a[i].stats.omega_calls, b[i].stats.omega_calls) << i;
+    EXPECT_EQ(a[i].stats.completed, b[i].stats.completed) << i;
   }
 }
 

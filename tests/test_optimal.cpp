@@ -4,7 +4,8 @@
 // blocks — the pruning rules are only allowed to cut *provably equivalent
 // or worse* schedules. The exhaustive scheduler's own budget is checked
 // here too: on a block far too large to enumerate, lambda and the
-// deadline must each stop it with a legal schedule.
+// deadline must each stop it with a legal schedule, and it must report
+// its seed's NOPs and flush its counters like the exact backends do.
 #include <gtest/gtest.h>
 
 #include "ir/dag.hpp"
@@ -14,6 +15,7 @@
 #include "sched/optimal_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
+#include "util/metrics.hpp"
 
 namespace pipesched {
 namespace {
@@ -207,8 +209,25 @@ TEST(Exhaustive, LambdaCapsCompleteOrders) {
   const Machine machine = Machine::paper_simulation();
   SearchConfig config;
   config.curtail_lambda = 1000;
+  metrics_enable();
+  const MetricsSnapshot before = metrics_snapshot();
   const ScheduleResult result =
       make_scheduler(SchedulerKind::Exhaustive, config)->run(machine, dag);
+  const MetricsSnapshot after = metrics_snapshot();
+  metrics_disable();
+  // One flush per run, carrying the run's own counters.
+  const auto delta = [&](const char* name) {
+    return after.value_or_zero(name) - before.value_or_zero(name);
+  };
+  EXPECT_EQ(delta("ps_search_runs_total"), 1.0);
+  EXPECT_EQ(delta("ps_search_omega_calls_total"),
+            static_cast<double>(result.stats.omega_calls));
+  EXPECT_EQ(delta("ps_search_nodes_expanded_total"),
+            static_cast<double>(result.stats.nodes_expanded));
+  // initial_nops is the seed order's cost, as under the exact backends,
+  // not the best order's.
+  EXPECT_EQ(result.stats.initial_nops,
+            evaluate_order(machine, dag, seed_order(dag, config)).total_nops());
   EXPECT_FALSE(result.stats.completed);
   EXPECT_EQ(result.stats.curtail_reason, CurtailReason::Lambda);
   EXPECT_LE(result.stats.omega_calls, 1000u);

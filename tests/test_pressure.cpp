@@ -272,7 +272,7 @@ TEST(RegisterLimit, SpillsOnlyWhenNecessary) {
   const RegisterLimitedResult result =
       compile_with_register_limit(chain, options);
   EXPECT_EQ(result.values_spilled, 0);
-  EXPECT_TRUE(result.scheduler_feasible);
+  EXPECT_EQ(result.compiled.stats.outcome(), SearchOutcome::Optimal);
 }
 
 TEST(RegisterLimit, TightFilesCostNops) {

@@ -6,7 +6,8 @@
 #   3. Debug + TSan (-DPIPESCHED_SANITIZE=thread), focused on the
 #      concurrency surface — the thread pool that runs corpus blocks, the
 #      per-thread slots under the trace collector and the metrics
-#      registry, the sampling profiler and the HTTP exporter.
+#      registry, the sampling profiler, the HTTP exporter and the corpus
+#      runner whose workers fill the per-block records.
 #      TSan cannot be combined with ASan, hence the separate lane; it
 #      builds only the concurrency-relevant tests to keep the lane fast.
 # Then a short perfbench run per workload, smoke lanes over the built
@@ -43,7 +44,7 @@ cmake -B build-ci-tsan -S . \
 echo "==== building build-ci-tsan (concurrency tests) ===="
 cmake --build build-ci-tsan -j "${jobs}" \
   --target test_util test_trace test_metrics test_profiler \
-  test_http_exporter
+  test_http_exporter test_corpus_runner
 echo "==== TSan: thread pool ===="
 ./build-ci-tsan/tests/test_util --gtest_filter='ThreadPool.*'
 echo "==== TSan: trace collector (per-thread buffers from pool workers) ===="
@@ -54,6 +55,8 @@ echo "==== TSan: sampling profiler (sampler racing annotated workers) ===="
 ./build-ci-tsan/tests/test_profiler
 echo "==== TSan: HTTP exporter (concurrent scrapes racing a live search) ===="
 ./build-ci-tsan/tests/test_http_exporter
+echo "==== TSan: corpus runner (pool workers writing per-block records) ===="
+./build-ci-tsan/tests/test_corpus_runner
 
 # perfbench correctness smoke: a short run of each workload must pass
 # perfbench's own gate — every schedule checked by the simulator, the

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/compiler.hpp"
 #include "core/corpus_runner.hpp"
@@ -337,30 +338,51 @@ Args parse_args(int argc, char** argv) {
 
 void print_metrics_totals();
 
+/// The search's outcome, stated once. For the two outcomes that end
+/// without a schedule, psc emits the register-limited fallback order,
+/// whose NOPs best_nops then holds.
+std::string outcome_text(const SearchStats& stats) {
+  const std::string reason = curtail_reason_name(stats.curtail_reason);
+  const std::string fallback =
+      "; the fallback order has " + std::to_string(stats.best_nops) + " NOPs";
+  switch (stats.outcome()) {
+    case SearchOutcome::Optimal:
+      return "proven optimal";
+    case SearchOutcome::Curtailed:
+      return "curtailed (" + reason + ")";
+    case SearchOutcome::Infeasible:
+      return "proven infeasible: no schedule fits the register ceiling" +
+             fallback;
+    case SearchOutcome::NoSchedule:
+      // A curtailed search proves nothing: it ran out of budget before
+      // any schedule within the ceiling turned up.
+      return "no schedule within the register ceiling found before the " +
+             reason + " budget ran out (not proven infeasible)" + fallback;
+  }
+  return "?";
+}
+
+/// One line with every kSearchCounters row of a metrics family, each
+/// named by its label value as in the Prometheus series.
+void print_counter_family(const char* title,
+                          const SearchCounterFamily& family,
+                          const SearchStats& stats) {
+  std::cerr << "; " << title << ":";
+  const char* separator = " ";
+  for (const SearchCounter& c : kSearchCounters) {
+    if (std::string_view(c.family.name) != family.name) continue;
+    std::cerr << separator << c.label << " " << stats.*c.member;
+    separator = ", ";
+  }
+  std::cerr << "\n";
+}
+
 void print_stats(const SearchStats& stats) {
   std::cerr << "; search: " << stats.omega_calls << " placements, "
             << stats.schedules_examined << " complete schedules, "
-            << (stats.completed
-                    ? "proven optimal"
-                    : std::string("curtailed (") +
-                          curtail_reason_name(stats.curtail_reason) + ")")
-            << ", initial NOPs " << stats.initial_nops << ", final NOPs "
-            << stats.best_nops << ", "
+            << outcome_text(stats) << ", initial NOPs " << stats.initial_nops
+            << ", final NOPs " << stats.best_nops << ", "
             << static_cast<long>(stats.seconds * 1e6) << "us\n";
-  if (!stats.feasible && stats.completed) {
-    std::cerr << "; search: proven infeasible — no schedule fits the "
-                 "register ceiling\n";
-  } else if (!stats.feasible) {
-    // A curtailed search proves nothing: it ran out of budget before any
-    // schedule within the ceiling turned up. The emitted code is the
-    // fallback order, whose NOPs the register-limited compile reports.
-    std::cerr << "; search: no schedule within the register ceiling found "
-                 "before the "
-              << curtail_reason_name(stats.curtail_reason)
-              << " budget ran out (not proven infeasible); the fallback "
-                 "order has "
-              << stats.best_nops << " NOPs\n";
-  }
   if (stats.seconds > 0 && stats.nodes_expanded > 0) {
     std::cerr << "; throughput: "
               << compact_double(static_cast<double>(stats.nodes_expanded) /
@@ -368,19 +390,9 @@ void print_stats(const SearchStats& stats) {
                                 4)
               << " nodes expanded/second\n";
   }
-  std::cerr << "; prunes: window [5a] " << stats.pruned_window
-            << ", readiness [5b] " << stats.pruned_readiness
-            << ", equivalence [5c] " << stats.pruned_equivalence
-            << ", alpha-beta [6] " << stats.pruned_alpha_beta
-            << ", lower bound " << stats.pruned_lower_bound
-            << ", dominance " << stats.pruned_dominance << ", pressure "
-            << stats.pruned_pressure << "\n";
+  print_counter_family("prunes", kPrunedFamily, stats);
   if (stats.cache_probes > 0) {
-    std::cerr << "; dominance cache: " << stats.cache_probes << " probes, "
-              << stats.cache_hits << " hits (subtrees pruned), "
-              << stats.cache_evictions << " evictions, "
-              << stats.cache_superseded << " superseded, "
-              << stats.nodes_expanded << " nodes expanded\n";
+    print_counter_family("dominance cache", kCacheEventFamily, stats);
   }
   print_metrics_totals();
 }
@@ -423,13 +435,6 @@ void export_records(const Args& args, const std::vector<RunRecord>& records) {
   if (!args.jsonl_path.empty()) write_corpus_jsonl(records, args.jsonl_path);
 }
 
-RunRecord record_of(int block_size, const SearchStats& stats) {
-  RunRecord record;
-  record.block_size = block_size;
-  fill_run_record(record, stats);
-  return record;
-}
-
 int compile_one_block(BasicBlock block, const Machine& machine,
                       const Args& args) {
   CompileOptions options;
@@ -448,19 +453,16 @@ int compile_one_block(BasicBlock block, const Machine& machine,
     const RegisterLimitedResult result =
         compile_with_register_limit(block, options);
     if (args.dump_tuples) std::cerr << result.compiled.block.to_string();
-    if (!result.scheduler_feasible) {
-      std::cerr << "; note: pressure-constrained search found no schedule "
-                   "within "
-                << args.register_limit
-                << " registers; emitted the post-spill original order\n";
-    }
+    const SearchStats& stats = result.compiled.stats;
     if (args.stats) {
-      print_stats(result.compiled.stats);
+      print_stats(stats);
       std::cerr << "; spilled values: " << result.values_spilled << "\n";
+    } else if (stats.outcome() == SearchOutcome::Infeasible ||
+               stats.outcome() == SearchOutcome::NoSchedule) {
+      std::cerr << "; note: " << outcome_text(stats) << "\n";
     }
-    export_records(args,
-                   {record_of(static_cast<int>(result.compiled.block.size()),
-                              result.compiled.stats)});
+    export_records(args, {{static_cast<int>(result.compiled.block.size()),
+                           stats, {}, {}}});
     std::cout << result.compiled.assembly;
     return 0;
   }
@@ -481,7 +483,7 @@ int compile_one_block(BasicBlock block, const Machine& machine,
     if (args.dump_dag) std::cerr << dag.to_dot();
     if (args.stats) print_stats(result.stats);
     export_records(
-        args, {record_of(static_cast<int>(prepared.size()), result.stats)});
+        args, {{static_cast<int>(prepared.size()), result.stats, {}, {}}});
     std::cout << emit_assembly(prepared, machine, result.schedule,
                                allocation, options.emit);
     return 0;
@@ -492,7 +494,7 @@ int compile_one_block(BasicBlock block, const Machine& machine,
   if (args.dump_dag) std::cerr << DepGraph(result.block).to_dot();
   if (args.stats) print_stats(result.stats);
   export_records(
-      args, {record_of(static_cast<int>(result.block.size()), result.stats)});
+      args, {{static_cast<int>(result.block.size()), result.stats, {}, {}}});
   if (args.sim_trace) {
     const DepGraph dag(result.block);
     const SimResult sim =
@@ -588,8 +590,8 @@ int run_compile(const Args& args, HttpExporter* server) {
   }
   std::vector<RunRecord> records;
   for (const CompiledBlock& compiled : result.blocks) {
-    records.push_back(record_of(
-        static_cast<int>(compiled.optimized.size()), compiled.stats));
+    records.push_back(
+        {static_cast<int>(compiled.optimized.size()), compiled.stats, {}, {}});
   }
   export_records(args, records);
   std::cout << result.assembly;
