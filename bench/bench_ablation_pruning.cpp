@@ -1,15 +1,13 @@
 // Ablation of the search's pruning rules (DESIGN.md experiment index).
 //
-// Each configuration disables or adds one rule relative to the paper's
-// default; the corpus is scheduled under a fixed curtail point and we
+// The base row is paper_protocol() at a curtail point of 20,000; every
+// other row removes one of its rules or adds one extension. For each we
 // report mean placements (omega calls), completion rate, and mean final
 // NOPs. Soundness (same optimum when completed) is covered by the test
 // suite; this bench prices each rule's contribution to search *size*.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "ir/dag.hpp"
-#include "sched/optimal_scheduler.hpp"
 
 int main() {
   using namespace pipesched;
@@ -19,62 +17,29 @@ int main() {
   CorpusSpec spec;
   spec.total_runs = runs;
   const auto params = corpus_params(spec);
-  const Machine machine = Machine::paper_simulation();
-  constexpr std::uint64_t kLambda = 20000;
+
+  CorpusRunOptions paper = paper_protocol();
+  paper.search.curtail_lambda = 20000;
 
   struct Variant {
     const char* name;
-    SearchConfig config;
+    CorpusRunOptions options;
   };
-  SearchConfig paper;
-  paper.curtail_lambda = kLambda;
-
   std::vector<Variant> variants;
-  variants.push_back({"paper default", paper});
-  {
-    SearchConfig c = paper;
-    c.seed_with_list_schedule = false;
-    variants.push_back({"no list-schedule seed", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.equivalence_prune = false;
-    variants.push_back({"no equivalence [5c]", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.strong_equivalence = true;
-    variants.push_back({"strong equivalence (ext)", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.window_prune = false;
-    variants.push_back({"no window rule [5a]", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.alpha_beta = false;
-    variants.push_back({"no alpha-beta [6]", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.lower_bound_prune = true;
-    variants.push_back({"+ critical-path LB (ext)", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.dominance_cache = false;
-    variants.push_back({"no dominance cache (ext)", c});
-  }
-  {
-    SearchConfig c = paper;
-    c.strong_equivalence = true;
-    c.lower_bound_prune = true;
-    variants.push_back({"all extensions", c});
-  }
-  // "paper default" and every row above run with the dominance cache at
-  // its default (on); the dedicated cache row and bench_ablation_cache
-  // price it in isolation.
+  const auto vary = [&](const char* name, bool SearchConfig::*rule,
+                        bool value) {
+    variants.push_back({name, paper});
+    variants.back().options.search.*rule = value;
+  };
+  variants.push_back({"paper protocol", paper});
+  vary("no list-schedule seed", &SearchConfig::seed_with_list_schedule,
+       false);
+  vary("no equivalence [5c]", &SearchConfig::equivalence_prune, false);
+  vary("no alpha-beta [6]", &SearchConfig::alpha_beta, false);
+  vary("no critical-path bound", &SearchConfig::lower_bound_prune, false);
+  vary("+ strong equivalence (ext)", &SearchConfig::strong_equivalence,
+       true);
+  vary("+ dominance cache (ext)", &SearchConfig::dominance_cache, true);
 
   CsvWriter csv("ablation_pruning.csv");
   csv.row({"variant", "avg_omega_calls", "pct_completed", "avg_final_nops"});
@@ -83,10 +48,7 @@ int main() {
             << "\n";
 
   for (const Variant& variant : variants) {
-    CorpusRunOptions options;
-    options.machine = machine;
-    options.search = variant.config;
-    const auto records = run_corpus(params, options);
+    const auto records = run_corpus(params, variant.options);
     const CorpusSummary summary = summarize_corpus(records);
     std::cout << pad_right(variant.name, 28)
               << pad_left(compact_double(summary.total.average(

@@ -2,8 +2,9 @@
 // point truncates, raising lambda by 10x and 50x "did not cause the search
 // to run to completion... however, neither did the best schedule change".
 //
-// We find the truncated blocks at the baseline lambda, re-run each at
-// 10x and 50x, and report how many improved and by how much.
+// We run paper_protocol() at a baseline lambda of 20,000, re-run each
+// truncated block at 10x and 50x, and report how many improved and by
+// how much.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -22,7 +23,8 @@ int main() {
   spec.total_runs = runs;
   const auto params = corpus_params(spec);
 
-  CorpusRunOptions base = bench::paper_run_options(kBaseLambda);
+  CorpusRunOptions base = paper_protocol();
+  base.search.curtail_lambda = kBaseLambda;
   const auto records = run_corpus(params, base);
 
   std::vector<std::size_t> truncated;

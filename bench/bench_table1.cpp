@@ -7,7 +7,8 @@
 //                             paper's n=22 row reads ">9,999,000" for the
 //                             same reason)
 //   Proposed Pruning Calls    placements examined by the branch-and-bound
-//                             search run to exhaustion
+//                             search under paper_protocol()'s rules, run
+//                             to exhaustion
 //
 // The representative blocks are drawn from the synthetic generator at the
 // paper's row sizes {8, 11, 13, 13, 14, 16, 16, 16, 20, 21, 22}; exact
@@ -32,7 +33,7 @@ using namespace pipesched;
 /// worst case is still "terrible", so representative blocks are chosen the
 /// way the paper chose them — among those the search finishes). `skip`
 /// selects later matches so repeated row sizes get distinct blocks.
-std::optional<BasicBlock> find_block_of_size(const Machine& machine,
+std::optional<BasicBlock> find_block_of_size(const CorpusRunOptions& paper,
                                              std::size_t size, int skip) {
   for (std::uint64_t seed = 1; seed < 50000; ++seed) {
     GeneratorParams params;
@@ -42,10 +43,12 @@ std::optional<BasicBlock> find_block_of_size(const Machine& machine,
     params.seed = seed;
     BasicBlock block = generate_block(params);
     if (block.size() != size) continue;
-    SearchConfig probe;
+    SearchConfig probe = paper.search;
     probe.curtail_lambda = 10'000'000;
     const DepGraph dag(block);
-    if (!optimal_schedule(machine, dag, probe).stats.completed) continue;
+    if (!optimal_schedule(paper.machine, dag, probe).stats.completed) {
+      continue;
+    }
     if (skip-- > 0) continue;
     return block;
   }
@@ -58,7 +61,7 @@ int main() {
   using namespace pipesched;
   bench::banner("Search Space for Representative Examples", "Table 1");
 
-  const Machine machine = Machine::paper_simulation();
+  const CorpusRunOptions paper = paper_protocol();
   constexpr std::uint64_t kLegalCap = 9'999'000;
 
   struct Row {
@@ -79,7 +82,7 @@ int main() {
             << pad_left("Calls", 18) << pad_left("Calls", 18) << "\n";
 
   for (const Row& row : rows) {
-    const auto block = find_block_of_size(machine, row.size, row.skip);
+    const auto block = find_block_of_size(paper, row.size, row.skip);
     if (!block) {
       std::cout << "(no generated block of size " << row.size << ")\n";
       continue;
@@ -92,9 +95,9 @@ int main() {
         legal >= kLegalCap ? ">" + with_commas(kLegalCap)
                            : with_commas(legal);
 
-    SearchConfig config;
+    SearchConfig config = paper.search;
     config.curtail_lambda = 0;  // to exhaustion: provably optimal
-    const OptimalResult result = optimal_schedule(machine, dag, config);
+    const OptimalResult result = optimal_schedule(paper.machine, dag, config);
 
     std::cout << pad_left(std::to_string(row.size), 14)
               << pad_left(exhaustive, 30) << pad_left(legal_text, 18)

@@ -47,6 +47,27 @@ std::string dump_reproducer(const std::string& prefix, std::size_t index,
 
 }  // namespace
 
+CorpusRunOptions paper_protocol() {
+  CorpusRunOptions options;
+  options.machine = Machine::paper_simulation();
+  SearchConfig& search = options.search;
+  search.backend = OptimalBackend::Bnb;
+  search.seed_with_list_schedule = true;
+  search.alpha_beta = true;
+  search.equivalence_prune = true;
+  search.strong_equivalence = false;
+  // The paper reports "a number of other heuristics" beyond the rules
+  // Section 4.2.3 enumerates; the admissible critical-path bound stands
+  // in for them.
+  search.lower_bound_prune = true;
+  // "Large relative to the number searched for an average block".
+  search.curtail_lambda = 50000;
+  search.deadline_seconds = 0;
+  search.dominance_cache = false;
+  search.max_live_registers = 0;
+  return options;
+}
+
 std::vector<RunRecord> run_corpus(const std::vector<GeneratorParams>& params,
                                   const CorpusRunOptions& options) {
   std::vector<RunRecord> records(params.size());

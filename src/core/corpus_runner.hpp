@@ -58,6 +58,16 @@ struct CorpusRunOptions {
   ProgressReporter* progress = nullptr;
 };
 
+/// The paper's experiment (Table 7 and Figures 1, 4-7): the Tables 4-5
+/// machine; branch-and-bound from the list seed of step [1] under the
+/// enumerated prunes (readiness [5b], equivalence [5c] in its paper form,
+/// alpha-beta [6]) plus the critical-path bound; curtail point
+/// lambda = 50,000, no deadline, no dominance cache. Every search field is
+/// set here, so changing a SearchConfig default leaves this experiment as
+/// it is. An extension is measured as a row that starts from it. Reads no
+/// environment; `threads` keeps the runner's default.
+CorpusRunOptions paper_protocol();
+
 /// Generate each parameter set's block and schedule it with the optimal
 /// backend selected by `options.search.backend` (branch-and-bound by
 /// default). Results are indexed like `params`

@@ -90,7 +90,7 @@
 // incumbent returned on curtailment; dominance_cache /
 // dominance_cache_bytes gate and size the DP failed-state memo. The
 // remaining B&B prune toggles (alpha_beta, equivalence_prune,
-// strong_equivalence, window_prune, lower_bound_prune) are ignored —
+// strong_equivalence, lower_bound_prune) are ignored —
 // the CP propagation rules are always on.
 //
 // Stats mapping (satellite of the backend-shape audit: every SearchStats

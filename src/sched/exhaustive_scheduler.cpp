@@ -34,6 +34,14 @@ class Enumeration {
              "exhaustive search evaluated no schedule (cap too small?)");
   }
 
+  /// Start from `seed` as the incumbent: a complete order then replaces
+  /// it only when strictly cheaper, and each replacement counts as an
+  /// incumbent improvement, as under the exact backends.
+  void seed_incumbent(Schedule seed) {
+    best_nops_ = seed.total_nops();
+    best_ = std::move(seed);
+  }
+
   Schedule& best() { return best_; }
   int best_nops() const { return best_nops_; }
   /// omega_calls and schedules_examined both count complete orders.
@@ -55,6 +63,7 @@ class Enumeration {
       ++stats_.omega_calls;
       const int mu = timer_.total_nops();
       if (best_nops_ < 0 || mu < best_nops_) {
+        if (best_nops_ >= 0) ++stats_.incumbent_improvements;
         best_nops_ = mu;
         best_ = timer_.snapshot();
       }
@@ -120,13 +129,15 @@ ScheduleResult ExhaustiveScheduler::run(const Machine& machine,
                                         const DepGraph& dag,
                                         const PipelineState& initial) const {
   Timer wall;
-  // The seed the exact backends start from, so initial_nops means the
-  // same thing under every exact scheduler.
-  const int seed_nops =
-      evaluate_order(machine, dag, seed_order(dag, config_), initial)
-          .total_nops();
+  // The seed the exact backends start from is the first incumbent, so
+  // initial_nops means the same thing under every exact scheduler and a
+  // curtailed run never returns a schedule worse than the seed.
+  Schedule seed =
+      evaluate_order(machine, dag, seed_order(dag, config_), initial);
+  const int seed_nops = seed.total_nops();
   SearchBudget budget(config_, "exhaustive");
   Enumeration search(machine, dag, 0, &budget, initial);
+  search.seed_incumbent(std::move(seed));
   search.run();
   if (SearchBudget::observed()) {
     budget.tick(search.stats(), search.best_nops(), 0, 0, 0);

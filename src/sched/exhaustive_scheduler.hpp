@@ -34,12 +34,13 @@ ExhaustiveResult exhaustive_schedule(const Machine& machine,
 /// full timing evaluation each), so config.curtail_lambda caps complete
 /// orders; config.deadline_seconds is sampled, and a heartbeat sent,
 /// every 1,024 pushes (nodes_expanded), through the SearchBudget the
-/// exact backends share. The first complete order is always evaluated,
-/// so a curtailed run still returns a legal schedule. Like the optimal
-/// backends, it starts from the residual pipeline state `initial`,
-/// reports the seed order's NOPs as initial_nops and flushes its stats
-/// into the metrics registry. exhaustive_schedule() stays on drained
-/// pipelines.
+/// exact backends share. The first complete order is always evaluated.
+/// Like the optimal backends, it starts from the residual pipeline state
+/// `initial` with the seed order as its incumbent, so a curtailed run
+/// never returns a schedule worse than the seed; it reports the seed's
+/// NOPs as initial_nops, counts each strict improvement on the incumbent
+/// and flushes its stats into the metrics registry. exhaustive_schedule()
+/// stays pure enumeration on drained pipelines.
 class ExhaustiveScheduler final : public Scheduler {
  public:
   explicit ExhaustiveScheduler(const SearchConfig& config)

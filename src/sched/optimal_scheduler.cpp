@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "util/check.hpp"
 #include "util/dominance_cache.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
@@ -313,25 +312,6 @@ class Search {
       }
     }
 
-    const int position = static_cast<int>(timer_.depth()) + 1;  // 1-based
-
-    // Window rule from [5a]: an unscheduled instruction whose latest legal
-    // position equals the slot being filled must be scheduled now; at most
-    // one such instruction can exist, and it is necessarily ready.
-    TupleIndex forced = -1;
-    if (config_.window_prune) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        const auto index = static_cast<TupleIndex>(i);
-        if (timer_.is_placed(index)) continue;
-        if (dag_.latest_position(index) == position) {
-          forced = index;
-          break;
-        }
-      }
-      PS_ASSERT(forced < 0 || unplaced_preds_[static_cast<std::size_t>(
-                                  forced)] == 0);
-    }
-
     // Per-depth record of equivalence classes already tried at this slot
     // (rule [5c] only filters alternatives for the *same* position).
     std::vector<char>& tried_classes = tried_stack_[timer_.depth()];
@@ -340,7 +320,7 @@ class Search {
     for (TupleIndex candidate : candidates_by_seed_) {
       if (budget_->curtail(*stats_)) return;
       {
-        // Rules [5a]-[5c] + pressure: the per-candidate filters. The
+        // Rules [5b] and [5c] + pressure: the per-candidate filters. The
         // marker scope ends before the group loop so the push/descend/
         // undo work below is attributed to its own phases (and never
         // stacks under the recursion).
@@ -348,10 +328,6 @@ class Search {
         if (timer_.is_placed(candidate)) continue;
         if (unplaced_preds_[static_cast<std::size_t>(candidate)] != 0) {
           ++stats_->pruned_readiness;  // rule [5b]
-          continue;
-        }
-        if (forced >= 0 && candidate != forced) {
-          ++stats_->pruned_window;  // rule [5a]
           continue;
         }
         if (pressure_blocks(candidate)) {

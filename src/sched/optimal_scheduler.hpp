@@ -8,10 +8,10 @@
 // a good incumbent. Pruning rules, each individually toggleable so the
 // ablation bench can price them:
 //
-//   readiness  [5b]  only instructions whose predecessors are all placed;
-//   window     [5a]  if some unscheduled instruction's latest legal
-//                    position (Definition 7) *is* the slot being filled,
-//                    it is the only candidate worth trying;
+//   readiness  [5b]  only instructions whose predecessors are all placed
+//                    (this subsumes the window rule [5a]: an instruction
+//                    forced into the slot being filled is then the only
+//                    ready one, see DESIGN.md §3);
 //   equivalence[5c]  at a given depth, at most one candidate per
 //                    equivalence class is tried. The paper's literal rule
 //                    classes together instructions with sigma = empty and

@@ -94,7 +94,8 @@ struct SearchStats {
   /// Branches killed per pruning rule (numbering follows the header
   /// comment of optimal_scheduler.hpp). Each counter is one candidate
   /// placement (or subtree) that was skipped because the rule fired:
-  ///   window [5a]       candidates displaced by a forced-position slot;
+  ///   window [5a]       CP's window kills (est > lst); B&B never counts
+  ///                     here, as readiness [5b] subsumes the rule;
   ///   readiness [5b]    candidates with unplaced predecessors;
   ///   equivalence [5c]  candidates whose class was already tried here;
   ///   alpha-beta [6]    partials already costing >= the incumbent;

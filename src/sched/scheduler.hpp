@@ -72,7 +72,6 @@ struct SearchConfig {
   bool alpha_beta = true;             ///< rule [6]
   bool equivalence_prune = true;      ///< rule [5c], paper form
   bool strong_equivalence = false;    ///< automorphism classes (extension)
-  bool window_prune = true;           ///< forced-position rule from [5a]
   bool lower_bound_prune = false;     ///< critical-path bound (extension)
   bool seed_with_list_schedule = true;  ///< step [1] seed; else original order
 

@@ -158,7 +158,6 @@ SearchConfig explosive_config() {
   config.curtail_lambda = 0;  // lambda off: only the clock can stop us
   config.alpha_beta = false;
   config.equivalence_prune = false;
-  config.window_prune = false;
   config.dominance_cache = false;
   return config;
 }

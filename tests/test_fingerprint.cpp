@@ -1,7 +1,8 @@
-// Exact-count fingerprint of perfbench's three workloads on fixed slices.
+// Exact-count fingerprints: perfbench's three workloads and the paper's
+// experiment, each on a fixed slice.
 //
-// Each slice compiles its blocks through the same public entry points and
-// configuration perfbench uses (perfbench/README.md):
+// Each perfbench slice compiles its blocks through the same public entry
+// points and configuration perfbench uses (perfbench/README.md):
 //
 //   corpus        the first 2,000 corpus_params blocks at base seed 0x5eed,
 //                 compile_source, lambda = 50,000, critical-path bound on;
@@ -11,12 +12,18 @@
 //                 compile_with_register_limit, 16 registers,
 //                 lambda = 10,000.
 //
-// The fingerprint sums perfbench's exact fields over the slice: final
-// NOPs, simulated code cycles, the proven-optimal count, nodes, omega
-// calls and every prune counter; regs_tight also counts each search
-// outcome. Timing never enters it, so a pure-speed or pure-deletion
-// change must reproduce every constant below bit for bit. A change that alters search behaviour on purpose updates the
-// constants and records the old and new values in CHANGES.md.
+// The paper slice runs run_corpus over the same 2,000 corpus_params blocks
+// under paper_protocol(), the configuration of Table 7's first row, so a
+// change of a search default cannot move the paper's experiment unseen.
+//
+// The fingerprint sums the exact fields over the slice: final NOPs,
+// simulated code cycles (perfbench slices only: a corpus record keeps no
+// schedule), the proven-optimal count, nodes, omega calls and every prune
+// counter; regs_tight also counts each search outcome. Timing never enters
+// it, so a pure-speed or pure-deletion change must reproduce every
+// constant below bit for bit. A change that alters search behaviour on
+// purpose updates the constants and records the old and new values in
+// CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +34,7 @@
 #include <vector>
 
 #include "core/compiler.hpp"
+#include "core/corpus_runner.hpp"
 #include "frontend/codegen.hpp"
 #include "frontend/opt/passes.hpp"
 #include "frontend/parser.hpp"
@@ -68,6 +76,19 @@ std::ostream& operator<<(std::ostream& os, const Fingerprint& f) {
             << f.prune_pressure << "}";
 }
 
+/// Add one search's work and prune counters.
+void add_search(Fingerprint& f, const SearchStats& s) {
+  f.nodes += s.nodes_expanded;
+  f.omega_calls += s.omega_calls;
+  f.prune_window += s.pruned_window;
+  f.prune_readiness += s.pruned_readiness;
+  f.prune_equivalence += s.pruned_equivalence;
+  f.prune_alpha_beta += s.pruned_alpha_beta;
+  f.prune_lower_bound += s.pruned_lower_bound;
+  f.prune_dominance += s.pruned_dominance;
+  f.prune_pressure += s.pruned_pressure;
+}
+
 /// Add one compiled block, replaying its schedule on the simulator the way
 /// perfbench's correctness gate does.
 void add_block(Fingerprint& f, const CompileResult& out,
@@ -80,15 +101,7 @@ void add_block(Fingerprint& f, const CompileResult& out,
       static_cast<std::uint64_t>(std::max(0, out.schedule.total_nops()));
   f.code_cycles += static_cast<std::uint64_t>(sim.completion_cycle);
   f.optimal_blocks += s.completed && s.feasible;
-  f.nodes += s.nodes_expanded;
-  f.omega_calls += s.omega_calls;
-  f.prune_window += s.pruned_window;
-  f.prune_readiness += s.pruned_readiness;
-  f.prune_equivalence += s.pruned_equivalence;
-  f.prune_alpha_beta += s.pruned_alpha_beta;
-  f.prune_lower_bound += s.pruned_lower_bound;
-  f.prune_dominance += s.pruned_dominance;
-  f.prune_pressure += s.pruned_pressure;
+  add_search(f, s);
 }
 
 std::uint64_t splitmix(std::uint64_t x) {
@@ -203,6 +216,22 @@ TEST(Fingerprint, RegsTightSlice) {
   // Optimal, proven infeasible, curtailed with a schedule, curtailed
   // with none: every long block ends without a schedule.
   EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
+}
+
+TEST(Fingerprint, PaperProtocolSlice) {
+  std::vector<GeneratorParams> params = corpus_params(CorpusSpec{});
+  params.resize(2000);
+
+  Fingerprint f;
+  for (const RunRecord& r : run_corpus(params, paper_protocol())) {
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    f.final_nops += static_cast<std::uint64_t>(std::max(0, r.stats.best_nops));
+    f.optimal_blocks += r.stats.outcome() == SearchOutcome::Optimal;
+    add_search(f, r.stats);
+  }
+  const Fingerprint expected{1592, 0, 1955, 1685577, 3393571,
+                             0, 15779658, 0, 1063537, 645928, 0, 0};
+  EXPECT_EQ(f, expected);
 }
 
 }  // namespace

@@ -88,14 +88,13 @@ TEST_P(OptimalVsExhaustive, EveryPruningComboPreservesOptimality) {
   const int optimum =
       exhaustive_schedule(machine, dag).best.total_nops();
 
-  for (int mask = 0; mask < 64; ++mask) {
+  for (int mask = 0; mask < 32; ++mask) {
     SearchConfig config = unlimited();
     config.alpha_beta = mask & 1;
     config.equivalence_prune = mask & 2;
     config.strong_equivalence = mask & 4;
-    config.window_prune = mask & 8;
-    config.lower_bound_prune = mask & 16;
-    config.seed_with_list_schedule = mask & 32;
+    config.lower_bound_prune = mask & 8;
+    config.seed_with_list_schedule = mask & 16;
     const OptimalResult result = optimal_schedule(machine, dag, config);
     EXPECT_EQ(result.best.total_nops(), optimum)
         << "machine=" << param.machine << " seed=" << param.seed
@@ -235,6 +234,41 @@ TEST(Exhaustive, LambdaCapsCompleteOrders) {
   EXPECT_TRUE(dag.is_legal_order(result.schedule.order));
   EXPECT_TRUE(validate_padded(machine, dag, result.schedule).ok);
   EXPECT_EQ(result.stats.best_nops, result.schedule.total_nops());
+}
+
+TEST(Exhaustive, CurtailedRunIsNeverWorseThanItsSeed) {
+  // The seed order is the enumeration's first incumbent, so stopping
+  // after 1,000 complete orders cannot return a costlier schedule.
+  const BasicBlock block = thirty_statement_block();
+  const DepGraph dag(block);
+  SearchConfig config;
+  config.curtail_lambda = 1000;
+  const ScheduleResult result =
+      make_scheduler(SchedulerKind::Exhaustive, config)
+          ->run(Machine::paper_simulation(), dag);
+  EXPECT_FALSE(result.stats.completed);
+  EXPECT_LE(result.stats.best_nops, result.stats.initial_nops);
+}
+
+TEST(Exhaustive, CountsIncumbentImprovements) {
+  // A six-tuple block whose seed is one NOP above the optimum: the
+  // enumeration must count the order that beats its seed incumbent.
+  GeneratorParams params;
+  params.statements = 5;
+  params.variables = 3;
+  params.constants = 2;
+  params.seed = 3;
+  const BasicBlock block = generate_block(params);
+  ASSERT_EQ(block.size(), 6u);
+  const DepGraph dag(block);
+  SearchConfig config;
+  config.curtail_lambda = 0;
+  const ScheduleResult result =
+      make_scheduler(SchedulerKind::Exhaustive, config)
+          ->run(Machine::paper_simulation(), dag);
+  EXPECT_TRUE(result.stats.completed);
+  EXPECT_LT(result.stats.best_nops, result.stats.initial_nops);
+  EXPECT_GE(result.stats.incumbent_improvements, 1u);
 }
 
 TEST(Exhaustive, DeadlineStopsAnUncappedEnumeration) {

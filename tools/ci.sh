@@ -80,7 +80,7 @@ traced_smoke() {
   dir="$(mktemp -d)"
   (cd "${dir}" && \
     PS_CORPUS_RUNS=200 PS_TRACE="${dir}/corpus_trace.json" \
-    "${OLDPWD}/${build}/bench/bench_table7" > /dev/null)
+    "${OLDPWD}/${build}/bench/bench_paper" > /dev/null)
   python3 -m json.tool "${dir}/corpus_trace.json" > /dev/null
   grep -q '"corpus_block"' "${dir}/corpus_trace.json"
   grep -q '"search/nodes_expanded"' "${dir}/corpus_trace.json"
@@ -106,18 +106,18 @@ metrics_smoke() {
   dir="$(mktemp -d)"
   (cd "${dir}" && \
     PS_CORPUS_RUNS=200 PS_METRICS="${dir}/corpus_metrics.prom" \
-    "${OLDPWD}/${build}/bench/bench_table7" > /dev/null)
+    "${OLDPWD}/${build}/bench/bench_paper" > /dev/null)
   grep -q '^# TYPE ps_search_nodes_expanded_total counter' \
     "${dir}/corpus_metrics.prom"
-  # bench_table7 runs the corpus more than once (budgeted + enumerated
-  # protocols), so assert non-zero cumulative totals, not exact counts.
+  # bench_paper runs the corpus once per Table 7 row into one snapshot,
+  # so assert non-zero cumulative totals, not exact counts.
   grep -Eq '^ps_corpus_blocks_total\{status="ok"\} [1-9][0-9]*$' \
     "${dir}/corpus_metrics.prom"
   grep -Eq '^ps_search_seconds_bucket\{le="\+Inf"\} [1-9][0-9]*$' \
     "${dir}/corpus_metrics.prom"
   (cd "${dir}" && \
     PS_CORPUS_RUNS=200 PS_METRICS="${dir}/corpus_metrics.json" \
-    "${OLDPWD}/${build}/bench/bench_table7" > /dev/null)
+    "${OLDPWD}/${build}/bench/bench_paper" > /dev/null)
   python3 -m json.tool "${dir}/corpus_metrics.json" > /dev/null
   grep -q '"ps_search_runs_total"' "${dir}/corpus_metrics.json"
   echo "x = a * b + c; y = x / d;" | \
@@ -146,7 +146,7 @@ profiled_smoke() {
   (cd "${dir}" && \
     PS_CORPUS_RUNS=200 PS_PROFILE="${dir}/corpus.folded" \
     PS_WATCHDOG=60 \
-    "${OLDPWD}/${build}/bench/bench_table7" > /dev/null)
+    "${OLDPWD}/${build}/bench/bench_paper" > /dev/null)
   test -s "${dir}/corpus.folded"
   if grep -Evq '^[A-Za-z0-9_;]+ [0-9]+$' "${dir}/corpus.folded"; then
     echo "FAIL: malformed collapsed-stack line in corpus.folded:" >&2
@@ -181,7 +181,7 @@ serve_smoke() {
   # backgrounded subshell's redirection opening the file.
   : > "${dir}/serve.log"
   (cd "${dir}" && PS_CORPUS_RUNS="${runs}" PS_SERVE=0 \
-    exec "${OLDPWD}/${build}/bench/bench_table7" \
+    exec "${OLDPWD}/${build}/bench/bench_paper" \
     > /dev/null 2> "${dir}/serve.log") &
   pid=$!
   port=""
@@ -230,9 +230,9 @@ serve_smoke() {
 }
 
 # The run must outlive the scrapes and the 1 s profile window: the Release
-# build finishes 16,000 blocks in about 1.4 s on a 4-core host, so it runs
-# 100,000 (the SIGINT smoke's size).
-serve_smoke build-ci-release 100000
+# build runs the four Table 7 rows over 16,000 blocks in about 6 s on a
+# 4-core host.
+serve_smoke build-ci-release 16000
 serve_smoke build-ci-sanitize 2000
 
 # Graceful-interrupt smoke: SIGINT mid-run must stop the server, finish
@@ -245,7 +245,7 @@ int_dir="$(mktemp -d)"
 : > "${int_dir}/serve.log"
 (cd "${int_dir}" && PS_CORPUS_RUNS=100000 PS_SERVE=0 \
   PS_METRICS="${int_dir}/flushed.prom" \
-  exec "${OLDPWD}/build-ci-release/bench/bench_table7" \
+  exec "${OLDPWD}/build-ci-release/bench/bench_paper" \
   > /dev/null 2> "${int_dir}/serve.log") &
 int_pid=$!
 for _ in $(seq 1 100); do
@@ -319,11 +319,27 @@ echo "==== bench regression gate (build-ci-release) ===="
 ./build-ci-release/tools/bench_diff BENCH_corpus.json BENCH_corpus.json
 gate_dir="$(mktemp -d)"
 (cd "${gate_dir}" && \
-  PS_CORPUS_RUNS=300 "${OLDPWD}/build-ci-release/bench/bench_table7" \
+  PS_CORPUS_RUNS=300 "${OLDPWD}/build-ci-release/bench/bench_paper" \
   > /dev/null)
 ./build-ci-release/tools/bench_diff --rel-tol 1.0 \
   BENCH_corpus.json "${gate_dir}/BENCH_corpus.json"
 rm -rf "${gate_dir}"
+
+# Section 5.3 smoke: paper_protocol() at bench_lambda's curtail point of
+# 20,000 must leave some searches truncated, or the lambda x10/x50
+# re-runs measure nothing.
+echo "==== lambda convergence smoke (build-ci-release) ===="
+lambda_dir="$(mktemp -d)"
+(cd "${lambda_dir}" && \
+  PS_CORPUS_RUNS=1000 "${OLDPWD}/build-ci-release/bench/bench_lambda" \
+  > bench_lambda.log)
+if ! grep -Eq 'truncated searches: [1-9][0-9]*$' \
+    "${lambda_dir}/bench_lambda.log"; then
+  echo "FAIL: bench_lambda truncated no search:" >&2
+  cat "${lambda_dir}/bench_lambda.log" >&2
+  exit 1
+fi
+rm -rf "${lambda_dir}"
 
 # Corpus smoke under the sanitizers: the wall-clock deadline and the
 # per-block fault/reproducer paths are timing- and exception-heavy, so
@@ -336,8 +352,8 @@ echo "==== corpus smoke (sanitized): deadline + fault-injection paths ===="
 smoke_dir="$(mktemp -d)"
 (cd "${smoke_dir}" && \
   PS_CORPUS_RUNS=300 PS_DEADLINE=0.0005 \
-  "${OLDPWD}/build-ci-sanitize/bench/bench_table7" > bench_table7_smoke.log)
-grep -q "Curtailed (deadline)" "${smoke_dir}/bench_table7_smoke.log"
+  "${OLDPWD}/build-ci-sanitize/bench/bench_paper" > bench_paper_smoke.log)
+grep -q "Curtailed (deadline)" "${smoke_dir}/bench_paper_smoke.log"
 test -s "${smoke_dir}/BENCH_corpus.json"
 test -s "${smoke_dir}/corpus_records.jsonl"
 rm -rf "${smoke_dir}"
