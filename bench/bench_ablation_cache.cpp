@@ -101,14 +101,14 @@ int main() {
       SearchConfig on = off;
       on.dominance_cache = true;
 
-      const OptimalResult r_off = optimal_schedule(machine, dag, off);
-      const OptimalResult r_on = optimal_schedule(machine, dag, on);
+      const ScheduleResult r_off = optimal_schedule(machine, dag, off);
+      const ScheduleResult r_on = optimal_schedule(machine, dag, on);
       PS_CHECK(r_off.stats.completed && r_on.stats.completed,
                "ablation block did not complete");
-      PS_CHECK(r_off.best.total_nops() == r_on.best.total_nops(),
+      PS_CHECK(r_off.schedule.total_nops() == r_on.schedule.total_nops(),
                "dominance cache changed the optimum on a size-"
-                   << size << " block: " << r_off.best.total_nops()
-                   << " vs " << r_on.best.total_nops());
+                   << size << " block: " << r_off.schedule.total_nops()
+                   << " vs " << r_on.schedule.total_nops());
 
       nodes_off += r_off.stats.nodes_expanded;
       nodes_on += r_on.stats.nodes_expanded;
@@ -119,7 +119,7 @@ int main() {
       evictions += r_on.stats.cache_evictions;
       secs_off += r_off.stats.seconds;
       secs_on += r_on.stats.seconds;
-      total_nops += r_on.best.total_nops();
+      total_nops += r_on.schedule.total_nops();
     }
 
     const double reduction =

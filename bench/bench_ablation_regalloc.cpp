@@ -49,14 +49,14 @@ int main() {
 
     const DepGraph free_dag(block);
     const int base =
-        optimal_schedule(machine, free_dag, config).best.total_nops();
+        optimal_schedule(machine, free_dag, config).schedule.total_nops();
     free_nops.add(base);
 
     for (auto& [extra, acc] : constrained) {
       const Allocation alloc = linear_scan(block, original, live + extra,
                                            AllocPolicy::RoundRobin);
       const DepGraph dag(block, false_dependence_edges(block, alloc));
-      acc.add(optimal_schedule(machine, dag, config).best.total_nops());
+      acc.add(optimal_schedule(machine, dag, config).schedule.total_nops());
     }
   }
 

@@ -52,8 +52,8 @@ int main() {
       return optimal_schedule(base.machine, dag, config);
     };
     const int nops_base = records[index].stats.best_nops;
-    const OptimalResult x10 = run_at(kBaseLambda * 10);
-    const OptimalResult x50 = run_at(kBaseLambda * 50);
+    const ScheduleResult x10 = run_at(kBaseLambda * 10);
+    const ScheduleResult x50 = run_at(kBaseLambda * 50);
     improved_x10 += x10.stats.best_nops < nops_base;
     improved_x50 += x50.stats.best_nops < nops_base;
     completed_x50 += x50.stats.completed;

@@ -73,7 +73,7 @@ int main() {
       SearchConfig search;
       search.curtail_lambda = 20000;
       search.lower_bound_prune = true;
-      const OptimalResult result = optimal_schedule(machine, dag, search);
+      const ScheduleResult result = optimal_schedule(machine, dag, search);
       initial.add(result.stats.initial_nops);
       final_nops.add(result.stats.best_nops);
       completed.add(result.stats.completed ? 100 : 0);

@@ -98,7 +98,7 @@ int main() {
       search.curtail_lambda = 20000;
       search.lower_bound_prune = true;
       const int optimal =
-          optimal_schedule(machine, dag, search).best.total_nops();
+          optimal_schedule(machine, dag, search).schedule.total_nops();
       greedy_nops.add(greedy);
       optimal_nops.add(optimal);
       improved.add(optimal < greedy ? 100 : 0);

@@ -48,16 +48,16 @@ int main() {
       SearchConfig config;
       config.curtail_lambda = 20000;
       config.lower_bound_prune = true;
-      const OptimalResult result = optimal_schedule(machine, dag, config);
+      const ScheduleResult result = optimal_schedule(machine, dag, config);
 
       Side& side = optimize ? with_opt : without_opt;
       const auto n = static_cast<double>(block.size());
       side.instructions.add(n);
       side.edges_per_insn.add(static_cast<double>(dag.edges().size()) / n);
-      side.final_nops.add(result.best.total_nops());
-      side.nops_per_insn.add(result.best.total_nops() / n);
+      side.final_nops.add(result.schedule.total_nops());
+      side.nops_per_insn.add(result.schedule.total_nops() / n);
       side.omega.add(static_cast<double>(result.stats.omega_calls));
-      side.cycles.add(result.best.completion_cycle());
+      side.cycles.add(result.schedule.completion_cycle());
       side.completed.add(result.stats.completed ? 100 : 0);
     }
   }

@@ -27,10 +27,8 @@
 //   PS_TRACE=<path>    structured trace, written as Chrome trace-event
 //                      JSON;
 //   PS_METRICS=<path>  the metrics registry's final snapshot (.prom/.txt =
-//                      Prometheus text exposition, .json = JSON); the
-//                      registry is process-wide, so the "metrics-derived
-//                      totals" under each row's table count every row so
-//                      far;
+//                      Prometheus text exposition, .json = JSON), with
+//                      its one-line summary on stderr;
 //   PS_PROFILE=<path>  every thread's phase stack, sampled, written as
 //                      collapsed-stack lines (flamegraph.pl/speedscope
 //                      input; a phase-share table goes to stderr too);

@@ -32,9 +32,9 @@ void measure(const BasicBlock& prepared, const Machine& machine, Row& row) {
   SearchConfig config;
   config.curtail_lambda = 20000;
   config.lower_bound_prune = true;
-  const OptimalResult result = optimal_schedule(machine, dag, config);
+  const ScheduleResult result = optimal_schedule(machine, dag, config);
   row.critical_path.add(dag.critical_path_length());
-  row.final_nops.add(result.best.total_nops());
+  row.final_nops.add(result.schedule.total_nops());
   row.instructions.add(static_cast<double>(prepared.size()));
 }
 

@@ -84,8 +84,8 @@ int main() {
       SearchConfig config;
       config.curtail_lambda = kBudget;
       config.lower_bound_prune = true;
-      const OptimalResult s = optimal_schedule(machine, dag, config);
-      rows[row].nops.add(s.best.total_nops());
+      const ScheduleResult s = optimal_schedule(machine, dag, config);
+      rows[row].nops.add(s.schedule.total_nops());
       rows[row].micros.add(t.micros());
       rows[row].completed.add(s.stats.completed ? 100 : 0);
     }

@@ -97,7 +97,7 @@ int main() {
 
     SearchConfig config = paper.search;
     config.curtail_lambda = 0;  // to exhaustion: provably optimal
-    const OptimalResult result = optimal_schedule(paper.machine, dag, config);
+    const ScheduleResult result = optimal_schedule(paper.machine, dag, config);
 
     std::cout << pad_left(std::to_string(row.size), 14)
               << pad_left(exhaustive, 30) << pad_left(legal_text, 18)

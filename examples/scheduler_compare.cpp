@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     SearchConfig config;
     config.curtail_lambda = 100000;
     const int nops_optimal =
-        optimal_schedule(machine, dag, config).best.total_nops();
+        optimal_schedule(machine, dag, config).schedule.total_nops();
 
     optimal_total += nops_optimal;
     const auto tally = [&](Tally& t, int nops) {

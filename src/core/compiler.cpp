@@ -14,19 +14,6 @@ LogHistogram& compile_stage_histogram(const char* stage) {
                            "Wall-clock seconds per compile stage");
 }
 
-Schedule run_scheduler(SchedulerKind kind, const Machine& machine,
-                       const DepGraph& dag, const SearchConfig& search,
-                       SearchStats* stats, const PipelineState& initial) {
-  // Named after the scheduler so the timeline distinguishes e.g. the
-  // list-schedule seed pass from the optimal search. Every policy fills
-  // its full stats ledger itself (Scheduler-interface contract).
-  TraceSpan trace_span(scheduler_kind_name(kind));
-  ScheduleResult result =
-      make_scheduler(kind, search)->run(machine, dag, initial);
-  if (stats) *stats = result.stats;
-  return std::move(result.schedule);
-}
-
 namespace {
 
 BasicBlock prepare_block(const BasicBlock& block,
@@ -60,8 +47,10 @@ CompileResult compile_block(const BasicBlock& block,
   }();
   {
     PS_COMPILE_STAGE("schedule");
-    result.schedule = run_scheduler(options.scheduler, options.machine, dag,
-                                    options.search, &result.stats);
+    ScheduleResult scheduled =
+        run_scheduler(options.scheduler, options.machine, dag, options.search);
+    result.schedule = std::move(scheduled.schedule);
+    result.stats = scheduled.stats;
   }
   {
     PS_COMPILE_STAGE("regalloc");

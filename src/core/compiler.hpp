@@ -5,8 +5,8 @@
 //          --> code generation
 //
 // compile_source()/compile_block() run the whole back end with one call;
-// run_scheduler() exposes the scheduler stage alone for experiments that
-// compare scheduling policies on the same block.
+// run_scheduler() (sched/scheduler.hpp) runs the scheduler stage alone,
+// for experiments that compare scheduling policies on the same block.
 #pragma once
 
 #include <string>
@@ -25,7 +25,7 @@
 namespace pipesched {
 
 // SchedulerKind and scheduler_kind_name live in sched/scheduler.hpp,
-// next to the Scheduler interface and the make_scheduler factory.
+// next to the run_scheduler entry point.
 
 /// Shared `ps_compile_stage_seconds{stage=...}` family for the compile
 /// pipeline's wall-time histograms (find-or-create, so call sites can
@@ -92,13 +92,5 @@ struct RegisterLimitedResult {
 /// Requires options.registers >= 3.
 RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
                                                   CompileOptions options);
-
-/// Run one scheduling policy on a prepared DAG. `stats` (optional)
-/// receives search counters; heuristic schedulers fill timing fields only.
-/// `initial` carries residual pipeline occupancy at block entry.
-Schedule run_scheduler(SchedulerKind kind, const Machine& machine,
-                       const DepGraph& dag, const SearchConfig& search,
-                       SearchStats* stats = nullptr,
-                       const PipelineState& initial = {});
 
 }  // namespace pipesched

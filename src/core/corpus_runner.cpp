@@ -314,25 +314,6 @@ std::string render_corpus_summary(const CorpusSummary& summary) {
   row("Errored Blocks", [](const CorpusSummary::Column& c) {
     return std::to_string(c.errors);
   });
-  if (metrics_enabled()) {
-    // Registry cross-check: process-wide totals accumulated by the
-    // instrumentation layers during this (and any earlier) corpus run.
-    const MetricsSnapshot snapshot = metrics_snapshot();
-    oss << "\nmetrics-derived totals: "
-        << static_cast<std::uint64_t>(snapshot.value_or_zero(
-               "ps_corpus_blocks_total", {{"status", "ok"}}))
-        << " blocks ok, "
-        << static_cast<std::uint64_t>(snapshot.value_or_zero(
-               "ps_corpus_blocks_total", {{"status", "error"}}))
-        << " errored, "
-        << static_cast<std::uint64_t>(
-               snapshot.value_or_zero("ps_search_runs_total"))
-        << " searches, "
-        << static_cast<std::uint64_t>(
-               snapshot.value_or_zero("ps_search_nodes_expanded_total"))
-        << " nodes expanded\n"
-        << metrics_summary_line() << "\n";
-  }
   return oss.str();
 }
 

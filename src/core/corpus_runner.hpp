@@ -121,6 +121,7 @@ struct CorpusSummary {
 CorpusSummary summarize_corpus(const std::vector<RunRecord>& records);
 
 /// Render the Table 7 layout (plus the error/curtail/prune-rule rows).
+/// The text depends on `summary` alone.
 std::string render_corpus_summary(const CorpusSummary& summary);
 
 /// Machine-readable per-block exports; column/field order is identical

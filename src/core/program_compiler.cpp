@@ -85,9 +85,11 @@ ProgramCompileResult compile_program(const Program& program,
 
     {
       PS_COMPILE_STAGE("schedule");
-      compiled.schedule =
+      ScheduleResult scheduled =
           run_scheduler(options.block.scheduler, options.block.machine, dag,
-                        options.block.search, &compiled.stats, entry);
+                        options.block.search, entry);
+      compiled.schedule = std::move(scheduled.schedule);
+      compiled.stats = scheduled.stats;
     }
     {
       PS_COMPILE_STAGE("regalloc");

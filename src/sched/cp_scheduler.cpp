@@ -24,7 +24,8 @@ class CpSearch {
         dag_(dag),
         config_(config),
         initial_(initial),
-        n_(dag.size()) {}
+        n_(dag.size()),
+        live_(dag, config.max_live_registers) {}
 
   ScheduleResult run() {
     PS_TRACE_SPAN("cp_search");
@@ -235,12 +236,6 @@ class CpSearch {
     }
     unit_pending_.assign(machine_.pipeline_count(), 0);
     unit_max_lst_.assign(machine_.pipeline_count(), 0);
-
-    if (config_.max_live_registers > 0) {
-      total_uses_ = use_counts(dag_);
-      remaining_uses_base_ = total_uses_;
-      live_before_.assign(n_, 0);
-    }
   }
 
   int makespan_lower_bound() const {
@@ -265,8 +260,7 @@ class CpSearch {
     group_of_.clear();
     unit_of_.clear();
     prev_last_.clear();
-    remaining_uses_ = remaining_uses_base_;
-    live_ = 0;
+    live_.reset();
     if (tried_stack_.size() < static_cast<std::size_t>(horizon) + 1) {
       tried_stack_.resize(static_cast<std::size_t>(horizon) + 1,
                           std::vector<char>(class_count_ + 1, 0));
@@ -315,54 +309,21 @@ class CpSearch {
     return key;
   }
 
-  bool pressure_blocks(TupleIndex t) const {
-    if (config_.max_live_registers <= 0) return false;
-    const bool result = opcode_has_result(dag_.block().tuple(t).op);
-    return live_ + (result ? 1 : 0) > config_.max_live_registers;
-  }
-
-  void pressure_push(TupleIndex t) {
-    if (config_.max_live_registers <= 0) return;
-    live_before_[order_.size() - 1] = live_;
-    const Tuple& tuple = dag_.block().tuple(t);
-    if (opcode_has_result(tuple.op)) ++live_;
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref() &&
-          --remaining_uses_[static_cast<std::size_t>(o->ref)] == 0) {
-        --live_;
-      }
-    }
-    if (opcode_has_result(tuple.op) &&
-        total_uses_[static_cast<std::size_t>(t)] == 0) {
-      --live_;
-    }
-  }
-
-  void pressure_pop(TupleIndex t) {
-    if (config_.max_live_registers <= 0) return;
-    const Tuple& tuple = dag_.block().tuple(t);
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref()) ++remaining_uses_[static_cast<std::size_t>(o->ref)];
-    }
-    live_ = live_before_[order_.size() - 1];
-  }
-
   /// Any topological order within the register ceiling? Pure order
   /// search — pressure ignores timing entirely — with a failed
   /// placed-set memo, so the walk is bounded by distinct feasible
   /// prefixes rather than permutations. Leaves an admissible order in
-  /// order_ when one exists. Honors the curtail budgets; on curtailment
-  /// the budget has marked the stats and the (false) answer is untrusted.
+  /// order_ when one exists (and live_ at its end, until reset_probe).
+  /// Honors the curtail budgets; on curtailment the budget has marked
+  /// the stats and the (false) answer is untrusted.
   bool pressure_feasible_order() {
     std::vector<char> placed(n_, 0);
     std::vector<int> unplaced_preds = unplaced_preds_base_;
-    std::vector<int> uses = total_uses_;
     std::unordered_set<std::string> failed;
-    return pressure_dfs(placed, unplaced_preds, uses, 0, failed);
+    return pressure_dfs(placed, unplaced_preds, failed);
   }
 
   bool pressure_dfs(std::vector<char>& placed, std::vector<int>& unplaced_preds,
-                    std::vector<int>& uses, int live,
                     std::unordered_set<std::string>& failed) {
     if (order_.size() == n_) return true;
     if (budget_->count_node(*stats_)) tick();
@@ -379,40 +340,28 @@ class CpSearch {
     for (TupleIndex candidate : candidates_by_seed_) {
       const auto ci = static_cast<std::size_t>(candidate);
       if (placed[ci] || unplaced_preds[ci] != 0) continue;
-      const Tuple& tuple = dag_.block().tuple(candidate);
-      const bool has_result = opcode_has_result(tuple.op);
-      if (live + (has_result ? 1 : 0) > config_.max_live_registers) {
+      if (live_.blocks(candidate)) {
         ++stats_->pruned_pressure;
         continue;
       }
       ++stats_->omega_calls;
-      int next_live = live + (has_result ? 1 : 0);
       placed[ci] = 1;
       order_.push_back(candidate);
+      live_.push(candidate);
       for (TupleIndex succ : dag_.succs(candidate)) {
         --unplaced_preds[static_cast<std::size_t>(succ)];
       }
-      for (const Operand* o : {&tuple.a, &tuple.b}) {
-        if (o->is_ref() && --uses[static_cast<std::size_t>(o->ref)] == 0) {
-          --next_live;
-        }
-      }
-      if (has_result && total_uses_[ci] == 0) --next_live;
-      if (pressure_dfs(placed, unplaced_preds, uses, next_live, failed)) {
-        return true;
-      }
-      for (const Operand* o : {&tuple.a, &tuple.b}) {
-        if (o->is_ref()) ++uses[static_cast<std::size_t>(o->ref)];
-      }
+      if (pressure_dfs(placed, unplaced_preds, failed)) return true;
       for (TupleIndex succ : dag_.succs(candidate)) {
         ++unplaced_preds[static_cast<std::size_t>(succ)];
       }
+      live_.pop(candidate);
       order_.pop_back();
       placed[ci] = 0;
       if (!stats_->completed) return false;
     }
     if (stats_->completed &&
-        (failed.size() + 1) * n_ <= config_.dominance_cache_bytes) {
+        (failed.size() + 1) * n_ <= kSearchMemoBytes) {
       failed.insert(std::move(key));
     }
     return false;
@@ -433,12 +382,12 @@ class CpSearch {
     for (TupleIndex succ : dag_.succs(t)) {
       --unplaced_preds_[static_cast<std::size_t>(succ)];
     }
-    pressure_push(t);
+    live_.push(t);
   }
 
   void unplace() {
     const TupleIndex t = order_.back();
-    pressure_pop(t);
+    live_.pop(t);
     for (TupleIndex succ : dag_.succs(t)) {
       ++unplaced_preds_[static_cast<std::size_t>(succ)];
     }
@@ -553,7 +502,7 @@ class CpSearch {
         ++stats_->pruned_readiness;
         continue;
       }
-      if (pressure_blocks(candidate)) {
+      if (live_.blocks(candidate)) {
         // Exempt from the NOP-dominance condition: pressure depends on
         // the placed set only, so idling never unblocks this candidate.
         ++stats_->pruned_pressure;
@@ -657,7 +606,7 @@ class CpSearch {
       if (it != failed_states_.end()) {
         it->second = std::min(it->second, cycle);
       } else if (failed_bytes_ + state.size() + sizeof(int) <=
-                 config_.dominance_cache_bytes) {
+                 kSearchMemoBytes) {
         failed_bytes_ += state.size() + sizeof(int);
         failed_states_.emplace(std::move(state), cycle);
       }
@@ -682,8 +631,6 @@ class CpSearch {
   std::vector<int> est_dyn_;  ///< per-node scratch: propagated earliest starts
   std::vector<int> unplaced_preds_base_;
   std::vector<int> last_base_;
-  std::vector<int> total_uses_;
-  std::vector<int> remaining_uses_base_;
 
   // Probe state.
   int horizon_ = 0;
@@ -703,9 +650,7 @@ class CpSearch {
   std::vector<PipelineId> sole_unit_;
   std::vector<int> unit_pending_;   ///< per-node scratch: sole-unit demand
   std::vector<int> unit_max_lst_;  ///< per-node scratch: loosest window
-  std::vector<int> remaining_uses_;
-  std::vector<int> live_before_;
-  int live_ = 0;
+  LiveValues live_;  ///< register ceiling over order_'s placements
 
   SearchBudget* budget_ = nullptr;
   prof_detail::PhaseStack* prof_ = nullptr;  ///< captured once per run()

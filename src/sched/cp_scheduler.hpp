@@ -76,7 +76,7 @@
 // shifts left onto an earlier one, and a state that failed at cycle c
 // fails at every cycle >= c — the memo stores the minimum failed cycle
 // per state. The memo is probe-local (feasibility is horizon-dependent)
-// and budgeted by dominance_cache_bytes.
+// and budgeted by kSearchMemoBytes.
 //
 // Under a register ceiling whose list seed overshoots, feasibility —
 // a property of the instruction order alone, independent of timing —
@@ -87,8 +87,8 @@
 // Config. CurtailReason budgets (curtail_lambda over cumulative
 // placement attempts + NOP advances across probes, deadline_seconds)
 // and max_live_registers are honored; seed_with_list_schedule picks the
-// incumbent returned on curtailment; dominance_cache /
-// dominance_cache_bytes gate and size the DP failed-state memo. The
+// incumbent returned on curtailment; dominance_cache gates the DP
+// failed-state memo (kSearchMemoBytes sizes it). The
 // remaining B&B prune toggles (alpha_beta, equivalence_prune,
 // strong_equivalence, lower_bound_prune) are ignored —
 // the CP propagation rules are always on.
@@ -117,26 +117,10 @@
 
 namespace pipesched {
 
-/// Run the CP/DP search on one block (free-function form mirroring
-/// optimal_schedule()).
+/// Run the CP/DP search on one block (the CP backend of
+/// SchedulerKind::Optimal, called like optimal_schedule()).
 ScheduleResult cp_schedule(const Machine& machine, const DepGraph& dag,
                            const SearchConfig& config = {},
                            const PipelineState& initial = {});
-
-class CpScheduler final : public Scheduler {
- public:
-  explicit CpScheduler(const SearchConfig& config) : config_(config) {}
-
-  const char* name() const override { return "cp"; }
-  bool claims_optimality() const override { return true; }
-
-  ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                     const PipelineState& initial = {}) const override {
-    return cp_schedule(machine, dag, config_, initial);
-  }
-
- private:
-  SearchConfig config_;
-};
 
 }  // namespace pipesched

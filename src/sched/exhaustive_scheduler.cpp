@@ -10,7 +10,7 @@ namespace pipesched {
 namespace {
 
 /// Depth-first walk over every legal order, keeping the cheapest. The
-/// oracle caps it by a count of complete orders; the Scheduler path by
+/// oracle caps it by a count of complete orders; exhaustive_search() by
 /// the SearchBudget the exact backends share.
 class Enumeration {
  public:
@@ -116,26 +116,27 @@ class Enumeration {
 
 }  // namespace
 
-ExhaustiveResult exhaustive_schedule(const Machine& machine,
-                                     const DepGraph& dag,
-                                     std::uint64_t max_schedules) {
+ScheduleResult exhaustive_schedule(const Machine& machine,
+                                   const DepGraph& dag,
+                                   std::uint64_t max_schedules) {
   Enumeration search(machine, dag, max_schedules, nullptr);
   search.run();
-  return {std::move(search.best()), search.stats().schedules_examined,
-          search.stats().completed};
+  ScheduleResult result{std::move(search.best()), search.stats()};
+  result.stats.best_nops = result.schedule.total_nops();
+  return result;
 }
 
-ScheduleResult ExhaustiveScheduler::run(const Machine& machine,
-                                        const DepGraph& dag,
-                                        const PipelineState& initial) const {
+ScheduleResult exhaustive_search(const Machine& machine, const DepGraph& dag,
+                                 const SearchConfig& config,
+                                 const PipelineState& initial) {
   Timer wall;
   // The seed the exact backends start from is the first incumbent, so
   // initial_nops means the same thing under every exact scheduler and a
   // curtailed run never returns a schedule worse than the seed.
   Schedule seed =
-      evaluate_order(machine, dag, seed_order(dag, config_), initial);
+      evaluate_order(machine, dag, seed_order(dag, config), initial);
   const int seed_nops = seed.total_nops();
-  SearchBudget budget(config_, "exhaustive");
+  SearchBudget budget(config, "exhaustive");
   Enumeration search(machine, dag, 0, &budget, initial);
   search.seed_incumbent(std::move(seed));
   search.run();

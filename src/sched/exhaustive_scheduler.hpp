@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "sched/schedule.hpp"
 #include "sched/scheduler.hpp"
@@ -16,43 +15,29 @@
 
 namespace pipesched {
 
-struct ExhaustiveResult {
-  Schedule best;
-  std::uint64_t schedules_examined = 0;  ///< complete legal orders evaluated
-  bool completed = true;                 ///< false if the cap stopped us
-};
+/// The ground-truth oracle: search every legal order from drained
+/// pipelines, evaluating at most `max_schedules` complete schedules (0 =
+/// unlimited; beware factorial growth). stats.schedules_examined (equal
+/// to stats.omega_calls) counts the complete orders evaluated, and
+/// stats.completed is false when the cap stopped the enumeration.
+ScheduleResult exhaustive_schedule(const Machine& machine,
+                                   const DepGraph& dag,
+                                   std::uint64_t max_schedules = 0);
 
-/// Search every legal order, evaluating at most `max_schedules` complete
-/// schedules (0 = unlimited; beware factorial growth).
-ExhaustiveResult exhaustive_schedule(const Machine& machine,
-                                     const DepGraph& dag,
-                                     std::uint64_t max_schedules = 0);
-
-/// Scheduler-interface wrapper. Ground-truth oracle; claims optimality
-/// when the enumeration ran to completion. The stats ledger maps
-/// evaluated orders onto both schedules_examined and omega_calls (one
-/// full timing evaluation each), so config.curtail_lambda caps complete
-/// orders; config.deadline_seconds is sampled, and a heartbeat sent,
-/// every 1,024 pushes (nodes_expanded), through the SearchBudget the
-/// exact backends share. The first complete order is always evaluated.
-/// Like the optimal backends, it starts from the residual pipeline state
-/// `initial` with the seed order as its incumbent, so a curtailed run
-/// never returns a schedule worse than the seed; it reports the seed's
-/// NOPs as initial_nops, counts each strict improvement on the incumbent
-/// and flushes its stats into the metrics registry. exhaustive_schedule()
-/// stays pure enumeration on drained pipelines.
-class ExhaustiveScheduler final : public Scheduler {
- public:
-  explicit ExhaustiveScheduler(const SearchConfig& config)
-      : config_(config) {}
-
-  const char* name() const override { return "exhaustive"; }
-  bool claims_optimality() const override { return true; }
-  ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                     const PipelineState& initial = {}) const override;
-
- private:
-  SearchConfig config_;
-};
+/// SchedulerKind::Exhaustive: the same enumeration, run like an exact
+/// backend, and optimal when stats.completed is true. The stats ledger
+/// maps evaluated orders onto both schedules_examined and omega_calls
+/// (one full timing evaluation each), so config.curtail_lambda caps
+/// complete orders; config.deadline_seconds is sampled, and a heartbeat
+/// sent, every 1,024 pushes (nodes_expanded), through the SearchBudget
+/// the exact backends share. The first complete order is always
+/// evaluated. It starts from the residual pipeline state `initial` with
+/// the seed order as its incumbent, so a curtailed run never returns a
+/// schedule worse than the seed; it reports the seed's NOPs as
+/// initial_nops, counts each strict improvement on the incumbent and
+/// flushes its stats into the metrics registry.
+ScheduleResult exhaustive_search(const Machine& machine, const DepGraph& dag,
+                                 const SearchConfig& config,
+                                 const PipelineState& initial = {});
 
 }  // namespace pipesched

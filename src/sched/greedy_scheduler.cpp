@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace pipesched {
 
@@ -48,18 +47,6 @@ Schedule greedy_schedule(const Machine& machine, const DepGraph& dag,
   }
   PS_ASSERT(timer.depth() == n);
   return timer.snapshot();
-}
-
-ScheduleResult GreedyScheduler::run(const Machine& machine,
-                                    const DepGraph& dag,
-                                    const PipelineState& initial) const {
-  Timer wall;
-  ScheduleResult result;
-  result.schedule = greedy_schedule(machine, dag, initial);
-  result.stats.initial_nops = result.schedule.total_nops();
-  result.stats.best_nops = result.stats.initial_nops;
-  result.stats.seconds = wall.seconds();
-  return result;
 }
 
 }  // namespace pipesched

@@ -11,7 +11,6 @@
 #pragma once
 
 #include "sched/schedule.hpp"
-#include "sched/scheduler.hpp"
 #include "sched/timing.hpp"
 
 namespace pipesched {
@@ -20,15 +19,5 @@ namespace pipesched {
 /// pipeline occupancy at block entry.
 Schedule greedy_schedule(const Machine& machine, const DepGraph& dag,
                          const PipelineState& initial = {});
-
-/// Scheduler-interface wrapper. Heuristic one-shot policy: the stats
-/// ledger reports its single schedule as both initial and best, with
-/// every search counter at its explicit default.
-class GreedyScheduler final : public Scheduler {
- public:
-  const char* name() const override { return "greedy"; }
-  ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                     const PipelineState& initial = {}) const override;
-};
 
 }  // namespace pipesched

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace pipesched {
 
@@ -55,17 +54,6 @@ std::vector<TupleIndex> list_schedule_order(const DepGraph& dag) {
 Schedule list_schedule(const Machine& machine, const DepGraph& dag,
                        const PipelineState& initial) {
   return evaluate_order(machine, dag, list_schedule_order(dag), initial);
-}
-
-ScheduleResult ListScheduler::run(const Machine& machine, const DepGraph& dag,
-                                  const PipelineState& initial) const {
-  Timer wall;
-  ScheduleResult result;
-  result.schedule = list_schedule(machine, dag, initial);
-  result.stats.initial_nops = result.schedule.total_nops();
-  result.stats.best_nops = result.stats.initial_nops;
-  result.stats.seconds = wall.seconds();
-  return result;
 }
 
 }  // namespace pipesched

@@ -14,7 +14,6 @@
 #pragma once
 
 #include "sched/schedule.hpp"
-#include "sched/scheduler.hpp"
 #include "sched/timing.hpp"
 
 namespace pipesched {
@@ -26,15 +25,5 @@ std::vector<TupleIndex> list_schedule_order(const DepGraph& dag);
 /// `initial` carries residual pipeline occupancy at block entry.
 Schedule list_schedule(const Machine& machine, const DepGraph& dag,
                        const PipelineState& initial = {});
-
-/// Scheduler-interface wrapper. Heuristic one-shot policy: the stats
-/// ledger reports its single schedule as both initial and best, with
-/// every search counter at its explicit default.
-class ListScheduler final : public Scheduler {
- public:
-  const char* name() const override { return "list"; }
-  ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                     const PipelineState& initial = {}) const override;
-};
 
 }  // namespace pipesched

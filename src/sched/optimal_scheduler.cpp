@@ -39,14 +39,15 @@ class Search {
                                      config.strong_equivalence,
                                      config.max_live_registers > 0)),
         latency_height_(latency_heights(machine, dag)),
+        live_(dag, config.max_live_registers),
         zobrist_(dag.size()),
         zobrist2_(dag.size(), kVerifyZobristSeed) {
     if (config.dominance_cache && n_ > 0) {
-      cache_.emplace(config.dominance_cache_bytes);
+      cache_.emplace(kSearchMemoBytes);
     }
   }
 
-  OptimalResult run() {
+  ScheduleResult run() {
     PS_TRACE_SPAN("optimal_search");
     PS_PROF_PHASE("bnb");
     SearchBudget budget(config_, "bnb");
@@ -56,12 +57,12 @@ class Search {
     // (measurably cheaper in the ~200ns/placement candidate loop).
     prof_ = profiler_active_stack();
     Timer wall;
-    OptimalResult result;
+    ScheduleResult result;
 
     // Step [1]: evaluate the seed schedule; it becomes the incumbent pi.
     const std::vector<TupleIndex> seed = seed_order(dag_, config_);
-    result.best = evaluate_order(machine_, dag_, seed, initial_);
-    best_nops_ = result.best.total_nops();
+    result.schedule = evaluate_order(machine_, dag_, seed, initial_);
+    best_nops_ = result.schedule.total_nops();
     result.stats.initial_nops = best_nops_;
 
     init_from_seed(seed);
@@ -70,7 +71,7 @@ class Search {
       result.stats.feasible = false;
     }
 
-    best_schedule_ = &result.best;
+    best_schedule_ = &result.schedule;
     stats_ = &result.stats;
     if (n_ > 0 && best_nops_ > 0) {
       if (prof_ != nullptr) {
@@ -82,10 +83,10 @@ class Search {
     if (SearchBudget::observed()) tick();
     budget_ = nullptr;
     // An infeasible search found no schedule within the pressure ceiling;
-    // `best` is still the (infeasible) seed, kept for diagnostics, but the
-    // reported cost must not look like a real optimum.
+    // the schedule is still the (infeasible) seed, kept for diagnostics,
+    // but the reported cost must not look like a real optimum.
     result.stats.best_nops =
-        result.stats.feasible ? result.best.total_nops() : -1;
+        result.stats.feasible ? result.schedule.total_nops() : -1;
     if (cache_) {
       const DominanceCacheStats& cs = cache_->stats();
       result.stats.cache_probes = cs.probes;
@@ -113,15 +114,6 @@ class Search {
     }
 
     tried_stack_.assign(n_, std::vector<char>(n_ + 1, 0));
-
-    // Register-pressure tracking (Section 3.1 discipline): remaining use
-    // slots per value, and the live-value counter.
-    if (config_.max_live_registers > 0) {
-      total_uses_ = use_counts(dag_);
-      remaining_uses_ = total_uses_;
-      live_before_stack_.assign(n_, 0);
-      live_ = 0;
-    }
   }
 
   /// Flip `t`'s membership in both incremental placed-set hashes (the
@@ -164,39 +156,6 @@ class Search {
       bound = std::max(bound, earliest + latency_height_[i]);
     }
     return bound;
-  }
-
-  /// Would placing `t` now exceed the pressure ceiling?
-  bool pressure_blocks(TupleIndex t) const {
-    if (config_.max_live_registers <= 0) return false;
-    const bool result = opcode_has_result(dag_.block().tuple(t).op);
-    return live_ + (result ? 1 : 0) > config_.max_live_registers;
-  }
-
-  void pressure_push(TupleIndex t) {
-    if (config_.max_live_registers <= 0) return;
-    live_before_stack_[timer_.depth() - 1] = live_;
-    const Tuple& tuple = dag_.block().tuple(t);
-    if (opcode_has_result(tuple.op)) ++live_;
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref() &&
-          --remaining_uses_[static_cast<std::size_t>(o->ref)] == 0) {
-        --live_;
-      }
-    }
-    if (opcode_has_result(tuple.op) &&
-        total_uses_[static_cast<std::size_t>(t)] == 0) {
-      --live_;
-    }
-  }
-
-  void pressure_pop(TupleIndex t) {
-    if (config_.max_live_registers <= 0) return;
-    const Tuple& tuple = dag_.block().tuple(t);
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref()) ++remaining_uses_[static_cast<std::size_t>(o->ref)];
-    }
-    live_ = live_before_stack_[timer_.depth() - 1];
   }
 
   /// True when placed tuple `t` still has an unplaced consumer (only then
@@ -330,7 +289,7 @@ class Search {
           ++stats_->pruned_readiness;  // rule [5b]
           continue;
         }
-        if (pressure_blocks(candidate)) {
+        if (live_.blocks(candidate)) {
           ++stats_->pruned_pressure;
           continue;
         }
@@ -364,7 +323,7 @@ class Search {
             timer_.push(candidate, groups[g]);
           }
           toggle_scheduled(candidate);
-          pressure_push(candidate);
+          live_.push(candidate);
           for (TupleIndex s : dag_.succs(candidate)) {
             --unplaced_preds_[static_cast<std::size_t>(s)];
           }
@@ -390,7 +349,7 @@ class Search {
           for (TupleIndex s : dag_.succs(candidate)) {
             ++unplaced_preds_[static_cast<std::size_t>(s)];
           }
-          pressure_pop(candidate);
+          live_.pop(candidate);
           toggle_scheduled(candidate);
           timer_.pop();
         }
@@ -412,15 +371,12 @@ class Search {
   std::vector<TupleIndex> candidates_by_seed_;
   std::vector<int> unplaced_preds_;
   std::vector<std::vector<char>> tried_stack_;
-  std::vector<int> remaining_uses_;
-  std::vector<int> total_uses_;
-  std::vector<int> live_before_stack_;
+  LiveValues live_;  ///< Section 3.1's register ceiling, when one is set
   ZobristKeys zobrist_;
   ZobristKeys zobrist2_;  // independent table for the verification word
   std::optional<DominanceCache> cache_;
   std::uint64_t scheduled_hash_ = 0;
   std::uint64_t scheduled_hash2_ = 0;
-  int live_ = 0;
   int best_nops_ = 0;
   Schedule* best_schedule_ = nullptr;
   SearchStats* stats_ = nullptr;
@@ -431,9 +387,9 @@ class Search {
 
 }  // namespace
 
-OptimalResult optimal_schedule(const Machine& machine, const DepGraph& dag,
-                               const SearchConfig& config,
-                               const PipelineState& initial) {
+ScheduleResult optimal_schedule(const Machine& machine, const DepGraph& dag,
+                                const SearchConfig& config,
+                                const PipelineState& initial) {
   return Search(machine, dag, config, initial).run();
 }
 

@@ -50,54 +50,22 @@
 // SearchStats::curtail_reason distinguishing which budget expired.
 #pragma once
 
-#include <utility>
-
 #include "sched/schedule.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/timing.hpp"
 
 namespace pipesched {
 
-// SearchConfig lives in sched/scheduler.hpp (it is shared by every
-// optimal backend, and SchedulerKind::Optimal dispatches on its
-// `backend` field).
-
-struct OptimalResult {
-  /// Best schedule found. When stats.feasible is false (pressure-
-  /// constrained search with no feasible completion) this is the
-  /// *infeasible* seed schedule, returned for diagnostics only —
-  /// stats.best_nops is -1 in that case and callers must not treat the
-  /// schedule as a usable result.
-  Schedule best;
-
-  SearchStats stats;
-};
-
-/// Run the branch-and-bound search on one block. `initial` carries
-/// residual pipeline occupancy at block entry (paper footnote 1: adjacent
-/// blocks are handled by modifying the initial conditions of the
-/// analysis).
-OptimalResult optimal_schedule(const Machine& machine, const DepGraph& dag,
-                               const SearchConfig& config = {},
-                               const PipelineState& initial = {});
-
-/// Scheduler-interface wrapper over optimal_schedule() (the B&B backend
-/// of SchedulerKind::Optimal).
-class BnbScheduler final : public Scheduler {
- public:
-  explicit BnbScheduler(const SearchConfig& config) : config_(config) {}
-
-  const char* name() const override { return "bnb"; }
-  bool claims_optimality() const override { return true; }
-
-  ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                     const PipelineState& initial = {}) const override {
-    OptimalResult result = optimal_schedule(machine, dag, config_, initial);
-    return {std::move(result.best), result.stats};
-  }
-
- private:
-  SearchConfig config_;
-};
+/// Run the branch-and-bound search on one block (the B&B backend of
+/// SchedulerKind::Optimal; SearchConfig lives in sched/scheduler.hpp).
+/// `initial` carries residual pipeline occupancy at block entry (paper
+/// footnote 1: adjacent blocks are handled by modifying the initial
+/// conditions of the analysis). When stats.feasible is false (a
+/// pressure-constrained search with no feasible completion) the schedule
+/// is the *infeasible* seed, returned for diagnostics only: stats.best_nops
+/// is -1 then, and callers must not treat the schedule as a usable result.
+ScheduleResult optimal_schedule(const Machine& machine, const DepGraph& dag,
+                                const SearchConfig& config = {},
+                                const PipelineState& initial = {});
 
 }  // namespace pipesched

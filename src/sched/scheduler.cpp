@@ -4,6 +4,7 @@
 #include <array>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "sched/cp_scheduler.hpp"
 #include "sched/exhaustive_scheduler.hpp"
@@ -55,61 +56,54 @@ bool parse_optimal_backend(const std::string& name, OptimalBackend* out) {
   return true;
 }
 
-namespace {
-
-/// SchedulerKind::Original — keep the front-end tuple order and let the
-/// timing engine insert whatever NOPs it needs. The do-nothing baseline
-/// every experiment's "before" column uses.
-class OriginalOrderScheduler final : public Scheduler {
- public:
-  const char* name() const override { return "original"; }
-
-  ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                     const PipelineState& initial) const override {
-    Timer wall;
-    ScheduleResult result;
-    std::vector<TupleIndex> order(dag.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<TupleIndex>(i);
-    }
-    result.schedule = evaluate_order(machine, dag, order, initial);
-    result.stats.initial_nops = result.schedule.total_nops();
-    result.stats.best_nops = result.stats.initial_nops;
-    result.stats.seconds = wall.seconds();
-    return result;
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
-                                          const SearchConfig& config) {
+ScheduleResult run_scheduler(SchedulerKind kind, const Machine& machine,
+                             const DepGraph& dag, const SearchConfig& config,
+                             const PipelineState& initial) {
+  // Named after the scheduler so the timeline distinguishes e.g. the
+  // list-schedule seed pass from the optimal search.
+  TraceSpan trace_span(scheduler_kind_name(kind));
+  Timer wall;
+  ScheduleResult result;
   switch (kind) {
-    case SchedulerKind::Original:
-      return std::make_unique<OriginalOrderScheduler>();
-    case SchedulerKind::List:
-      return std::make_unique<ListScheduler>();
-    case SchedulerKind::Greedy:
-      return std::make_unique<GreedyScheduler>();
     case SchedulerKind::Optimal:
-      switch (config.backend) {
-        case OptimalBackend::Bnb:
-          return std::make_unique<BnbScheduler>(config);
-        case OptimalBackend::Cp:
-          return std::make_unique<CpScheduler>(config);
-      }
-      PS_CHECK(false, "unknown optimal backend");
+      return run_optimal_backend(machine, dag, config, initial);
     case SchedulerKind::Exhaustive:
-      return std::make_unique<ExhaustiveScheduler>(config);
+      return exhaustive_search(machine, dag, config, initial);
+    case SchedulerKind::Original: {
+      // Keep the front-end tuple order and let the timing engine insert
+      // whatever NOPs it needs: every experiment's "before" column.
+      std::vector<TupleIndex> order(dag.size());
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        order[i] = static_cast<TupleIndex>(i);
+      }
+      result.schedule = evaluate_order(machine, dag, order, initial);
+      break;
+    }
+    case SchedulerKind::List:
+      result.schedule = list_schedule(machine, dag, initial);
+      break;
+    case SchedulerKind::Greedy:
+      result.schedule = greedy_schedule(machine, dag, initial);
+      break;
   }
-  PS_CHECK(false, "unknown scheduler kind");
+  // A heuristic's one schedule is both its seed and its best; every
+  // search counter keeps its default.
+  result.stats.initial_nops = result.schedule.total_nops();
+  result.stats.best_nops = result.stats.initial_nops;
+  result.stats.seconds = wall.seconds();
+  return result;
 }
 
 ScheduleResult run_optimal_backend(const Machine& machine, const DepGraph& dag,
                                    const SearchConfig& config,
                                    const PipelineState& initial) {
-  return make_scheduler(SchedulerKind::Optimal, config)
-      ->run(machine, dag, initial);
+  switch (config.backend) {
+    case OptimalBackend::Bnb:
+      return optimal_schedule(machine, dag, config, initial);
+    case OptimalBackend::Cp:
+      return cp_schedule(machine, dag, config, initial);
+  }
+  throw Error("unknown optimal backend");
 }
 
 std::vector<int> equivalence_classes(const Machine& machine,
@@ -201,38 +195,15 @@ std::vector<TupleIndex> seed_order(const DepGraph& dag,
   return order;
 }
 
-std::vector<int> use_counts(const DepGraph& dag) {
-  std::vector<int> uses(dag.size(), 0);
-  for (std::size_t i = 0; i < dag.size(); ++i) {
-    const Tuple& t = dag.block().tuple(static_cast<TupleIndex>(i));
-    for (const Operand* o : {&t.a, &t.b}) {
-      if (o->is_ref()) ++uses[static_cast<std::size_t>(o->ref)];
-    }
-  }
-  return uses;
-}
-
 bool breaks_register_ceiling(const DepGraph& dag,
                              const std::vector<TupleIndex>& order,
                              const SearchConfig& config) {
-  if (config.max_live_registers <= 0) return false;
-  const std::vector<int> total_uses = use_counts(dag);
-  std::vector<int> uses = total_uses;
-  int live = 0;
-  int peak = 0;
+  LiveValues live(dag, config.max_live_registers);
   for (TupleIndex t : order) {
-    const Tuple& tuple = dag.block().tuple(t);
-    const bool result = opcode_has_result(tuple.op);
-    peak = std::max(peak, live + (result ? 1 : 0));
-    if (result) ++live;
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref() && --uses[static_cast<std::size_t>(o->ref)] == 0) {
-        --live;
-      }
-    }
-    if (result && total_uses[static_cast<std::size_t>(t)] == 0) --live;
+    if (live.blocks(t)) return true;
+    live.push(t);
   }
-  return peak > config.max_live_registers;
+  return false;
 }
 
 SearchBudget::SearchBudget(const SearchConfig& config, const char* label)

@@ -1,12 +1,12 @@
-// Common scheduler interface (the pasched-style `Scheduler` base).
+// The scheduler entry point and the definitions every policy shares.
 //
 // Every scheduling policy in src/sched/ — original order, list, greedy,
 // exhaustive, and the two optimal backends (branch-and-bound and CP/DP) —
-// implements one virtual entry point:
+// is reached through one function:
 //
-//   ScheduleResult run(machine, dag, initial)
+//   ScheduleResult run_scheduler(kind, machine, dag, config, initial)
 //
-// returning the schedule plus a fully-defaulted SearchStats ledger, so
+// which returns the schedule plus a fully-defaulted SearchStats ledger, so
 // drivers (compiler, corpus runner, psc, benches) treat every policy
 // uniformly and never read half-filled backend-specific fields.
 //
@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,14 +79,8 @@ struct SearchConfig {
   /// Cost-preserving (never prunes all optima) and compatible with every
   /// other rule, including the register-pressure ceiling — live counts
   /// are a function of the placed *set*, which is part of the state key.
+  /// kSearchMemoBytes bounds its memory.
   bool dominance_cache = true;
-
-  /// Memory budget for the dominance cache, per search (24-byte entries —
-  /// key, verification word, cost, depth; the table starts small and
-  /// grows on demand up to this bound). 1.5 MiB keeps the historical
-  /// 65,536-entry table now that the verification word widened entries
-  /// from 16 to 24 bytes.
-  std::size_t dominance_cache_bytes = 3u << 19;
 
   /// Register-pressure ceiling (0 = unconstrained). When set, the search
   /// only explores schedules whose simultaneously-live value count never
@@ -100,42 +93,33 @@ struct SearchConfig {
   int max_live_registers = 0;
 };
 
-/// What every Scheduler::run returns: the schedule plus a fully-populated
-/// stats ledger (backends default the fields they do not track — see the
+/// Memory budget, per search, for the state memo of either exact backend:
+/// B&B's dominance cache (24-byte entries — key, verification word,
+/// cost, depth; the table starts small and grows on demand up to this
+/// bound) and CP's failed-state memo. 1.5 MiB holds 65,536 cache entries.
+inline constexpr std::size_t kSearchMemoBytes = std::size_t{3} << 19;
+
+/// What every policy returns: the schedule plus a fully-populated stats
+/// ledger (backends default the fields they do not track — see the
 /// SearchStats field docs for which counters are backend-shaped).
 struct ScheduleResult {
   Schedule schedule;
   SearchStats stats;
 };
 
-/// Abstract scheduling policy. Implementations are stateless with respect
-/// to the block (config is bound at construction), so one instance may
-/// schedule many blocks and may be shared across threads.
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  /// Short policy name for stats/metrics labels ("list", "bnb", "cp", ...).
-  virtual const char* name() const = 0;
-
-  /// True when the policy proves optimality on completed runs (the two
-  /// exact backends; the exhaustive oracle).
-  virtual bool claims_optimality() const { return false; }
-
-  /// Schedule one block. `initial` carries residual pipeline occupancy at
-  /// block entry (paper footnote 1).
-  virtual ScheduleResult run(const Machine& machine, const DepGraph& dag,
-                             const PipelineState& initial = {}) const = 0;
-};
-
-/// Factory over every SchedulerKind. SchedulerKind::Optimal dispatches on
-/// config.backend (Bnb | Cp).
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
-                                          const SearchConfig& config = {});
+/// Schedule one block with the policy `kind`; SchedulerKind::Optimal
+/// runs the backend config.backend selects. `initial` carries residual
+/// pipeline occupancy at block entry (paper footnote 1). The heuristic
+/// policies report their one schedule as both initial and best. Emits a
+/// trace span named after the kind.
+ScheduleResult run_scheduler(SchedulerKind kind, const Machine& machine,
+                             const DepGraph& dag,
+                             const SearchConfig& config = {},
+                             const PipelineState& initial = {});
 
 /// Run the optimal backend selected by config.backend on one block —
-/// convenience for drivers that only ever run the optimal policy (corpus
-/// runner, register-limited compilation).
+/// for drivers that only ever run the optimal policy (corpus runner,
+/// register-limited compilation). Unlike run_scheduler it emits no span.
 ScheduleResult run_optimal_backend(const Machine& machine, const DepGraph& dag,
                                    const SearchConfig& config = {},
                                    const PipelineState& initial = {});
@@ -165,12 +149,80 @@ std::vector<int> equivalence_classes(const Machine& machine,
 std::vector<TupleIndex> seed_order(const DepGraph& dag,
                                    const SearchConfig& config);
 
-/// How many operand slots reference each tuple's value.
-std::vector<int> use_counts(const DepGraph& dag);
+/// The allocator's live-value rule, kept incrementally along a placement
+/// order: an instruction's result is live alongside its operands, a value
+/// dies at its last read, and a result that nothing reads dies at once.
+/// blocks() asks whether placing a tuple next would exceed the register
+/// ceiling; push() and pop() place and unplace it, in stack order. With a
+/// ceiling of 0 (unconstrained) every call does nothing and nothing
+/// blocks. regalloc's compute_live_ranges()/max_live() state the same
+/// rule independently, as the check the tests compare against.
+class LiveValues {
+ public:
+  LiveValues(const DepGraph& dag, int ceiling)
+      : block_(dag.block()), ceiling_(ceiling) {
+    if (ceiling_ <= 0) return;
+    total_uses_.assign(dag.size(), 0);
+    for (std::size_t i = 0; i < dag.size(); ++i) {
+      const Tuple& t = block_.tuple(static_cast<TupleIndex>(i));
+      for (const Operand* o : {&t.a, &t.b}) {
+        if (o->is_ref()) ++total_uses_[static_cast<std::size_t>(o->ref)];
+      }
+    }
+    uses_ = total_uses_;
+    live_before_.assign(dag.size(), 0);
+  }
 
-/// True when config sets a register ceiling that `order` breaks: its peak
-/// of simultaneously-live values (the allocator's convention: an
-/// instruction's result is live concurrently with its operands) exceeds
+  /// Would placing `t` now hold more values live than the ceiling?
+  bool blocks(TupleIndex t) const {
+    if (ceiling_ <= 0) return false;
+    return live_ + (opcode_has_result(block_.tuple(t).op) ? 1 : 0) >
+           ceiling_;
+  }
+
+  void push(TupleIndex t) {
+    if (ceiling_ <= 0) return;
+    live_before_[depth_++] = live_;
+    const Tuple& tuple = block_.tuple(t);
+    const bool result = opcode_has_result(tuple.op);
+    if (result) ++live_;
+    for (const Operand* o : {&tuple.a, &tuple.b}) {
+      if (o->is_ref() && --uses_[static_cast<std::size_t>(o->ref)] == 0) {
+        --live_;
+      }
+    }
+    if (result && total_uses_[static_cast<std::size_t>(t)] == 0) --live_;
+  }
+
+  /// Undo the push of `t`, the most recent one not yet undone.
+  void pop(TupleIndex t) {
+    if (ceiling_ <= 0) return;
+    const Tuple& tuple = block_.tuple(t);
+    for (const Operand* o : {&tuple.a, &tuple.b}) {
+      if (o->is_ref()) ++uses_[static_cast<std::size_t>(o->ref)];
+    }
+    live_ = live_before_[--depth_];
+  }
+
+  /// Forget every push: back to the empty placement.
+  void reset() {
+    uses_ = total_uses_;
+    depth_ = 0;
+    live_ = 0;
+  }
+
+ private:
+  const BasicBlock& block_;
+  const int ceiling_;
+  std::vector<int> total_uses_;   ///< operand slots reading each value
+  std::vector<int> uses_;         ///< of those, reads not yet placed
+  std::vector<int> live_before_;  ///< live count before each push
+  std::size_t depth_ = 0;
+  int live_ = 0;
+};
+
+/// True when config sets a register ceiling that `order` breaks: at some
+/// point it holds more values live (LiveValues' rule) than
 /// config.max_live_registers. Such a seed needs spill code, so it cannot
 /// serve as the incumbent.
 bool breaks_register_ceiling(const DepGraph& dag,

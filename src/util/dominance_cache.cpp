@@ -10,7 +10,7 @@ namespace pipesched {
 
 namespace {
 
-/// Smallest table worth allocating: 1024 entries = 16 KiB.
+/// Smallest table worth allocating: 1024 entries = 24 KiB.
 constexpr std::size_t kMinEntries = 1024;
 
 std::size_t floor_pow2(std::size_t v) {

@@ -104,7 +104,7 @@ class DominanceCache {
   /// verification word, cost, depth). The table starts at a small power
   /// of two and doubles on demand up to the budget, so per-search
   /// construction cost stays proportional to use.
-  explicit DominanceCache(std::size_t max_bytes = kDefaultBytes);
+  explicit DominanceCache(std::size_t max_bytes);
 
   /// Publishes the cache's lifetime traffic (occupancy, inserts,
   /// evictions, supersedes) to the metrics registry when metrics are
@@ -125,8 +125,6 @@ class DominanceCache {
   const DominanceCacheStats& stats() const { return stats_; }
   std::size_t capacity() const { return entries_.size(); }
   std::size_t max_capacity() const { return max_entries_; }
-
-  static constexpr std::size_t kDefaultBytes = std::size_t{1} << 20;
 
  private:
   struct Entry {

@@ -169,18 +169,18 @@ TEST(Deadline, TinyDeadlineCurtailsWithValidIncumbent) {
 
   SearchConfig config = explosive_config();
   config.deadline_seconds = 1e-9;
-  const OptimalResult result = optimal_schedule(machine, dag, config);
+  const ScheduleResult result = optimal_schedule(machine, dag, config);
 
   EXPECT_FALSE(result.stats.completed);
   EXPECT_EQ(result.stats.curtail_reason, CurtailReason::Deadline);
   EXPECT_TRUE(result.stats.feasible);
 
   // The incumbent must still be a complete, simulator-valid schedule.
-  ASSERT_EQ(result.best.size(), block.size());
-  EXPECT_TRUE(dag.is_legal_order(result.best.order));
-  const SimResult sim = validate_padded(machine, dag, result.best);
+  ASSERT_EQ(result.schedule.size(), block.size());
+  EXPECT_TRUE(dag.is_legal_order(result.schedule.order));
+  const SimResult sim = validate_padded(machine, dag, result.schedule);
   EXPECT_TRUE(sim.ok) << sim.error;
-  EXPECT_EQ(result.stats.best_nops, result.best.total_nops());
+  EXPECT_EQ(result.stats.best_nops, result.schedule.total_nops());
   EXPECT_LE(result.stats.best_nops, result.stats.initial_nops);
 
   // The CP backend honours the same budget, on a block it cannot prove
@@ -201,7 +201,7 @@ TEST(Deadline, LambdaAndNoneReasonsRecorded) {
 
   SearchConfig lambda_only;
   lambda_only.curtail_lambda = 500;
-  const OptimalResult curtailed =
+  const ScheduleResult curtailed =
       optimal_schedule(machine, dag, lambda_only);
   EXPECT_FALSE(curtailed.stats.completed);
   EXPECT_EQ(curtailed.stats.curtail_reason, CurtailReason::Lambda);
@@ -221,7 +221,7 @@ TEST(Deadline, LambdaAndNoneReasonsRecorded) {
   const DepGraph tiny_dag(tiny);
   SearchConfig unlimited;
   unlimited.curtail_lambda = 0;
-  const OptimalResult full = optimal_schedule(machine, tiny_dag, unlimited);
+  const ScheduleResult full = optimal_schedule(machine, tiny_dag, unlimited);
   EXPECT_TRUE(full.stats.completed);
   EXPECT_EQ(full.stats.curtail_reason, CurtailReason::None);
 }
@@ -309,8 +309,8 @@ TEST(CorpusRunner, ExportsAndRollupSurviveFaultAndDeadline) {
     const BasicBlock block = generate_block(params[i]);
     const DepGraph dag(block);
     SearchConfig config = options.search;
-    const OptimalResult redo = optimal_schedule(machine, dag, config);
-    EXPECT_TRUE(validate_padded(machine, dag, redo.best).ok) << i;
+    const ScheduleResult redo = optimal_schedule(machine, dag, config);
+    EXPECT_TRUE(validate_padded(machine, dag, redo.schedule).ok) << i;
   }
 
   const std::string csv_path = (dir / "ps_export.csv").string();

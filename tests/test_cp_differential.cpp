@@ -143,7 +143,7 @@ TEST(CpDifferential, AgreesWithBranchAndBoundAtScale) {
     const std::string context =
         describe_case(pairs, params, machine, block,
                       config.max_live_registers);
-    const OptimalResult bnb = optimal_schedule(machine, dag, config);
+    const ScheduleResult bnb = optimal_schedule(machine, dag, config);
     const ScheduleResult cp = cp_schedule(machine, dag, config);
     ASSERT_TRUE(bnb.stats.completed) << "bnb curtailed\n" << context;
     ASSERT_TRUE(cp.stats.completed) << "cp curtailed\n" << context;
@@ -161,15 +161,15 @@ TEST(CpDifferential, AgreesWithBranchAndBoundAtScale) {
       continue;
     }
     ASSERT_EQ(bnb.stats.best_nops, cp.stats.best_nops) << context;
-    ASSERT_EQ(bnb.best.total_nops(), bnb.stats.best_nops) << context;
+    ASSERT_EQ(bnb.schedule.total_nops(), bnb.stats.best_nops) << context;
     ASSERT_EQ(cp.schedule.total_nops(), cp.stats.best_nops) << context;
 
-    validate_schedule(machine, dag, bnb.best, "bnb", context);
+    validate_schedule(machine, dag, bnb.schedule, "bnb", context);
     validate_schedule(machine, dag, cp.schedule, "cp", context);
 
     if (config.max_live_registers > 0) {
       // A feasible pressure-constrained answer must actually fit.
-      for (const Schedule* s : {&bnb.best, &cp.schedule}) {
+      for (const Schedule* s : {&bnb.schedule, &cp.schedule}) {
         ASSERT_LE(max_live(compute_live_ranges(block, s->order)),
                   config.max_live_registers)
             << context;
@@ -219,16 +219,15 @@ TEST(CpDifferential, AgreesUnderResidualEntryState) {
 
     SearchConfig config;
     config.curtail_lambda = 5'000'000;
-    const OptimalResult bnb = optimal_schedule(machine, dag, config, entry);
+    const ScheduleResult bnb = optimal_schedule(machine, dag, config, entry);
     const ScheduleResult cp = cp_schedule(machine, dag, config, entry);
     ASSERT_TRUE(bnb.stats.completed && cp.stats.completed);
     ASSERT_EQ(bnb.stats.best_nops, cp.stats.best_nops)
         << describe_case(pairs, params, machine, block, 0);
     if (block.size() <= 9) {
       // The enumeration starts from the same residual state.
-      const ScheduleResult all =
-          make_scheduler(SchedulerKind::Exhaustive, config)
-              ->run(machine, dag, entry);
+      const ScheduleResult all = run_scheduler(
+          SchedulerKind::Exhaustive, machine, dag, config, entry);
       ASSERT_TRUE(all.stats.completed);
       EXPECT_EQ(all.stats.best_nops, bnb.stats.best_nops)
           << describe_case(pairs, params, machine, block, 0);

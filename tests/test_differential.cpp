@@ -56,26 +56,26 @@ TEST(Differential, OptimalMatchesExhaustiveOracleCacheOnAndOff) {
     const DepGraph dag(block);
 
     // Ground truth; skip the rare block whose legal-order count explodes.
-    const ExhaustiveResult truth = exhaustive_schedule(machine, dag, 300000);
-    if (!truth.completed) continue;
-    const int optimum = truth.best.total_nops();
+    const ScheduleResult truth = exhaustive_schedule(machine, dag, 300000);
+    if (!truth.stats.completed) continue;
+    const int optimum = truth.schedule.total_nops();
 
-    const OptimalResult with_cache =
+    const ScheduleResult with_cache =
         optimal_schedule(machine, dag, exhaustion(true));
-    const OptimalResult without_cache =
+    const ScheduleResult without_cache =
         optimal_schedule(machine, dag, exhaustion(false));
 
     ASSERT_TRUE(with_cache.stats.completed);
     ASSERT_TRUE(without_cache.stats.completed);
-    ASSERT_EQ(with_cache.best.total_nops(), optimum)
+    ASSERT_EQ(with_cache.schedule.total_nops(), optimum)
         << "cache ON diverges from exhaustive oracle: machine="
         << machine.name() << " seed=" << params.seed << "\n"
         << block.to_string();
-    ASSERT_EQ(without_cache.best.total_nops(), optimum)
+    ASSERT_EQ(without_cache.schedule.total_nops(), optimum)
         << "cache OFF diverges from exhaustive oracle: machine="
         << machine.name() << " seed=" << params.seed;
     ASSERT_EQ(with_cache.stats.feasible, without_cache.stats.feasible);
-    ASSERT_TRUE(dag.is_legal_order(with_cache.best.order));
+    ASSERT_TRUE(dag.is_legal_order(with_cache.schedule.order));
     ++checked;
   }
   EXPECT_GE(checked, 500) << "generator produced too few oracle blocks";
@@ -105,12 +105,12 @@ TEST(Differential, CacheAgreesUnderRegisterPressure) {
       SearchConfig off = exhaustion(false);
       off.max_live_registers = ceiling;
 
-      const OptimalResult r_on = optimal_schedule(machine, dag, on);
-      const OptimalResult r_off = optimal_schedule(machine, dag, off);
+      const ScheduleResult r_on = optimal_schedule(machine, dag, on);
+      const ScheduleResult r_off = optimal_schedule(machine, dag, off);
       ASSERT_EQ(r_on.stats.feasible, r_off.stats.feasible)
           << "seed=" << params.seed << " ceiling=" << ceiling;
       if (r_on.stats.feasible) {
-        ASSERT_EQ(r_on.best.total_nops(), r_off.best.total_nops())
+        ASSERT_EQ(r_on.schedule.total_nops(), r_off.schedule.total_nops())
             << "seed=" << params.seed << " ceiling=" << ceiling;
         ++feasible_seen;
       } else {
@@ -140,8 +140,8 @@ TEST(CacheTelemetry, CountersAreInternallyConsistent) {
     SearchConfig off = exhaustion(false);
     off.curtail_lambda = 200000;
 
-    const OptimalResult r_on = optimal_schedule(machine, dag, on);
-    const OptimalResult r_off = optimal_schedule(machine, dag, off);
+    const ScheduleResult r_on = optimal_schedule(machine, dag, on);
+    const ScheduleResult r_off = optimal_schedule(machine, dag, off);
 
     // Cache-side ledger.
     EXPECT_EQ(r_on.stats.cache_hits + r_on.stats.cache_misses,
@@ -161,7 +161,7 @@ TEST(CacheTelemetry, CountersAreInternallyConsistent) {
     EXPECT_EQ(r_off.stats.cache_evictions, 0u);
     // And both must agree on the result when both completed.
     if (r_on.stats.completed && r_off.stats.completed) {
-      EXPECT_EQ(r_on.best.total_nops(), r_off.best.total_nops())
+      EXPECT_EQ(r_on.schedule.total_nops(), r_off.schedule.total_nops())
           << "seed " << seed;
     }
   }
@@ -206,7 +206,7 @@ TEST(DominanceCache, ForcedCollisionIsRejectedNotTrusted) {
   // SAME key but a DIFFERENT verify word (a simulated full-word
   // collision): the probe must miss, be counted as a verified reject,
   // and coexist as its own entry afterwards.
-  DominanceCache cache;
+  DominanceCache cache(kSearchMemoBytes);
   const std::uint64_t key = hash64(0xDEADBEEF);
   const std::uint64_t verify_a = hash64_alt(0xDEADBEEF);
   const std::uint64_t verify_b = hash64_alt(0xFEEDFACE);

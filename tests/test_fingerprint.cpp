@@ -10,7 +10,8 @@
 //                 compile_source, lambda = 10,000, bound on, 64 registers;
 //   regs_tight    12 register-starved blocks, parse + codegen +
 //                 compile_with_register_limit, 16 registers,
-//                 lambda = 10,000.
+//                 lambda = 10,000; once on B&B, as perfbench runs it,
+//                 and once on the CP backend.
 //
 // The paper slice runs run_corpus over the same 2,000 corpus_params blocks
 // under paper_protocol(), the configuration of Table 7's first row, so a
@@ -181,13 +182,20 @@ TEST(Fingerprint, LargeBlocksSlice) {
   EXPECT_EQ(f, expected);
 }
 
-TEST(Fingerprint, RegsTightSlice) {
+/// perfbench's regs_tight options: 16 registers, lambda = 10,000.
+CompileOptions regs_tight_options() {
   CompileOptions options;
   options.registers = 16;
   options.search.curtail_lambda = 10000;
-  // perfbench's two strata: long blocks that need spill code and mostly
-  // end without an incumbent, and short ones the pressure-constrained
-  // search proves.
+  return options;
+}
+
+/// Compile perfbench's two regs_tight strata under `options`: long blocks
+/// that need spill code and mostly end without an incumbent, and short
+/// ones the pressure-constrained search proves. `outcomes` counts each
+/// search outcome, indexed by SearchOutcome.
+Fingerprint regs_tight_fingerprint(const CompileOptions& options,
+                                   std::array<int, 4>& outcomes) {
   std::vector<std::string> sources;
   const auto add = [&](int count, int lo, int hi) {
     for (int i = 0; i < count; ++i) {
@@ -203,18 +211,37 @@ TEST(Fingerprint, RegsTightSlice) {
   add(6, 16, 28);
 
   Fingerprint f;
-  std::array<int, 4> outcomes{};  // indexed by SearchOutcome
   for (const std::string& source : sources) {
     const RegisterLimitedResult limited = compile_with_register_limit(
         generate_tuples(parse_source(source)), options);
     add_block(f, limited.compiled, options.machine);
     ++outcomes[static_cast<std::size_t>(limited.compiled.stats.outcome())];
   }
+  return f;
+}
+
+TEST(Fingerprint, RegsTightSlice) {
+  std::array<int, 4> outcomes{};
+  const Fingerprint f = regs_tight_fingerprint(regs_tight_options(), outcomes);
   const Fingerprint expected{368, 1654, 6, 67686, 69051,
                              0, 1611310, 0, 1377, 0, 46918, 309801};
   EXPECT_EQ(f, expected);
   // Optimal, proven infeasible, curtailed with a schedule, curtailed
   // with none: every long block ends without a schedule.
+  EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
+}
+
+// The same slice on the CP backend: its pressure feasibility walk, probe
+// pressure checks and failed-state memo all run here, so a change to any
+// of them shows in these counts.
+TEST(Fingerprint, RegsTightSliceCp) {
+  CompileOptions options = regs_tight_options();
+  options.search.backend = OptimalBackend::Cp;
+  std::array<int, 4> outcomes{};
+  const Fingerprint f = regs_tight_fingerprint(options, outcomes);
+  const Fingerprint expected{368, 1654, 6, 67035, 67029,
+                             0, 658, 0, 10, 0, 47039, 306548};
+  EXPECT_EQ(f, expected);
   EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
 }
 

@@ -62,9 +62,7 @@ TEST_P(EndToEndFuzz, AllInvariantsHold) {
       search.strong_equivalence = rng.next_bool();
       search.lower_bound_prune = rng.next_bool();
       search.dominance_cache = rng.next_bool();
-      SearchStats stats;
-      const Schedule schedule =
-          run_scheduler(kind, machine, dag, search, &stats);
+      const auto [schedule, stats] = run_scheduler(kind, machine, dag, search);
 
       ASSERT_TRUE(dag.is_legal_order(schedule.order))
           << scheduler_kind_name(kind) << " " << GetParam().machine;
@@ -155,24 +153,25 @@ TEST(RandomMachineFuzz, CachedSchedulesValidateOnSimulator) {
     SearchConfig uncached = cached;
     uncached.dominance_cache = false;
 
-    const OptimalResult with_cache = optimal_schedule(machine, dag, cached);
-    const OptimalResult without_cache =
+    const ScheduleResult with_cache = optimal_schedule(machine, dag, cached);
+    const ScheduleResult without_cache =
         optimal_schedule(machine, dag, uncached);
 
-    ASSERT_TRUE(dag.is_legal_order(with_cache.best.order)) << "trial " << trial;
-    const SimResult padded = validate_padded(machine, dag, with_cache.best);
+    ASSERT_TRUE(dag.is_legal_order(with_cache.schedule.order))
+        << "trial " << trial;
+    const SimResult padded = validate_padded(machine, dag, with_cache.schedule);
     ASSERT_TRUE(padded.ok) << "trial " << trial << ": " << padded.error;
     const SimResult interlocked =
         machine.has_heterogeneous_alternatives()
-            ? simulate_interlocked(machine, dag, with_cache.best.order,
-                                   with_cache.best.unit)
-            : simulate_interlocked(machine, dag, with_cache.best.order);
-    ASSERT_EQ(interlocked.total_delay, with_cache.best.total_nops())
+            ? simulate_interlocked(machine, dag, with_cache.schedule.order,
+                                   with_cache.schedule.unit)
+            : simulate_interlocked(machine, dag, with_cache.schedule.order);
+    ASSERT_EQ(interlocked.total_delay, with_cache.schedule.total_nops())
         << "trial " << trial;
 
     if (with_cache.stats.completed && without_cache.stats.completed) {
-      ASSERT_EQ(with_cache.best.total_nops(),
-                without_cache.best.total_nops())
+      ASSERT_EQ(with_cache.schedule.total_nops(),
+                without_cache.schedule.total_nops())
           << "trial " << trial << " machine:\n" << machine.to_string()
           << block.to_string();
     }
@@ -181,7 +180,7 @@ TEST(RandomMachineFuzz, CachedSchedulesValidateOnSimulator) {
 }
 
 TEST(BackendFuzz, OptimalBackendsAgreeThroughSchedulerInterface) {
-  // Both optimal backends behind the common Scheduler interface, over
+  // Both optimal backends through the one run_scheduler entry point, over
   // random machines, including pressure-constrained and infeasible
   // instances: the two must report the same optimum — or both must prove
   // infeasibility (best_nops == -1) — and every feasible schedule must
@@ -212,9 +211,8 @@ TEST(BackendFuzz, OptimalBackendsAgreeThroughSchedulerInterface) {
     for (OptimalBackend backend : {OptimalBackend::Bnb, OptimalBackend::Cp}) {
       SearchConfig c = config;
       c.backend = backend;
-      SearchStats stats;
-      const Schedule schedule =
-          run_scheduler(SchedulerKind::Optimal, machine, dag, c, &stats);
+      const auto [schedule, stats] =
+          run_scheduler(SchedulerKind::Optimal, machine, dag, c);
       ASSERT_TRUE(stats.completed)
           << optimal_backend_name(backend) << " trial " << trial;
       if (!have_reference) {

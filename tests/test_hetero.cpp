@@ -48,11 +48,11 @@ TEST(Hetero, OptimalPicksTheFastUnitForCriticalWork) {
     const DepGraph dag(block);
     SearchConfig config;
     config.curtail_lambda = 0;
-    const OptimalResult result = optimal_schedule(machine, dag, config);
-    EXPECT_EQ(result.best.total_nops(), 2) << machine.name();
+    const ScheduleResult result = optimal_schedule(machine, dag, config);
+    EXPECT_EQ(result.schedule.total_nops(), 2) << machine.name();
     // The chosen unit is the fast ALU.
-    const int add_pos = result.best.position_of(1) - 1;
-    EXPECT_EQ(machine.pipeline(result.best.unit[add_pos]).function,
+    const int add_pos = result.schedule.position_of(1) - 1;
+    EXPECT_EQ(machine.pipeline(result.schedule.unit[add_pos]).function,
               "fast-alu")
         << machine.name();
   }
@@ -68,10 +68,10 @@ TEST(Hetero, GreedyTiebreakCanBeSuboptimal) {
   const Schedule greedy = greedy_schedule(machine, dag);
   SearchConfig config;
   config.curtail_lambda = 0;
-  const OptimalResult best = optimal_schedule(machine, dag, config);
-  EXPECT_GT(greedy.total_nops(), best.best.total_nops());
+  const ScheduleResult best = optimal_schedule(machine, dag, config);
+  EXPECT_GT(greedy.total_nops(), best.schedule.total_nops());
   EXPECT_EQ(greedy.total_nops(), 5);  // slow ALU: store waits 4 cycles
-  EXPECT_EQ(best.best.total_nops(), 2);
+  EXPECT_EQ(best.schedule.total_nops(), 2);
 }
 
 TEST(Hetero, SlowUnitIsWorthUsingUnderContention) {
@@ -96,13 +96,13 @@ TEST(Hetero, SlowUnitIsWorthUsingUnderContention) {
   const DepGraph dag(block);
   SearchConfig config;
   config.curtail_lambda = 0;
-  const OptimalResult best = optimal_schedule(m, dag, config);
-  const ExhaustiveResult truth = exhaustive_schedule(m, dag);
-  EXPECT_EQ(best.best.total_nops(), truth.best.total_nops());
+  const ScheduleResult best = optimal_schedule(m, dag, config);
+  const ScheduleResult truth = exhaustive_schedule(m, dag);
+  EXPECT_EQ(best.schedule.total_nops(), truth.schedule.total_nops());
   // Both units appear in the optimal schedule.
   bool used_fast = false;
   bool used_slow = false;
-  for (PipelineId unit : best.best.unit) {
+  for (PipelineId unit : best.schedule.unit) {
     if (unit == 0) used_fast = true;
     if (unit == 1) used_slow = true;
   }
@@ -125,13 +125,14 @@ TEST(Hetero, OptimalNeverWorseThanGreedyOnRandomBlocks) {
     const Schedule greedy = greedy_schedule(machine, dag);
     SearchConfig config;
     config.curtail_lambda = 100000;
-    const OptimalResult best = optimal_schedule(machine, dag, config);
-    EXPECT_LE(best.best.total_nops(), greedy.total_nops()) << seed;
-    strict += best.best.total_nops() < greedy.total_nops();
+    const ScheduleResult best = optimal_schedule(machine, dag, config);
+    EXPECT_LE(best.schedule.total_nops(), greedy.total_nops()) << seed;
+    strict += best.schedule.total_nops() < greedy.total_nops();
     // The schedule must replay exactly on the simulator with its units.
     const SimResult sim =
-        simulate_interlocked(machine, dag, best.best.order, best.best.unit);
-    EXPECT_EQ(sim.total_delay, best.best.total_nops()) << seed;
+        simulate_interlocked(machine, dag, best.schedule.order,
+                             best.schedule.unit);
+    EXPECT_EQ(sim.total_delay, best.schedule.total_nops()) << seed;
   }
   EXPECT_GT(strict, 0) << "unit branching never improved on greedy";
 }
@@ -151,13 +152,13 @@ TEST(Hetero, UnitBranchingCostsNodesOnlyWhenHeterogeneous) {
   const DepGraph dag(block);
   SearchConfig config;
   config.curtail_lambda = 0;
-  const OptimalResult homo =
+  const ScheduleResult homo =
       optimal_schedule(Machine::paper_example(), dag, config);
   EXPECT_TRUE(homo.stats.completed);
   // Sanity: still matches exhaustive on the multi-unit machine.
-  EXPECT_EQ(homo.best.total_nops(),
+  EXPECT_EQ(homo.schedule.total_nops(),
             exhaustive_schedule(Machine::paper_example(), dag)
-                .best.total_nops());
+                .schedule.total_nops());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/compiler.hpp"
+#include "core/corpus_runner.hpp"
 #include "frontend/codegen.hpp"
 #include "frontend/parser.hpp"
 #include "ir/dag.hpp"
@@ -330,7 +331,7 @@ TEST_F(MetricsTest, SearchTotalsExactlyEqualSearchStats) {
     const BasicBlock block = generate_block(p);
     if (block.empty()) continue;
     const DepGraph dag(block);
-    const OptimalResult result = optimal_schedule(machine, dag, config);
+    const ScheduleResult result = optimal_schedule(machine, dag, config);
     ++searches;
     sum.nodes_expanded += result.stats.nodes_expanded;
     sum.omega_calls += result.stats.omega_calls;
@@ -388,6 +389,23 @@ TEST_F(MetricsTest, SearchTotalsExactlyEqualSearchStats) {
       snapshot.find("ps_search_seconds");
   ASSERT_NE(seconds, nullptr);
   EXPECT_EQ(seconds->count, searches);
+}
+
+TEST_F(MetricsTest, CorpusSummaryRendersTheSameWithMetricsOnAndOff) {
+  // The summary shows its argument only. A line read from the registry
+  // would count every corpus the process had run so far, beneath a table
+  // of this one.
+  CorpusSpec spec;
+  spec.total_runs = 12;
+  CorpusRunOptions options;
+  options.search.curtail_lambda = 2000;
+  options.threads = 1;
+  const CorpusSummary summary =
+      summarize_corpus(run_corpus(corpus_params(spec), options));
+  const std::string with_metrics = render_corpus_summary(summary);
+  metrics_disable();
+  const std::string without_metrics = render_corpus_summary(summary);
+  EXPECT_EQ(with_metrics, without_metrics);
 }
 
 TEST_F(MetricsTest, ThreadPoolMetricsCountTasks) {

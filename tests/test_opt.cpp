@@ -296,10 +296,10 @@ TEST(Reassociation, ShortensSchedulesOnDeepChains) {
   SearchConfig config;
   config.curtail_lambda = 100000;
   const int nops_plain =
-      optimal_schedule(machine, DepGraph(plain), config).best.total_nops();
+      optimal_schedule(machine, DepGraph(plain), config).schedule.total_nops();
   const int nops_balanced =
       optimal_schedule(machine, DepGraph(balanced), config)
-          .best.total_nops();
+          .schedule.total_nops();
   EXPECT_LT(nops_balanced, nops_plain);
 }
 

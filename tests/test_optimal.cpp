@@ -6,9 +6,15 @@
 // here too: on a block far too large to enumerate, lambda and the
 // deadline must each stop it with a legal schedule, and it must report
 // its seed's NOPs and flush its counters like the exact backends do.
+// Finally, run_scheduler must return, for every kind, what the policy's
+// own function returns.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "ir/dag.hpp"
+#include "sched/cp_scheduler.hpp"
 #include "sched/exhaustive_scheduler.hpp"
 #include "sched/greedy_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
@@ -58,17 +64,17 @@ TEST_P(OptimalVsExhaustive, MatchesGroundTruthOnSmallBlocks) {
     if (block.empty() || block.size() > 12) continue;
     const DepGraph dag(block);
 
-    const ExhaustiveResult truth = exhaustive_schedule(machine, dag);
-    ASSERT_TRUE(truth.completed);
-    const int optimum = truth.best.total_nops();
+    const ScheduleResult truth = exhaustive_schedule(machine, dag);
+    ASSERT_TRUE(truth.stats.completed);
+    const int optimum = truth.schedule.total_nops();
 
-    const OptimalResult result = optimal_schedule(machine, dag, unlimited());
+    const ScheduleResult result = optimal_schedule(machine, dag, unlimited());
     EXPECT_TRUE(result.stats.completed);
-    EXPECT_EQ(result.best.total_nops(), optimum)
+    EXPECT_EQ(result.schedule.total_nops(), optimum)
         << "machine=" << param.machine << " seed=" << params.seed
         << " statements=" << statements << "\n"
         << block.to_string();
-    EXPECT_TRUE(dag.is_legal_order(result.best.order));
+    EXPECT_TRUE(dag.is_legal_order(result.schedule.order));
   }
 }
 
@@ -86,7 +92,7 @@ TEST_P(OptimalVsExhaustive, EveryPruningComboPreservesOptimality) {
   const DepGraph dag(block);
 
   const int optimum =
-      exhaustive_schedule(machine, dag).best.total_nops();
+      exhaustive_schedule(machine, dag).schedule.total_nops();
 
   for (int mask = 0; mask < 32; ++mask) {
     SearchConfig config = unlimited();
@@ -95,8 +101,8 @@ TEST_P(OptimalVsExhaustive, EveryPruningComboPreservesOptimality) {
     config.strong_equivalence = mask & 4;
     config.lower_bound_prune = mask & 8;
     config.seed_with_list_schedule = mask & 16;
-    const OptimalResult result = optimal_schedule(machine, dag, config);
-    EXPECT_EQ(result.best.total_nops(), optimum)
+    const ScheduleResult result = optimal_schedule(machine, dag, config);
+    EXPECT_EQ(result.schedule.total_nops(), optimum)
         << "machine=" << param.machine << " seed=" << param.seed
         << " pruning mask=" << mask;
   }
@@ -133,11 +139,12 @@ TEST(Optimal, NeverWorseThanHeuristics) {
     const Schedule greedy = greedy_schedule(machine, dag);
     SearchConfig config;
     config.curtail_lambda = 200000;
-    const OptimalResult best = optimal_schedule(machine, dag, config);
+    const ScheduleResult best = optimal_schedule(machine, dag, config);
 
-    EXPECT_LE(best.best.total_nops(), list.total_nops()) << "seed " << seed;
-    EXPECT_LE(best.best.total_nops(), greedy.total_nops()) << "seed " << seed;
-    EXPECT_TRUE(dag.is_legal_order(best.best.order));
+    EXPECT_LE(best.schedule.total_nops(), list.total_nops()) << "seed " << seed;
+    EXPECT_LE(best.schedule.total_nops(), greedy.total_nops())
+        << "seed " << seed;
+    EXPECT_TRUE(dag.is_legal_order(best.schedule.order));
   }
 }
 
@@ -155,10 +162,10 @@ TEST(Optimal, CurtailPointBoundsWork) {
 
   SearchConfig config;
   config.curtail_lambda = 1;
-  const OptimalResult result = optimal_schedule(machine, dag, config);
+  const ScheduleResult result = optimal_schedule(machine, dag, config);
   EXPECT_LE(result.stats.omega_calls, 1u);
-  EXPECT_TRUE(dag.is_legal_order(result.best.order));
-  EXPECT_EQ(result.best.total_nops(), result.stats.initial_nops);
+  EXPECT_TRUE(dag.is_legal_order(result.schedule.order));
+  EXPECT_EQ(result.schedule.total_nops(), result.stats.initial_nops);
 }
 
 TEST(Optimal, CurtailedSearchReportsTruncation) {
@@ -178,15 +185,15 @@ TEST(Optimal, CurtailedSearchReportsTruncation) {
     SearchConfig full;
     full.curtail_lambda = 0;
     const int optimum =
-        optimal_schedule(machine, dag, full).best.total_nops();
+        optimal_schedule(machine, dag, full).schedule.total_nops();
     const int initial = list_schedule(machine, dag).total_nops();
     if (initial == optimum) continue;
 
     SearchConfig tiny;
     tiny.curtail_lambda = 2;
-    const OptimalResult truncated = optimal_schedule(machine, dag, tiny);
+    const ScheduleResult truncated = optimal_schedule(machine, dag, tiny);
     EXPECT_FALSE(truncated.stats.completed);
-    EXPECT_GE(truncated.best.total_nops(), optimum);
+    EXPECT_GE(truncated.schedule.total_nops(), optimum);
     found = true;
   }
   EXPECT_TRUE(found) << "no block with improvable seed schedule found";
@@ -211,7 +218,7 @@ TEST(Exhaustive, LambdaCapsCompleteOrders) {
   metrics_enable();
   const MetricsSnapshot before = metrics_snapshot();
   const ScheduleResult result =
-      make_scheduler(SchedulerKind::Exhaustive, config)->run(machine, dag);
+      run_scheduler(SchedulerKind::Exhaustive, machine, dag, config);
   const MetricsSnapshot after = metrics_snapshot();
   metrics_disable();
   // One flush per run, carrying the run's own counters.
@@ -243,9 +250,8 @@ TEST(Exhaustive, CurtailedRunIsNeverWorseThanItsSeed) {
   const DepGraph dag(block);
   SearchConfig config;
   config.curtail_lambda = 1000;
-  const ScheduleResult result =
-      make_scheduler(SchedulerKind::Exhaustive, config)
-          ->run(Machine::paper_simulation(), dag);
+  const ScheduleResult result = run_scheduler(
+      SchedulerKind::Exhaustive, Machine::paper_simulation(), dag, config);
   EXPECT_FALSE(result.stats.completed);
   EXPECT_LE(result.stats.best_nops, result.stats.initial_nops);
 }
@@ -263,9 +269,8 @@ TEST(Exhaustive, CountsIncumbentImprovements) {
   const DepGraph dag(block);
   SearchConfig config;
   config.curtail_lambda = 0;
-  const ScheduleResult result =
-      make_scheduler(SchedulerKind::Exhaustive, config)
-          ->run(Machine::paper_simulation(), dag);
+  const ScheduleResult result = run_scheduler(
+      SchedulerKind::Exhaustive, Machine::paper_simulation(), dag, config);
   EXPECT_TRUE(result.stats.completed);
   EXPECT_LT(result.stats.best_nops, result.stats.initial_nops);
   EXPECT_GE(result.stats.incumbent_improvements, 1u);
@@ -279,7 +284,7 @@ TEST(Exhaustive, DeadlineStopsAnUncappedEnumeration) {
   config.curtail_lambda = 0;
   config.deadline_seconds = 0.05;
   const ScheduleResult result =
-      make_scheduler(SchedulerKind::Exhaustive, config)->run(machine, dag);
+      run_scheduler(SchedulerKind::Exhaustive, machine, dag, config);
   EXPECT_FALSE(result.stats.completed);
   EXPECT_EQ(result.stats.curtail_reason, CurtailReason::Deadline);
   EXPECT_GT(result.stats.schedules_examined, 0u);
@@ -296,9 +301,9 @@ TEST(Optimal, ZeroNopSeedShortCircuits) {
     block.append(Opcode::Const, Operand::of_imm(i));
   }
   const DepGraph dag(block);
-  const OptimalResult result =
+  const ScheduleResult result =
       optimal_schedule(Machine::paper_simulation(), dag, SearchConfig{});
-  EXPECT_EQ(result.best.total_nops(), 0);
+  EXPECT_EQ(result.schedule.total_nops(), 0);
   EXPECT_EQ(result.stats.omega_calls, 0u);
   EXPECT_TRUE(result.stats.completed);
 }
@@ -313,10 +318,10 @@ TEST(Optimal, StatsAreInternallyConsistent) {
   const DepGraph dag(block);
   SearchConfig config;
   config.curtail_lambda = 100000;
-  const OptimalResult result =
+  const ScheduleResult result =
       optimal_schedule(Machine::paper_simulation(), dag, config);
   EXPECT_LE(result.stats.best_nops, result.stats.initial_nops);
-  EXPECT_EQ(result.stats.best_nops, result.best.total_nops());
+  EXPECT_EQ(result.stats.best_nops, result.schedule.total_nops());
   EXPECT_GE(result.stats.omega_calls, result.stats.schedules_examined);
 }
 
@@ -344,10 +349,73 @@ TEST(Optimal, FindsKnownOptimalReordering) {
                      static_cast<TupleIndex>(5)});
   SearchConfig config;
   config.curtail_lambda = 0;
-  const OptimalResult best = optimal_schedule(machine, dag, config);
-  EXPECT_LT(best.best.total_nops(), naive.total_nops());
-  EXPECT_EQ(best.best.total_nops(),
-            exhaustive_schedule(machine, dag).best.total_nops());
+  const ScheduleResult best = optimal_schedule(machine, dag, config);
+  EXPECT_LT(best.schedule.total_nops(), naive.total_nops());
+  EXPECT_EQ(best.schedule.total_nops(),
+            exhaustive_schedule(machine, dag).schedule.total_nops());
+}
+
+TEST(RunScheduler, EachKindMatchesItsDirectCall) {
+  GeneratorParams params;
+  params.statements = 5;
+  params.variables = 3;
+  params.constants = 2;
+  params.seed = 3;
+  const BasicBlock block = generate_block(params);
+  ASSERT_LE(block.size(), 9u);  // small enough to enumerate
+  const DepGraph dag(block);
+  std::vector<TupleIndex> identity(dag.size());
+  std::iota(identity.begin(), identity.end(), TupleIndex{0});
+
+  for (const Machine& machine :
+       {Machine::paper_simulation(), Machine::asymmetric_alus()}) {
+    SearchConfig bnb;
+    bnb.curtail_lambda = 0;
+    SearchConfig cp = bnb;
+    cp.backend = OptimalBackend::Cp;
+    const auto expect_same = [&](SchedulerKind kind,
+                                 const SearchConfig& config,
+                                 const ScheduleResult& direct) {
+      const ScheduleResult r = run_scheduler(kind, machine, dag, config);
+      const std::string where = std::string(scheduler_kind_name(kind)) +
+                                "/" + optimal_backend_name(config.backend) +
+                                " on " + machine.name();
+      EXPECT_EQ(r.schedule.order, direct.schedule.order) << where;
+      EXPECT_EQ(r.schedule.total_nops(), direct.schedule.total_nops())
+          << where;
+      EXPECT_EQ(r.stats.initial_nops, direct.stats.initial_nops) << where;
+      EXPECT_EQ(r.stats.best_nops, direct.stats.best_nops) << where;
+      EXPECT_EQ(r.stats.omega_calls, direct.stats.omega_calls) << where;
+      EXPECT_EQ(r.stats.nodes_expanded, direct.stats.nodes_expanded)
+          << where;
+    };
+    // The heuristics report their one schedule as both seed and best.
+    const auto heuristic = [](Schedule schedule) {
+      ScheduleResult r;
+      r.stats.initial_nops = r.stats.best_nops = schedule.total_nops();
+      r.schedule = std::move(schedule);
+      return r;
+    };
+    expect_same(SchedulerKind::Original, bnb,
+                heuristic(evaluate_order(machine, dag, identity)));
+    expect_same(SchedulerKind::List, bnb,
+                heuristic(list_schedule(machine, dag)));
+    expect_same(SchedulerKind::Greedy, bnb,
+                heuristic(greedy_schedule(machine, dag)));
+
+    expect_same(SchedulerKind::Optimal, bnb,
+                optimal_schedule(machine, dag, bnb));
+    expect_same(SchedulerKind::Optimal, cp, cp_schedule(machine, dag, cp));
+    // The Exhaustive kind runs the seeded enumeration; the oracle, which
+    // starts from no incumbent, may keep another optimal order, but
+    // never another cost.
+    const ScheduleResult seeded = exhaustive_search(machine, dag, bnb);
+    expect_same(SchedulerKind::Exhaustive, bnb, seeded);
+    const ScheduleResult oracle = exhaustive_schedule(machine, dag);
+    ASSERT_TRUE(oracle.stats.completed);
+    EXPECT_EQ(seeded.schedule.total_nops(), oracle.schedule.total_nops())
+        << machine.name();
+  }
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST(LinearScan, WorksOnScheduledOrderNotOriginal) {
   SearchConfig config;
   config.curtail_lambda = 10000;
   const Schedule s =
-      optimal_schedule(Machine::paper_simulation(), dag, config).best;
+      optimal_schedule(Machine::paper_simulation(), dag, config).schedule;
   const Allocation alloc = linear_scan(block, s.order, 64);
   EXPECT_TRUE(verify_allocation(block, s.order, alloc));
 }
@@ -193,9 +193,9 @@ TEST(FalseDeps, ConstrainedDagNeverBeatsUnconstrained) {
     SearchConfig config;
     config.curtail_lambda = 50000;
     const int free_nops =
-        optimal_schedule(machine, free_dag, config).best.total_nops();
+        optimal_schedule(machine, free_dag, config).schedule.total_nops();
     const int constrained_nops =
-        optimal_schedule(machine, constrained, config).best.total_nops();
+        optimal_schedule(machine, constrained, config).schedule.total_nops();
     EXPECT_GE(constrained_nops, free_nops) << seed;
   }
 }

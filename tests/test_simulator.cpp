@@ -40,7 +40,7 @@ TEST_P(SimulatorCrossCheck, InterlockStallsEqualPaddedNops) {
   schedules.push_back(greedy_schedule(machine, dag));
   SearchConfig config;
   config.curtail_lambda = 20000;
-  schedules.push_back(optimal_schedule(machine, dag, config).best);
+  schedules.push_back(optimal_schedule(machine, dag, config).schedule);
 
   for (const Schedule& s : schedules) {
     const SimResult padded = validate_padded(machine, dag, s);

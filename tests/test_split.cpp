@@ -68,7 +68,7 @@ TEST(Split, EqualsGlobalOptimumWhenWindowCoversBlock) {
     SearchConfig full;
     full.curtail_lambda = 0;
     const int optimum =
-        optimal_schedule(machine, dag, full).best.total_nops();
+        optimal_schedule(machine, dag, full).schedule.total_nops();
 
     SplitConfig config;
     config.window_size = static_cast<int>(block.size());

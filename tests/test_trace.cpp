@@ -223,7 +223,7 @@ TEST_F(TraceTest, SearchHeartbeatEmitsCounterTracks) {
   const DepGraph dag(block);
 
   trace_enable();
-  const OptimalResult result =
+  const ScheduleResult result =
       optimal_schedule(Machine::paper_simulation(), dag, SearchConfig{});
   trace_disable();
   EXPECT_GE(result.stats.nodes_expanded, 1u);
