@@ -144,7 +144,7 @@ std::size_t counter_row(std::uint64_t SearchStats::*counter) {
   for (std::size_t i = 0; i < kSearchCounterCount; ++i) {
     if (kSearchCounters[i].member == counter) return i;
   }
-  PS_CHECK(false, "not a kSearchCounters member");
+  throw Error("not a kSearchCounters member");
 }
 
 double row_average(const CorpusSummary::Column& col, std::size_t row) {

@@ -8,10 +8,13 @@
 // Variables are assumed unambiguous and mutually exclusive (Section 3.1),
 // so memory dependences are exact per-variable chains.
 //
-// Beyond adjacency, the graph precomputes everything the search needs in
-// O(1): immediate predecessor bitsets for the readiness test [5b],
-// transitive closures for earliest()/latest() (Definitions 6-7 backing the
-// quick window check [5a]), and unit-weight heights for the list scheduler.
+// Beyond adjacency, the graph precomputes: immediate predecessor bitsets
+// (edge de-duplication, legality checks, the strong equivalence classes of
+// [5c]), transitive closures for earliest()/latest() (Definitions 6-7, the
+// CP backend's issue windows; the list scheduler breaks height ties on
+// descendant counts), and unit-weight heights for the list scheduler. The
+// branch-and-bound search keeps its own ready set (DESIGN.md Section 3.11)
+// and needs no window check: readiness [5b] subsumes [5a] (Section 3).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +61,7 @@ class DepGraph {
   const std::vector<TupleIndex>& preds(TupleIndex i) const;
   const std::vector<TupleIndex>& succs(TupleIndex i) const;
 
-  /// Immediate predecessor set as a bitset (readiness test [5b]).
+  /// Immediate predecessor set as a bitset.
   const DynBitset& pred_set(TupleIndex i) const;
 
   /// Transitive predecessors / successors (excluding i itself).

@@ -1,6 +1,8 @@
 #include "sched/optimal_scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -24,6 +26,18 @@ constexpr int kInfiniteCost = std::numeric_limits<int>::max() / 2;
 /// what matters is that the two tables are independently random, so a
 /// placed-set collision under one is vanishingly unlikely under both.
 constexpr std::uint64_t kVerifyZobristSeed = 0xc0ffee5eedf00d42ull;
+
+/// Bitsets as plain word arrays: bit i lives in word i / 64.
+constexpr std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
+constexpr std::uint64_t bit_of(std::size_t i) {
+  return std::uint64_t{1} << (i & 63);
+}
+void set_bit(std::vector<std::uint64_t>& words, std::size_t i) {
+  words[i >> 6] |= bit_of(i);
+}
+void clear_bit(std::vector<std::uint64_t>& words, std::size_t i) {
+  words[i >> 6] &= ~bit_of(i);
+}
 
 class Search {
  public:
@@ -54,7 +68,7 @@ class Search {
     budget_ = &budget;
     // One enabled-check for the whole search: descend()'s hot-loop
     // markers test this plain pointer instead of the atomic enable flag
-    // (measurably cheaper in the ~200ns/placement candidate loop).
+    // (measurably cheaper in the ~100ns/placement candidate loop).
     prof_ = profiler_active_stack();
     Timer wall;
     ScheduleResult result;
@@ -103,17 +117,83 @@ class Search {
   }
 
  private:
-  /// Build every per-search table derived from the seed order.
+  /// Build every per-search table derived from the seed order. The ready
+  /// and unplaced sets are bitsets over seed rank, so walking the ready
+  /// bits in order visits candidates in the seed's order.
   void init_from_seed(const std::vector<TupleIndex>& seed) {
     candidates_by_seed_ = seed;
-
-    unplaced_preds_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      unplaced_preds_[i] =
-          static_cast<int>(dag_.preds(static_cast<TupleIndex>(i)).size());
+    rank_of_.resize(n_);
+    for (std::size_t r = 0; r < n_; ++r) {
+      rank_of_[static_cast<std::size_t>(seed[r])] = r;
     }
 
-    tried_stack_.assign(n_, std::vector<char>(n_ + 1, 0));
+    unplaced_preds_.resize(n_);
+    producer_latency_.resize(n_);
+    avail_.assign(n_, std::numeric_limits<int>::min());
+    ready_.assign(words_for(n_), 0);
+    unplaced_.assign(words_for(n_), 0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const auto index = static_cast<TupleIndex>(i);
+      unplaced_preds_[i] = static_cast<int>(dag_.preds(index).size());
+      producer_latency_[i] =
+          machine_.latency_for(dag_.block().tuple(index).op);
+      set_bit(unplaced_, rank_of_[i]);
+      if (unplaced_preds_[i] == 0) set_bit(ready_, rank_of_[i]);
+    }
+
+    // Class ids run from 0 to at most n.
+    class_words_ = words_for(n_ + 1);
+    tried_stack_.assign(n_ * class_words_, 0);
+  }
+
+  /// Take `t`, just pushed on the timer, out of the unplaced and ready
+  /// sets. A successor whose last unplaced producer was `t` becomes ready
+  /// and, when the bound is on, records when its producers' results are
+  /// due (DESIGN.md §3.11: the value holds while it stays ready).
+  void mark_placed(TupleIndex t) {
+    const std::size_t rank = rank_of_[static_cast<std::size_t>(t)];
+    clear_bit(unplaced_, rank);
+    clear_bit(ready_, rank);
+    for (TupleIndex s : dag_.succs(t)) {
+      const auto si = static_cast<std::size_t>(s);
+      if (--unplaced_preds_[si] != 0) continue;
+      set_bit(ready_, rank_of_[si]);
+      if (config_.lower_bound_prune) avail_[si] = producers_available(s);
+    }
+  }
+
+  /// Undo mark_placed(t).
+  void mark_unplaced(TupleIndex t) {
+    for (TupleIndex s : dag_.succs(t)) {
+      const auto si = static_cast<std::size_t>(s);
+      if (unplaced_preds_[si]++ == 0) clear_bit(ready_, rank_of_[si]);
+    }
+    const std::size_t rank = rank_of_[static_cast<std::size_t>(t)];
+    set_bit(unplaced_, rank);
+    set_bit(ready_, rank);
+  }
+
+  /// The cycle by which every producer of `t` (all placed) has its result
+  /// available, at each producer's minimum latency over unit alternatives.
+  int producers_available(TupleIndex t) const {
+    int avail = std::numeric_limits<int>::min();
+    for (TupleIndex p : dag_.preds(t)) {
+      const int latency = producer_latency_[static_cast<std::size_t>(p)];
+      avail = std::max(avail, timer_.issue_cycle_of(p) + latency);
+    }
+    return avail;
+  }
+
+  /// The lowest ready seed rank at or above `from`; n when there is none.
+  std::size_t next_ready(std::size_t from) const {
+    for (std::size_t w = from >> 6; w < ready_.size(); ++w) {
+      std::uint64_t bits = ready_[w];
+      if (w == from >> 6) bits &= ~std::uint64_t{0} << (from & 63);
+      if (bits != 0) {
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      }
+    }
+    return n_;
   }
 
   /// Flip `t`'s membership in both incremental placed-set hashes (the
@@ -143,16 +223,11 @@ class Search {
     const int t_now = timer_.last_issue_cycle();
     const std::size_t remaining = n_ - timer_.depth();
     int bound = t_now + static_cast<int>(remaining);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const auto index = static_cast<TupleIndex>(i);
-      if (timer_.is_placed(index) || unplaced_preds_[i] != 0) continue;
+    for (std::size_t r = next_ready(0); r < n_; r = next_ready(r + 1)) {
+      const auto i = static_cast<std::size_t>(candidates_by_seed_[r]);
       // Ready instruction: its earliest issue is bounded by its placed
       // producers, and a latency-weighted chain hangs below it.
-      int earliest = t_now + 1;
-      for (TupleIndex p : dag_.preds(index)) {
-        const int latency = machine_.latency_for(dag_.block().tuple(p).op);
-        earliest = std::max(earliest, timer_.issue_cycle_of(p) + latency);
-      }
+      const int earliest = std::max(t_now + 1, avail_[i]);
       bound = std::max(bound, earliest + latency_height_[i]);
     }
     return bound;
@@ -234,7 +309,7 @@ class Search {
 
   /// The recursion is instantiated twice: kProf=false is the everyday
   /// build with every phase marker constant-folded away (profiling off
-  /// must cost nothing in the ~200ns/placement loop), kProf=true carries
+  /// must cost nothing in the ~100ns/placement loop), kProf=true carries
   /// the markers. run() picks the instantiation once per search from the
   /// captured prof_ pointer.
   template <bool kProf>
@@ -273,34 +348,40 @@ class Search {
 
     // Per-depth record of equivalence classes already tried at this slot
     // (rule [5c] only filters alternatives for the *same* position).
-    std::vector<char>& tried_classes = tried_stack_[timer_.depth()];
-    std::fill(tried_classes.begin(), tried_classes.end(), 0);
+    std::uint64_t* tried_classes = &tried_stack_[timer_.depth() * class_words_];
+    std::fill_n(tried_classes, class_words_, 0);
 
-    for (TupleIndex candidate : candidates_by_seed_) {
-      if (budget_->curtail(*stats_)) return;
+    // The candidates are the ready tuples, in seed order; every placement
+    // below is undone before the next one is sought, so the walk sees
+    // this node's ready set throughout. Rule [5b] counts every waiting
+    // tuple the seed order puts before the rank at which the loop leaves
+    // (see leave_candidates). Only a placement and the subtree below it
+    // move the budget, so it is checked before the first candidate and
+    // after each placed one: exactly where a check before every rank
+    // would first see a change.
+    if (budget_->curtail(*stats_)) return;
+    for (std::size_t rank = next_ready(0); rank < n_;
+         rank = next_ready(rank + 1)) {
+      const TupleIndex candidate = candidates_by_seed_[rank];
       {
-        // Rules [5b] and [5c] + pressure: the per-candidate filters. The
-        // marker scope ends before the group loop so the push/descend/
-        // undo work below is attributed to its own phases (and never
-        // stacks under the recursion).
+        // Rule [5c] + pressure: the per-candidate filters. The marker
+        // scope ends before the group loop so the push/descend/undo work
+        // below is attributed to its own phases (and never stacks under
+        // the recursion).
         PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "candidate_filter");
-        if (timer_.is_placed(candidate)) continue;
-        if (unplaced_preds_[static_cast<std::size_t>(candidate)] != 0) {
-          ++stats_->pruned_readiness;  // rule [5b]
-          continue;
-        }
         if (live_.blocks(candidate)) {
           ++stats_->pruned_pressure;
           continue;
         }
 
         if (config_.equivalence_prune) {
-          const int cls = classes_[static_cast<std::size_t>(candidate)];
-          if (tried_classes[static_cast<std::size_t>(cls)]) {
+          const auto cls = static_cast<std::size_t>(
+              classes_[static_cast<std::size_t>(candidate)]);
+          if (tried_classes[cls >> 6] & bit_of(cls)) {
             ++stats_->pruned_equivalence;  // rule [5c]
             continue;
           }
-          tried_classes[static_cast<std::size_t>(cls)] = true;
+          tried_classes[cls >> 6] |= bit_of(cls);
         }
       }
 
@@ -311,7 +392,7 @@ class Search {
           machine_.unit_groups(dag_.block().tuple(candidate).op);
       const std::size_t branches = groups.empty() ? 1 : groups.size();
       for (std::size_t g = 0; g < branches; ++g) {
-        if (budget_->curtail(*stats_)) return;
+        if (budget_->curtail(*stats_)) return leave_candidates(rank);
         {
           // Omega's incremental append: the placement itself plus every
           // piece of state pushed alongside it.
@@ -324,9 +405,7 @@ class Search {
           }
           toggle_scheduled(candidate);
           live_.push(candidate);
-          for (TupleIndex s : dag_.succs(candidate)) {
-            --unplaced_preds_[static_cast<std::size_t>(s)];
-          }
+          mark_placed(candidate);
         }
 
         bool keep = true;
@@ -346,17 +425,35 @@ class Search {
 
         {
           PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_undo");
-          for (TupleIndex s : dag_.succs(candidate)) {
-            ++unplaced_preds_[static_cast<std::size_t>(s)];
-          }
+          mark_unplaced(candidate);
           live_.pop(candidate);
           toggle_scheduled(candidate);
           timer_.pop();
         }
 
-        if (!stats_->completed) return;    // curtailed deeper in the tree
-        if (best_nops_ == 0) return;       // cannot improve on zero NOPs
+        // Curtailed deeper in the tree, or nothing can beat zero NOPs.
+        if (!stats_->completed || best_nops_ == 0) {
+          return leave_candidates(rank);
+        }
       }
+      if (rank + 1 < n_ && budget_->curtail(*stats_)) {
+        return leave_candidates(rank + 1);
+      }
+    }
+    leave_candidates(n_);
+  }
+
+  /// The candidate loop leaves at seed rank `rank`: count rule [5b]'s
+  /// skips of the waiting tuples (unplaced, not ready) ranked below it.
+  void leave_candidates(std::size_t rank) {
+    const std::size_t full = rank >> 6;
+    for (std::size_t w = 0; w < full; ++w) {
+      stats_->pruned_readiness += static_cast<std::uint64_t>(
+          std::popcount(unplaced_[w] & ~ready_[w]));
+    }
+    if ((rank & 63) != 0) {
+      stats_->pruned_readiness += static_cast<std::uint64_t>(std::popcount(
+          unplaced_[full] & ~ready_[full] & (bit_of(rank) - 1)));
     }
   }
 
@@ -368,9 +465,17 @@ class Search {
   const std::size_t n_;
   std::vector<int> classes_;
   std::vector<int> latency_height_;
-  std::vector<TupleIndex> candidates_by_seed_;
+  std::vector<TupleIndex> candidates_by_seed_;  ///< seed rank -> tuple
+  std::vector<std::size_t> rank_of_;            ///< tuple -> seed rank
   std::vector<int> unplaced_preds_;
-  std::vector<std::vector<char>> tried_stack_;
+  std::vector<int> producer_latency_;  ///< latency_for(op) per tuple
+  /// Per ready tuple: when its producers' results are due (bound only).
+  std::vector<int> avail_;
+  std::vector<std::uint64_t> ready_;     ///< bits over seed rank
+  std::vector<std::uint64_t> unplaced_;  ///< bits over seed rank
+  /// One row of class_words_ words per depth: classes tried at that slot.
+  std::vector<std::uint64_t> tried_stack_;
+  std::size_t class_words_ = 0;
   LiveValues live_;  ///< Section 3.1's register ceiling, when one is set
   ZobristKeys zobrist_;
   ZobristKeys zobrist2_;  // independent table for the verification word

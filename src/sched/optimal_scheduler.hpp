@@ -41,6 +41,11 @@
 // part of the optimized decision; homogeneous machines degenerate to a
 // single pass and behave exactly as the paper's algorithm.
 //
+// A node's work is proportional to its ready set and the edges of the
+// tuple it places: the ready set, the bound's producer-availability cycles
+// and the classes tried at each depth are kept incrementally across pushes
+// and undos, never rescanned over the block (DESIGN.md §3.11).
+//
 // The curtail point lambda (Section 2.3) bounds worst-case compile time:
 // the search stops after lambda candidate placements (the paper's Lambda
 // counter of step [4]) and reports the best schedule found so far, flagged

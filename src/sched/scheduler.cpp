@@ -141,12 +141,16 @@ std::vector<int> equivalence_classes(const Machine& machine,
   }
 
   // Strong classes for the rest: quadratic scan is fine at block sizes.
-  std::vector<DynBitset> succ_sets(n, DynBitset(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (TupleIndex s : dag.succs(static_cast<TupleIndex>(i))) {
-      succ_sets[i].set(static_cast<std::size_t>(s));
-    }
-  }
+  // Successor lists hold no duplicates, so two tuples have equal
+  // successor sets when the lists are equally long and every successor of
+  // one has the other among its predecessors.
+  const auto same_succs = [&](std::size_t i, std::size_t j) {
+    const auto& succs_i = dag.succs(static_cast<TupleIndex>(i));
+    return succs_i.size() == dag.succs(static_cast<TupleIndex>(j)).size() &&
+           std::all_of(succs_i.begin(), succs_i.end(), [&](TupleIndex s) {
+             return dag.pred_set(s).test(j);
+           });
+  };
   // Under a register ceiling, classmates must additionally be
   // liveness-interchangeable: swapping their issue positions replays the
   // same live-set trajectory. Identical pred *sets* are not enough —
@@ -174,7 +178,7 @@ std::vector<int> equivalence_classes(const Machine& machine,
       if (units_i == units_j &&
           dag.pred_set(static_cast<TupleIndex>(i)) ==
               dag.pred_set(static_cast<TupleIndex>(j)) &&
-          succ_sets[i] == succ_sets[j] &&
+          same_succs(i, j) &&
           (!pressure_constrained ||
            pressure_signature(i) == pressure_signature(j))) {
         cls[j] = next;

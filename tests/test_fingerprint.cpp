@@ -17,6 +17,10 @@
 // under paper_protocol(), the configuration of Table 7's first row, so a
 // change of a search default cannot move the paper's experiment unseen.
 //
+// The B&B variant slice calls optimal_schedule directly on generated
+// blocks, once per search variant that none of the slices above reaches
+// (see BnbVariantsSlice).
+//
 // The fingerprint sums the exact fields over the slice: final NOPs,
 // simulated code cycles (perfbench slices only: a corpus record keeps no
 // schedule), the proven-optimal count, nodes, omega calls and every prune
@@ -32,6 +36,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -40,6 +45,7 @@
 #include "frontend/opt/passes.hpp"
 #include "frontend/parser.hpp"
 #include "ir/dag.hpp"
+#include "sched/optimal_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "synth/corpus.hpp"
 #include "synth/generator.hpp"
@@ -243,6 +249,104 @@ TEST(Fingerprint, RegsTightSliceCp) {
                              0, 658, 0, 10, 0, 47039, 306548};
   EXPECT_EQ(f, expected);
   EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
+}
+
+/// Generated, optimized blocks for the B&B variant slice: `count` blocks
+/// of 4..27 statements over 3..10 variables when `size` is 0, else the
+/// first `count` candidates of exactly `size` tuples (3/8 as many
+/// variables, about as many statements as tuples).
+std::vector<BasicBlock> variant_blocks(std::size_t count, std::size_t size) {
+  std::vector<BasicBlock> blocks;
+  for (std::uint64_t k = 0; blocks.size() < count; ++k) {
+    EXPECT_LT(k, 2000u) << "no block of " << size << " tuples";
+    if (k >= 2000) break;
+    const std::uint64_t h = splitmix(0xb4b0a7e5ull + 7919 * size + k);
+    const int n = static_cast<int>(size);
+    GeneratorParams p;
+    p.statements = n == 0 ? 4 + static_cast<int>(k % 24)
+                          : n - 8 + static_cast<int>(h % 16);
+    p.variables = n == 0 ? 3 + static_cast<int>((h >> 8) % 8) : 3 * n / 8;
+    p.constants = 2 + static_cast<int>((h >> 16) % 3);
+    p.seed = h;
+    BasicBlock block = generate_block(p);
+    if (size == 0 || block.size() == size) blocks.push_back(std::move(block));
+  }
+  return blocks;
+}
+
+// B&B paths no perfbench slice reaches: strong equivalence classes, unit
+// groups on a heterogeneous machine, residual occupancy at block entry, a
+// lambda small enough to curtail inside a node, the bound without
+// alpha-beta or the cache, strong classes under a register ceiling, and
+// blocks whose sizes sit on a 64-bit word edge. Each variant sums the
+// final NOPs, final issue cycles, proven-optimal count and every search
+// counter of one B&B search per block.
+TEST(Fingerprint, BnbVariantsSlice) {
+  SearchConfig base;
+  base.curtail_lambda = 5000;
+  base.lower_bound_prune = true;
+  const std::vector<BasicBlock> mixed = variant_blocks(300, 0);
+  std::vector<BasicBlock> edges;
+  for (std::size_t size : {63, 64, 65, 128}) {
+    for (BasicBlock& b : variant_blocks(2, size)) edges.push_back(std::move(b));
+  }
+
+  SearchConfig strong = base;
+  strong.strong_equivalence = true;
+  SearchConfig short_lambda = base;
+  short_lambda.curtail_lambda = 300;
+  SearchConfig bound_only = base;
+  bound_only.alpha_beta = false;
+  bound_only.dominance_cache = false;
+  SearchConfig strong_pressure = strong;
+  strong_pressure.max_live_registers = 6;
+
+  struct Variant {
+    const char* name;
+    Machine machine;
+    SearchConfig config;
+    PipelineState initial;
+    const std::vector<BasicBlock>& blocks;
+    Fingerprint expected;
+  };
+  const Variant variants[] = {
+      {"strong_equivalence", Machine::paper_simulation(), strong, {}, mixed,
+       {209, 5504, 299, 25022, 57889, 0, 105546, 562, 27831, 5273, 7002, 0}},
+      {"asymmetric_alus", Machine::asymmetric_alus(), base, {}, mixed,
+       {481, 5776, 283, 74736, 202878, 0, 344062, 0, 97642, 30777, 26540, 0}},
+      {"residual_entry", Machine::risc_classic(), base,
+       PipelineState{{0, 0, 0, -4}}, mixed,
+       {1415, 6710, 269, 149318, 298598, 0, 605250, 0, 103218, 46344, 68674,
+        0}},
+      {"lambda_300", Machine::paper_simulation(), short_lambda, {}, mixed,
+       {323, 5618, 245, 12500, 33591, 0, 31948, 0, 20001, 1327, 918, 0}},
+      {"bound_without_alpha_beta_or_cache", Machine::paper_simulation(),
+       bound_only, {}, mixed,
+       {214, 5509, 292, 38757, 95649, 0, 253118, 0, 0, 57129, 0, 0}},
+      {"strong_equivalence_6_registers", Machine::paper_simulation(),
+       strong_pressure, {}, mixed,
+       {257, 5552, 289, 85967, 119644, 0, 557926, 859, 26421, 7516, 35792,
+        72690}},
+      {"word_edge_sizes", Machine::paper_simulation(), strong, {}, edges,
+       {4, 644, 6, 1383, 18716, 0, 6437, 840, 17340, 0, 0, 0}},
+  };
+
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    Fingerprint f;
+    for (const BasicBlock& block : v.blocks) {
+      const DepGraph dag(block);
+      const ScheduleResult r =
+          optimal_schedule(v.machine, dag, v.config, v.initial);
+      f.final_nops +=
+          static_cast<std::uint64_t>(std::max(0, r.schedule.total_nops()));
+      f.code_cycles +=
+          static_cast<std::uint64_t>(r.schedule.completion_cycle());
+      f.optimal_blocks += r.stats.outcome() == SearchOutcome::Optimal;
+      add_search(f, r.stats);
+    }
+    EXPECT_EQ(f, v.expected);
+  }
 }
 
 TEST(Fingerprint, PaperProtocolSlice) {

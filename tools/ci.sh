@@ -61,11 +61,24 @@ echo "==== TSan: corpus runner (pool workers writing per-block records) ===="
 # perfbench correctness smoke: a short run of each workload must pass
 # perfbench's own gate — every schedule checked by the simulator, the
 # interpreter and the register verifier, the CP cross-check, and an
-# exact-count fingerprint that repeats in every pass. A non-zero exit is
-# a failed check, not a slow run: timing is not gated here.
+# exact-count fingerprint that repeats in every pass — and that
+# fingerprint must equal the workload's committed line in
+# tools/perfbench_fingerprints.txt, so a change that moves the search on
+# every pass fails too. A non-zero exit is a failed check, not a slow
+# run: timing is not gated here.
 for workload in corpus large_blocks regs_tight; do
   echo "==== perfbench smoke: ${workload} ===="
-  python3 perfbench/run.py --workload "${workload}" --seconds 3 --trace 0
+  report="$(mktemp)"
+  python3 perfbench/run.py --workload "${workload}" --seconds 3 --trace 0 |
+    tee "${report}"
+  if ! diff <(grep "^${workload}: " tools/perfbench_fingerprints.txt) \
+      <(sed -n "s/^fingerprint (identical in every pass): /${workload}: /p" \
+        "${report}"); then
+    echo "perfbench ${workload}: fingerprint differs from" \
+      "tools/perfbench_fingerprints.txt" >&2
+    exit 1
+  fi
+  rm -f "${report}"
 done
 
 # Traced corpus smoke, in BOTH configurations: a small corpus run with
