@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/check.hpp"
 
@@ -27,21 +26,30 @@ DepGraph::DepGraph(const BasicBlock& block) : DepGraph(block, {}) {}
 DepGraph::DepGraph(
     const BasicBlock& block,
     const std::vector<std::pair<TupleIndex, TupleIndex>>& extra_edges)
-    : block_(&block) {
-  const std::size_t n = block.size();
-  preds_.resize(n);
-  succs_.resize(n);
-  pred_sets_.assign(n, DynBitset(n));
-  ancestors_.assign(n, DynBitset(n));
-  descendants_.assign(n, DynBitset(n));
-  height_.assign(n, 0);
-  depth_.assign(n, 0);
+    : block_(&block), n_(block.size()) {
+  PS_CHECK(n_ <= kMaxBlockTuples,
+           "block of " << n_ << " tuples exceeds the dependence graph's "
+                       << "limit of " << kMaxBlockTuples
+                       << " tuples (DepGraph::kMaxBlockTuples)");
+  words_per_row_ = (n_ + 63) / 64;
+  bits_.assign(3 * n_ * words_per_row_, 0);
+  // A tuple adds at most two edges of its own: two Flow operands, a
+  // Store's Flow and Output, or a Load's MemFlow and the Anti edge to its
+  // variable's next Store.
+  edges_.reserve(2 * n_ + extra_edges.size());
 
-  // Per-variable memory-dependence state.
-  std::unordered_map<VarId, TupleIndex> last_store;
-  std::unordered_map<VarId, std::vector<TupleIndex>> loads_since_store;
+  // Per-variable memory-dependence state, indexed by VarId: the last
+  // Store, and the Loads since it, oldest first, as a list threaded
+  // through next_load.
+  struct VarState {
+    TupleIndex last_store = -1;
+    TupleIndex first_load = -1;
+    TupleIndex last_load = -1;
+  };
+  std::vector<VarState> vars(block.var_count());
+  std::vector<TupleIndex> next_load(n_, -1);
 
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n_; ++i) {
     const auto index = static_cast<TupleIndex>(i);
     const Tuple& t = block.tuple(index);
 
@@ -50,91 +58,128 @@ DepGraph::DepGraph(
     }
 
     if (t.op == Opcode::Load) {
-      if (auto it = last_store.find(t.a.var); it != last_store.end()) {
-        add_edge(it->second, index, DepKind::MemFlow);
-      }
-      loads_since_store[t.a.var].push_back(index);
+      VarState& v = vars[static_cast<std::size_t>(t.a.var)];
+      if (v.last_store >= 0) add_edge(v.last_store, index, DepKind::MemFlow);
+      (v.last_load >= 0 ? next_load[static_cast<std::size_t>(v.last_load)]
+                        : v.first_load) = index;
+      v.last_load = index;
     } else if (t.op == Opcode::Store) {
-      auto& loads = loads_since_store[t.a.var];
-      for (TupleIndex load : loads) add_edge(load, index, DepKind::Anti);
-      loads.clear();
-      if (auto it = last_store.find(t.a.var); it != last_store.end()) {
-        add_edge(it->second, index, DepKind::Output);
+      VarState& v = vars[static_cast<std::size_t>(t.a.var)];
+      for (TupleIndex load = v.first_load; load >= 0;
+           load = next_load[static_cast<std::size_t>(load)]) {
+        add_edge(load, index, DepKind::Anti);
       }
-      last_store[t.a.var] = index;
+      v.first_load = v.last_load = -1;
+      if (v.last_store >= 0) add_edge(v.last_store, index, DepKind::Output);
+      v.last_store = index;
     }
   }
 
   for (const auto& [from, to] : extra_edges) {
     PS_CHECK(from >= 0 && to >= 0 && from < to &&
-                 static_cast<std::size_t>(to) < n,
+                 static_cast<std::size_t>(to) < n_,
              "extra edge must order an earlier tuple before a later one");
     add_edge(from, to, DepKind::Anti);
   }
 
+  build_adjacency();
   compute_closures();
 }
 
 void DepGraph::add_edge(TupleIndex from, TupleIndex to, DepKind kind) {
   PS_ASSERT(from >= 0 && to >= 0 && from < to &&
-            static_cast<std::size_t>(to) < preds_.size());
+            static_cast<std::size_t>(to) < n_);
   // De-duplicate parallel edges (e.g. a Store whose value is a Load of the
   // same variable carries both Flow and Anti constraints — one edge is
   // enough, and the first recorded kind wins).
-  if (pred_sets_[static_cast<std::size_t>(to)].test(
-          static_cast<std::size_t>(from))) {
-    return;
-  }
-  pred_sets_[static_cast<std::size_t>(to)].set(static_cast<std::size_t>(from));
-  preds_[static_cast<std::size_t>(to)].push_back(from);
-  succs_[static_cast<std::size_t>(from)].push_back(to);
+  std::uint64_t& word =
+      row_words(kPredSet, static_cast<std::size_t>(to))[from >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (from & 63);
+  if (word & bit) return;
+  word |= bit;
   edges_.push_back({from, to, kind});
 }
 
+void DepGraph::build_adjacency() {
+  // Counting sort of the edges by target (preds) and by source (succs).
+  // After the inclusive prefix sums each start holds its row's end;
+  // filling from the last edge backwards moves it to the row's beginning
+  // and leaves every row in edge-insertion order.
+  pred_start_.assign(n_ + 1, 0);
+  succ_start_.assign(n_ + 1, 0);
+  for (const DepEdge& e : edges_) {
+    ++pred_start_[static_cast<std::size_t>(e.to)];
+    ++succ_start_[static_cast<std::size_t>(e.from)];
+  }
+  for (std::size_t i = 1; i < n_; ++i) {
+    pred_start_[i] += pred_start_[i - 1];
+    succ_start_[i] += succ_start_[i - 1];
+  }
+  pred_start_[n_] = succ_start_[n_] =
+      static_cast<std::uint32_t>(edges_.size());
+  pred_list_.resize(edges_.size());
+  succ_list_.resize(edges_.size());
+  for (auto e = edges_.rbegin(); e != edges_.rend(); ++e) {
+    pred_list_[--pred_start_[static_cast<std::size_t>(e->to)]] = e->from;
+    succ_list_[--succ_start_[static_cast<std::size_t>(e->from)]] = e->to;
+  }
+}
+
 void DepGraph::compute_closures() {
-  const std::size_t n = preds_.size();
-  // Tuple indices are already topologically sorted (references point
+  height_.assign(n_, 0);
+  depth_.assign(n_, 0);
+  // Row i of a closure is the union, over i's neighbours j, of j and j's
+  // row. Tuple indices are already topologically sorted (references point
   // backward), so one forward and one backward sweep suffice.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (TupleIndex p : preds_[i]) {
-      ancestors_[i].merge(ancestors_[static_cast<std::size_t>(p)]);
-      ancestors_[i].set(static_cast<std::size_t>(p));
-      depth_[i] = std::max(depth_[i], depth_[static_cast<std::size_t>(p)] + 1);
+  const auto close = [&](Matrix m, std::size_t i, TupleIndex j) {
+    std::uint64_t* into = row_words(m, i);
+    const std::uint64_t* from = row_words(m, static_cast<std::size_t>(j));
+    for (std::size_t w = 0; w < words_per_row_; ++w) into[w] |= from[w];
+    into[j >> 6] |= std::uint64_t{1} << (j & 63);
+  };
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (TupleIndex p : preds(static_cast<TupleIndex>(i))) {
+      close(kAncestors, i, p);
+      depth_[i] =
+          std::max(depth_[i], depth_[static_cast<std::size_t>(p)] + 1);
     }
   }
-  for (std::size_t ri = n; ri-- > 0;) {
-    for (TupleIndex s : succs_[ri]) {
-      descendants_[ri].merge(descendants_[static_cast<std::size_t>(s)]);
-      descendants_[ri].set(static_cast<std::size_t>(s));
+  for (std::size_t ri = n_; ri-- > 0;) {
+    for (TupleIndex s : succs(static_cast<TupleIndex>(ri))) {
+      close(kDescendants, ri, s);
       height_[ri] =
           std::max(height_[ri], height_[static_cast<std::size_t>(s)] + 1);
     }
   }
 }
 
-const std::vector<TupleIndex>& DepGraph::preds(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < preds_.size());
-  return preds_[static_cast<std::size_t>(i)];
+std::span<const TupleIndex> DepGraph::preds(TupleIndex i) const {
+  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
+  const auto k = static_cast<std::size_t>(i);
+  return {pred_list_.data() + pred_start_[k],
+          pred_list_.data() + pred_start_[k + 1]};
 }
 
-const std::vector<TupleIndex>& DepGraph::succs(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < succs_.size());
-  return succs_[static_cast<std::size_t>(i)];
+std::span<const TupleIndex> DepGraph::succs(TupleIndex i) const {
+  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
+  const auto k = static_cast<std::size_t>(i);
+  return {succ_list_.data() + succ_start_[k],
+          succ_list_.data() + succ_start_[k + 1]};
 }
 
-const DynBitset& DepGraph::pred_set(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < pred_sets_.size());
-  return pred_sets_[static_cast<std::size_t>(i)];
+BitRow DepGraph::row(Matrix m, TupleIndex i) const {
+  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
+  return {bits_.data() + (m * n_ + static_cast<std::size_t>(i)) *
+                             words_per_row_,
+          n_};
 }
 
-const DynBitset& DepGraph::ancestors(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < ancestors_.size());
-  return ancestors_[static_cast<std::size_t>(i)];
-}
+BitRow DepGraph::pred_set(TupleIndex i) const { return row(kPredSet, i); }
 
-const DynBitset& DepGraph::descendants(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < descendants_.size());
-  return descendants_[static_cast<std::size_t>(i)];
+BitRow DepGraph::ancestors(TupleIndex i) const { return row(kAncestors, i); }
+
+BitRow DepGraph::descendants(TupleIndex i) const {
+  return row(kDescendants, i);
 }
 
 int DepGraph::earliest_position(TupleIndex i) const {

@@ -15,9 +15,18 @@
 // descendant counts), and unit-weight heights for the list scheduler. The
 // branch-and-bound search keeps its own ready set (DESIGN.md Section 3.11)
 // and needs no window check: readiness [5b] subsumes [5a] (Section 3).
+//
+// Storage is flat (DESIGN.md Section 3.12): the adjacency is compressed
+// sparse rows filled in edge-insertion order, so preds(i) and succs(i)
+// list their edges in the order the rules above created them; the
+// pred-set, ancestor and descendant matrices are one word array of
+// 3 * n * ceil(n/64) words; the per-variable memory state of the build is
+// indexed by VarId. A block therefore costs a fixed number of
+// allocations, whatever its size.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +47,11 @@ struct DepEdge {
 
 class DepGraph {
  public:
+  /// Largest block the graph accepts. Its bit matrices take
+  /// 3 * n * ceil(n/64) words, 24 MiB at this size; a larger block throws
+  /// Error before anything is allocated.
+  static constexpr std::size_t kMaxBlockTuples = 8192;
+
   explicit DepGraph(const BasicBlock& block);
 
   /// Construct with additional ordering constraints beyond the block's own
@@ -54,19 +68,19 @@ class DepGraph {
   DepGraph(BasicBlock&&,
            const std::vector<std::pair<TupleIndex, TupleIndex>>&) = delete;
 
-  std::size_t size() const { return preds_.size(); }
+  std::size_t size() const { return n_; }
   const BasicBlock& block() const { return *block_; }
 
-  /// Immediate predecessors rho(i) / successors (unordered).
-  const std::vector<TupleIndex>& preds(TupleIndex i) const;
-  const std::vector<TupleIndex>& succs(TupleIndex i) const;
+  /// Immediate predecessors rho(i) / successors, in edge-insertion order.
+  std::span<const TupleIndex> preds(TupleIndex i) const;
+  std::span<const TupleIndex> succs(TupleIndex i) const;
 
   /// Immediate predecessor set as a bitset.
-  const DynBitset& pred_set(TupleIndex i) const;
+  BitRow pred_set(TupleIndex i) const;
 
   /// Transitive predecessors / successors (excluding i itself).
-  const DynBitset& ancestors(TupleIndex i) const;
-  const DynBitset& descendants(TupleIndex i) const;
+  BitRow ancestors(TupleIndex i) const;
+  BitRow descendants(TupleIndex i) const;
 
   /// Definition 6: minimum 1-based schedule position of i
   /// (= |ancestors| + 1).
@@ -92,18 +106,31 @@ class DepGraph {
   std::string to_dot() const;
 
  private:
+  /// The three n x words_per_row_ bit matrices inside bits_.
+  enum Matrix : std::size_t { kPredSet, kAncestors, kDescendants };
+
+  std::uint64_t* row_words(Matrix m, std::size_t i) {
+    return bits_.data() + (m * n_ + i) * words_per_row_;
+  }
+  BitRow row(Matrix m, TupleIndex i) const;
+
   void add_edge(TupleIndex from, TupleIndex to, DepKind kind);
+  void build_adjacency();
   void compute_closures();
 
   const BasicBlock* block_;
-  std::vector<std::vector<TupleIndex>> preds_;
-  std::vector<std::vector<TupleIndex>> succs_;
-  std::vector<DynBitset> pred_sets_;
-  std::vector<DynBitset> ancestors_;
-  std::vector<DynBitset> descendants_;
+  std::size_t n_ = 0;
+  std::size_t words_per_row_ = 0;
+  std::vector<std::uint64_t> bits_;
+  std::vector<DepEdge> edges_;
+  /// Compressed sparse rows: preds(i) is pred_list_[pred_start_[i]] up to
+  /// pred_list_[pred_start_[i + 1]], and likewise for succs.
+  std::vector<std::uint32_t> pred_start_;
+  std::vector<std::uint32_t> succ_start_;
+  std::vector<TupleIndex> pred_list_;
+  std::vector<TupleIndex> succ_list_;
   std::vector<int> height_;
   std::vector<int> depth_;
-  std::vector<DepEdge> edges_;
 };
 
 /// Number of legal topological orders of `dag`, counted by backtracking and

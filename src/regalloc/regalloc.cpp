@@ -1,70 +1,117 @@
 #include "regalloc/regalloc.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <cstdint>
+#include <numeric>
 
 #include "util/check.hpp"
 
 namespace pipesched {
 
+namespace {
+
+/// The free registers under one policy. LowestFree takes the lowest set
+/// bit of a bitset. RoundRobin takes the head of a FIFO ring, so a freed
+/// register goes to the back of the line and the whole file cycles before
+/// any reuse.
+class FreeRegisters {
+ public:
+  FreeRegisters(int count, AllocPolicy policy)
+      : round_robin_(policy == AllocPolicy::RoundRobin),
+        size_(static_cast<std::size_t>(count)) {
+    if (round_robin_) {
+      ring_.resize(size_);
+      std::iota(ring_.begin(), ring_.end(), 0);
+    } else {
+      bits_.assign((size_ + 63) / 64, ~std::uint64_t{0});
+      if (size_ % 64 != 0) bits_.back() >>= 64 - size_ % 64;
+    }
+  }
+
+  bool empty() const { return size_ == 0; }
+
+  int take() {
+    PS_ASSERT(size_ > 0);
+    --size_;
+    if (round_robin_) {
+      const int reg = ring_[head_];
+      head_ = (head_ + 1) % ring_.size();
+      return reg;
+    }
+    std::size_t w = 0;
+    while (bits_[w] == 0) ++w;
+    const int bit = __builtin_ctzll(bits_[w]);
+    bits_[w] &= bits_[w] - 1;
+    return static_cast<int>(w * 64) + bit;
+  }
+
+  void give(int reg) {
+    if (round_robin_) {
+      ring_[(head_ + size_) % ring_.size()] = reg;
+    } else {
+      bits_[static_cast<std::size_t>(reg) >> 6] |= std::uint64_t{1}
+                                                   << (reg & 63);
+    }
+    ++size_;
+  }
+
+ private:
+  bool round_robin_;
+  std::size_t size_;  ///< free registers
+  std::size_t head_ = 0;
+  std::vector<int> ring_;
+  std::vector<std::uint64_t> bits_;
+};
+
+}  // namespace
+
 std::vector<LiveRange> compute_live_ranges(
     const BasicBlock& block, const std::vector<TupleIndex>& order) {
   PS_CHECK(order.size() == block.size(), "order does not cover the block");
-  std::vector<int> pos_of(block.size(), -1);
-  for (std::size_t p = 0; p < order.size(); ++p) {
-    PS_CHECK(order[p] >= 0 &&
-                 static_cast<std::size_t>(order[p]) < block.size() &&
-                 pos_of[static_cast<std::size_t>(order[p])] < 0,
-             "order is not a permutation");
-    pos_of[static_cast<std::size_t>(order[p])] = static_cast<int>(p);
-  }
-
+  // range_of[t]: index of tuple t's range; -2 until t is placed, -1 when t
+  // has no result.
+  std::vector<int> range_of(block.size(), -2);
   std::vector<LiveRange> ranges;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const auto index = static_cast<TupleIndex>(i);
-    if (!opcode_has_result(block.tuple(index).op)) continue;
-    LiveRange r;
-    r.tuple = index;
-    r.def_pos = pos_of[i];
-    r.last_use_pos = pos_of[i];
-    ranges.push_back(r);
+  ranges.reserve(order.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const TupleIndex t = order[p];
+    PS_CHECK(t >= 0 && static_cast<std::size_t>(t) < block.size() &&
+                 range_of[static_cast<std::size_t>(t)] == -2,
+             "order is not a permutation");
+    if (!opcode_has_result(block.tuple(t).op)) {
+      range_of[static_cast<std::size_t>(t)] = -1;
+      continue;
+    }
+    range_of[static_cast<std::size_t>(t)] = static_cast<int>(ranges.size());
+    ranges.push_back({t, static_cast<int>(p), static_cast<int>(p)});
   }
 
   // Extend each range to its last reader's position.
-  std::vector<int> range_of(block.size(), -1);
-  for (std::size_t k = 0; k < ranges.size(); ++k) {
-    range_of[static_cast<std::size_t>(ranges[k].tuple)] = static_cast<int>(k);
-  }
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const Tuple& t = block.tuple(static_cast<TupleIndex>(i));
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const Tuple& t = block.tuple(order[p]);
     for (const Operand* o : {&t.a, &t.b}) {
       if (!o->is_ref()) continue;
       const int k = range_of[static_cast<std::size_t>(o->ref)];
       PS_ASSERT(k >= 0);
-      ranges[static_cast<std::size_t>(k)].last_use_pos =
-          std::max(ranges[static_cast<std::size_t>(k)].last_use_pos,
-                   pos_of[i]);
+      LiveRange& r = ranges[static_cast<std::size_t>(k)];
+      r.last_use_pos = std::max(r.last_use_pos, static_cast<int>(p));
     }
   }
-
-  std::sort(ranges.begin(), ranges.end(),
-            [](const LiveRange& a, const LiveRange& b) {
-              return a.def_pos < b.def_pos;
-            });
   return ranges;
 }
 
 int max_live(const std::vector<LiveRange>& ranges) {
   // Sweep positions: +1 at def, -1 after last use.
-  std::map<int, int> delta;
+  int end = 0;
+  for (const LiveRange& r : ranges) end = std::max(end, r.last_use_pos + 1);
+  std::vector<int> delta(static_cast<std::size_t>(end) + 1, 0);
   for (const LiveRange& r : ranges) {
-    delta[r.def_pos] += 1;
-    delta[r.last_use_pos + 1] -= 1;
+    ++delta[static_cast<std::size_t>(r.def_pos)];
+    --delta[static_cast<std::size_t>(r.last_use_pos) + 1];
   }
   int live = 0;
   int best = 0;
-  for (const auto& [pos, d] : delta) {
+  for (const int d : delta) {
     live += d;
     best = std::max(best, live);
   }
@@ -80,32 +127,44 @@ Allocation linear_scan(const BasicBlock& block,
   Allocation allocation;
   allocation.reg_of.assign(block.size(), -1);
 
-  // Free registers: LowestFree re-sorts so the lowest id is taken first;
-  // RoundRobin treats the pool as a FIFO, so a freed register goes to the
-  // back of the line and the whole file cycles before any reuse.
-  std::deque<int> free_regs;
-  for (int r = 0; r < num_registers; ++r) free_regs.push_back(r);
-  std::multimap<int, int> active;  // last_use_pos -> register
+  // Release order: a range frees its register before the first def after
+  // its last use. Ranges come in def order, which is allocation order, so
+  // a stable bucket sort by last use lists them by (last use, allocation
+  // order), the order in which the expiry loop must free them.
+  std::vector<int> by_last_use(ranges.size());
+  {
+    std::vector<int> bucket(order.size() + 1, 0);
+    for (const LiveRange& r : ranges) {
+      ++bucket[static_cast<std::size_t>(r.last_use_pos) + 1];
+    }
+    for (std::size_t p = 1; p < bucket.size(); ++p) bucket[p] += bucket[p - 1];
+    for (std::size_t k = 0; k < ranges.size(); ++k) {
+      by_last_use[static_cast<std::size_t>(
+          bucket[static_cast<std::size_t>(ranges[k].last_use_pos)]++)] =
+          static_cast<int>(k);
+    }
+  }
 
+  FreeRegisters free_regs(num_registers, policy);
+
+  std::size_t released = 0;
   int highest_used = -1;
   for (const LiveRange& range : ranges) {
     // Expire ranges whose value is dead before this def.
-    while (!active.empty() && active.begin()->first < range.def_pos) {
-      free_regs.push_back(active.begin()->second);
-      active.erase(active.begin());
-    }
-    if (policy == AllocPolicy::LowestFree) {
-      std::sort(free_regs.begin(), free_regs.end());
+    while (released < by_last_use.size()) {
+      const LiveRange& dead = ranges[static_cast<std::size_t>(
+          by_last_use[released])];
+      if (dead.last_use_pos >= range.def_pos) break;
+      free_regs.give(allocation.reg_of[static_cast<std::size_t>(dead.tuple)]);
+      ++released;
     }
     PS_CHECK(!free_regs.empty(),
              "register allocation requires spill code: block needs more than "
                  << num_registers << " registers (MAXLIVE = "
                  << max_live(ranges) << ")");
-    const int reg = free_regs.front();
-    free_regs.pop_front();
+    const int reg = free_regs.take();
     allocation.reg_of[static_cast<std::size_t>(range.tuple)] = reg;
     highest_used = std::max(highest_used, reg);
-    active.emplace(range.last_use_pos, reg);
   }
   allocation.registers_used = highest_used + 1;
   return allocation;

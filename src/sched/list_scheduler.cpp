@@ -1,6 +1,7 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/check.hpp"
 
@@ -17,18 +18,23 @@ std::vector<TupleIndex> list_schedule_order(const DepGraph& dag) {
   // Ready list kept sorted lazily: with blocks of a few dozen instructions a
   // linear scan per pick is faster than a heap and keeps ties deterministic.
   std::vector<TupleIndex> ready;
+  ready.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (unplaced_preds[i] == 0) ready.push_back(static_cast<TupleIndex>(i));
   }
 
+  // Rank key: height above descendant count, so a larger key is better;
+  // ties go to the lower tuple index.
+  std::vector<std::uint64_t> key(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto index = static_cast<TupleIndex>(i);
+    key[i] = static_cast<std::uint64_t>(dag.height(index)) << 32 |
+             dag.descendants(index).count();
+  }
   auto better = [&](TupleIndex a, TupleIndex b) {
-    const int ha = dag.height(a);
-    const int hb = dag.height(b);
-    if (ha != hb) return ha > hb;
-    const auto da = dag.descendants(a).count();
-    const auto db = dag.descendants(b).count();
-    if (da != db) return da > db;
-    return a < b;
+    const std::uint64_t ka = key[static_cast<std::size_t>(a)];
+    const std::uint64_t kb = key[static_cast<std::size_t>(b)];
+    return ka != kb ? ka > kb : a < b;
   };
 
   std::vector<TupleIndex> order;

@@ -145,7 +145,7 @@ std::vector<int> equivalence_classes(const Machine& machine,
   // successor sets when the lists are equally long and every successor of
   // one has the other among its predecessors.
   const auto same_succs = [&](std::size_t i, std::size_t j) {
-    const auto& succs_i = dag.succs(static_cast<TupleIndex>(i));
+    const auto succs_i = dag.succs(static_cast<TupleIndex>(i));
     return succs_i.size() == dag.succs(static_cast<TupleIndex>(j)).size() &&
            std::all_of(succs_i.begin(), succs_i.end(), [&](TupleIndex s) {
              return dag.pred_set(s).test(j);
