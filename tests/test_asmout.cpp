@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "asmout/emitter.hpp"
 #include "ir/block_parser.hpp"
@@ -143,6 +145,57 @@ TEST(Emitter, CommentsShowIssueCyclesAndUnits) {
   EXPECT_NE(text.find("; cycle 1"), std::string::npos);
   EXPECT_NE(text.find("loader"), std::string::npos);
   EXPECT_NE(text.find("multiplier"), std::string::npos);
+}
+
+// Lines longer than the comment column keep every character: the comment
+// follows after one space instead of cutting the operands or the delay
+// annotation off.
+TEST(Emitter, CommentsNeverCutLongLines) {
+  const Machine machine = Machine::paper_simulation();
+  const Prepared p = prepare(
+      "1: Const \"1126107852194438\"\n"
+      "2: Load #thirty_character_variable_name\n"
+      "3: Add 1, 2\n"
+      "4: Store #thirty_character_variable_name, 3\n",
+      machine);
+  for (const DelayMechanism mechanism :
+       {DelayMechanism::NopPadding, DelayMechanism::ImplicitInterlock,
+        DelayMechanism::ExplicitInterlock, DelayMechanism::TeraCount,
+        DelayMechanism::CarpMask}) {
+    SCOPED_TRACE(static_cast<int>(mechanism));
+    EmitOptions options;
+    options.mechanism = mechanism;
+    options.comments = false;
+    const std::string bare =
+        emit_assembly(p.block, machine, p.schedule, p.allocation, options);
+    options.comments = true;
+    const std::string annotated =
+        emit_assembly(p.block, machine, p.schedule, p.allocation, options);
+    EXPECT_NE(bare.find(", thirty_character_variable_name",
+                        bare.find("    st   ")),
+              std::string::npos);
+    EXPECT_NE(bare.find(", #1126107852194438"), std::string::npos);
+
+    // Each annotated line is its bare line, padded to column 36 or
+    // followed by one space, then the comment.
+    std::istringstream bare_lines(bare);
+    std::istringstream annotated_lines(annotated);
+    std::string want;
+    std::string got;
+    while (std::getline(bare_lines, want)) {
+      ASSERT_TRUE(std::getline(annotated_lines, got));
+      if (want == "    nop") {
+        EXPECT_EQ(got, want);
+        continue;
+      }
+      const std::size_t column = std::max<std::size_t>(36, want.size() + 1);
+      ASSERT_GT(got.size(), column);
+      EXPECT_EQ(got.substr(0, want.size()), want);
+      EXPECT_EQ(got.find_first_not_of(' ', want.size()), column);
+      EXPECT_EQ(got.compare(column, 8, "; cycle "), 0) << got;
+    }
+    EXPECT_FALSE(std::getline(annotated_lines, got));
+  }
 }
 
 }  // namespace
