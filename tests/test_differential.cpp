@@ -229,5 +229,29 @@ TEST(DominanceCache, ForcedCollisionIsRejectedNotTrusted) {
             cache.stats().probes);
 }
 
+TEST(DominanceCache, EverySearchStartsOnAnEmptyTable) {
+  // Each cache borrows its thread's initial table and takes the next
+  // 16-bit generation, so a state an earlier search stored reads as
+  // unknown. The generation comes round again after 65,535 searches, so
+  // the wrap must clear the table: kKept is stored once and probed again
+  // exactly one cycle later. A second cache alive on the same thread
+  // starts on its own table.
+  constexpr std::uint64_t kKey = 1000;
+  constexpr std::uint64_t kKept = kKey + 512;  // another probe window
+  constexpr int kCycle = 65535;
+  for (int search = 0; search <= kCycle; ++search) {
+    DominanceCache cache(kSearchMemoBytes);
+    ASSERT_FALSE(cache.probe_and_update(kKey, 1, 3, 7)) << search;
+    ASSERT_TRUE(cache.probe_and_update(kKey, 1, 3, 7)) << search;
+    if (search == 0 || search == kCycle) {
+      EXPECT_FALSE(cache.probe_and_update(kKept, 2, 3, 7)) << search;
+    }
+    if (search == 1) {
+      DominanceCache nested(kSearchMemoBytes);
+      EXPECT_FALSE(nested.probe_and_update(kKey, 1, 3, 7));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pipesched
