@@ -1,5 +1,7 @@
 #include "core/compiler.hpp"
 
+#include <numeric>
+
 #include "frontend/codegen.hpp"
 #include "frontend/opt/passes.hpp"
 #include "frontend/parser.hpp"
@@ -30,15 +32,27 @@ BasicBlock prepare_block(const BasicBlock& block,
 }  // namespace
 
 CompileResult compile_block(const BasicBlock& block,
-                            const CompileOptions& options) {
-  // The Figure 2 pipeline as nested trace spans: optimize -> DAG build
-  // -> schedule -> regalloc -> emit, all under one compile_block parent.
+                            const CompileOptions& options,
+                            const PipelineState& entry) {
+  // The Figure 2 pipeline as nested trace spans: optimize -> (spill) ->
+  // DAG build -> schedule -> regalloc -> emit, under one compile_block.
   PS_TRACE_SPAN("compile_block");
+  const int ceiling = options.search.max_live_registers;
+  PS_CHECK(ceiling <= 0 || options.scheduler == SchedulerKind::Optimal,
+           "a register ceiling needs the optimal scheduler");
   CompileResult result;
   {
     PS_COMPILE_STAGE("optimize");
     result.block = prepare_block(block, options);
     result.block.validate();
+  }
+
+  // Section 3.1: spill until the (safe) original order fits the ceiling.
+  if (ceiling > 0 && block_max_live(result.block) > ceiling) {
+    PS_COMPILE_STAGE("spill");
+    SpillResult spilled = insert_spill_code(result.block, ceiling);
+    result.block = std::move(spilled.block);
+    result.values_spilled = spilled.values_spilled;
   }
 
   const DepGraph dag = [&] {
@@ -47,16 +61,25 @@ CompileResult compile_block(const BasicBlock& block,
   }();
   {
     PS_COMPILE_STAGE("schedule");
-    ScheduleResult scheduled =
-        run_scheduler(options.scheduler, options.machine, dag, options.search);
+    ScheduleResult scheduled = run_scheduler(
+        options.scheduler, options.machine, dag, options.search, entry);
     result.schedule = std::move(scheduled.schedule);
     result.stats = scheduled.stats;
+  }
+  if (!result.stats.feasible) {
+    // No schedule fits the ceiling: the post-spill original order does,
+    // by construction.
+    std::vector<TupleIndex> order(result.block.size());
+    std::iota(order.begin(), order.end(), TupleIndex{0});
+    result.schedule = evaluate_order(options.machine, dag, order, entry);
+    result.stats.best_nops = result.schedule.total_nops();
   }
   {
     PS_COMPILE_STAGE("regalloc");
     result.allocation =
         linear_scan(result.block, result.schedule.order, options.registers);
   }
+  PS_ASSERT(ceiling <= 0 || result.allocation.registers_used <= ceiling);
   {
     PS_COMPILE_STAGE("emit");
     result.assembly = emit_assembly(result.block, options.machine,
@@ -81,58 +104,11 @@ RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
                                                   CompileOptions options) {
   PS_CHECK(options.registers >= 3,
            "register-limited compilation needs at least 3 registers");
+  options.scheduler = SchedulerKind::Optimal;
+  options.search.max_live_registers = options.registers;
   RegisterLimitedResult result;
-  CompileResult& out = result.compiled;
-
-  PS_TRACE_SPAN("compile_register_limited");
-  {
-    PS_COMPILE_STAGE("optimize");
-    out.block = prepare_block(block, options);
-  }
-
-  // Step 2: spill until the (safe) original order fits the file.
-  if (block_max_live(out.block) > options.registers) {
-    PS_COMPILE_STAGE("spill");
-    SpillResult spilled = insert_spill_code(out.block, options.registers);
-    out.block = std::move(spilled.block);
-    result.values_spilled = spilled.values_spilled;
-  }
-
-  // Step 3: pressure-constrained search.
-  const DepGraph dag = [&] {
-    PS_COMPILE_STAGE("dag_build");
-    return DepGraph(out.block);
-  }();
-  SearchConfig search = options.search;
-  search.max_live_registers = options.registers;
-  const ScheduleResult searched = [&] {
-    PS_COMPILE_STAGE("schedule");
-    return run_optimal_backend(options.machine, dag, search);
-  }();
-  out.stats = searched.stats;
-  if (searched.stats.feasible) {
-    out.schedule = searched.schedule;
-  } else {
-    // The post-spill original order is feasible by construction.
-    std::vector<TupleIndex> order(out.block.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<TupleIndex>(i);
-    }
-    out.schedule = evaluate_order(options.machine, dag, order);
-    out.stats.best_nops = out.schedule.total_nops();
-  }
-
-  {
-    PS_COMPILE_STAGE("regalloc");
-    out.allocation =
-        linear_scan(out.block, out.schedule.order, options.registers);
-  }
-  PS_ASSERT(out.allocation.registers_used <= options.registers);
-  {
-    PS_COMPILE_STAGE("emit");
-    out.assembly = emit_assembly(out.block, options.machine, out.schedule,
-                                 out.allocation, options.emit);
-  }
+  result.compiled = compile_block(block, options);
+  result.values_spilled = result.compiled.values_spilled;
   return result;
 }
 

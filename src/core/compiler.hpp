@@ -19,6 +19,7 @@
 #include "sched/optimal_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/timing.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -47,7 +48,8 @@ LogHistogram& compile_stage_histogram(const char* stage);
 struct CompileOptions {
   Machine machine = Machine::paper_simulation();
   SchedulerKind scheduler = SchedulerKind::Optimal;
-  SearchConfig search;      ///< used by SchedulerKind::Optimal
+  SearchConfig search;      ///< used by SchedulerKind::Optimal; its
+                            ///< max_live_registers is the register ceiling
   bool optimize = true;     ///< run the standard pass pipeline first
   bool reassociate = false; ///< + reassociation (balances Add/Mul trees to
                             ///< shorten the critical path; extension pass)
@@ -61,35 +63,40 @@ struct CompileResult {
   SearchStats stats;      ///< search counters (Optimal); timing for others
   Allocation allocation;
   std::string assembly;
+  int values_spilled = 0; ///< spill temporaries a register ceiling added
 };
 
 /// Parse, optimize, schedule, allocate and emit one source block.
 CompileResult compile_source(const std::string& source,
                              const CompileOptions& options = {});
 
-/// Same pipeline starting from already-generated tuple code.
+/// Same pipeline starting from already-generated tuple code, with the
+/// pipelines in state `entry` at block entry (drained when empty; see
+/// exit_state_after for chaining blocks). This is the one function that
+/// runs a block through the back end; every other driver calls it.
+///
+/// A register ceiling R = options.search.max_live_registers > 0 applies
+/// Section 3.1's discipline. Spill code is inserted before scheduling
+/// until the original order fits R, so allocation afterwards never needs
+/// new spills, and the search is barred from exceeding R. When the search
+/// ends without a schedule (stats.outcome() is Infeasible or NoSchedule),
+/// the post-spill original order is emitted and its NOPs are reported in
+/// stats.best_nops. A ceiling needs SchedulerKind::Optimal, the only
+/// scheduler that honours it, and R >= 3 whenever spill code is needed.
 CompileResult compile_block(const BasicBlock& block,
-                            const CompileOptions& options = {});
+                            const CompileOptions& options = {},
+                            const PipelineState& entry = {});
 
-/// Outcome of register-limited compilation (Section 3.1's discipline):
-/// spill code is created BEFORE scheduling so that allocation afterwards
-/// can never need new spills, and the scheduler itself is barred from
-/// exceeding the register file. When the search ends without a schedule
-/// (compiled.stats.outcome() is Infeasible or NoSchedule), the safe
-/// post-spill original order is emitted and its NOPs are reported in
-/// compiled.stats.best_nops.
+/// Outcome of register-limited compilation; values_spilled repeats
+/// compiled.values_spilled.
 struct RegisterLimitedResult {
   CompileResult compiled;
   int values_spilled = 0;       ///< spill temporaries introduced
 };
 
-/// Compile `block` so the final code provably fits in
-/// `options.registers` registers:
-///   1. optimize;
-///   2. insert spill code until original-order pressure fits;
-///   3. run the pressure-constrained optimal scheduler;
-///   4. allocate (guaranteed spill-free) and emit.
-/// Requires options.registers >= 3.
+/// compile_block under a ceiling of `options.registers`, on the optimal
+/// scheduler whatever options.scheduler says, so the final code provably
+/// fits the register file. Requires options.registers >= 3.
 RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
                                                   CompileOptions options);
 

@@ -23,10 +23,10 @@ bool PipelineState::is_drained() const {
   // A unit still constrains the entering block when last + enqueue > 1.
   // Without a Machine at hand the enqueue time is unknown, so split the
   // range at kUnitIdle / 2: genuine residues are small negative cycle
-  // numbers (a predecessor block's recent issues, clamped at kUnitIdle by
-  // exit_state()), while only the idle sentinel's neighborhood lies at or
-  // below half the sentinel — no valid enqueue time can bridge 500,000
-  // cycles. The previous fixed -1000 cutoff misclassified residues in
+  // numbers (a predecessor block's recent issues, clamped at kUnitIdle
+  // by exit_state_after()), while only the idle sentinel's neighborhood
+  // lies at or below half the sentinel — no valid enqueue time can bridge
+  // 500,000 cycles. The previous fixed -1000 cutoff misclassified residues in
   // (kUnitIdle, -1000] as drained for enqueue times above 1000 cycles.
   for (int last : unit_last_issue) {
     if (last > kUnitIdle / 2) return false;
@@ -170,13 +170,23 @@ void PipelineTimer::clear() {
   while (!placements_.empty()) pop();
 }
 
-PipelineState PipelineTimer::exit_state() const {
-  PipelineState state;
-  const int exit_cycle = last_issue_cycle();
-  state.unit_last_issue.reserve(unit_last_issue_.size());
-  for (int last : unit_last_issue_) {
-    state.unit_last_issue.push_back(
-        std::max(kUnitIdle, last - exit_cycle));
+PipelineState exit_state_after(const Machine& machine,
+                               const Schedule& schedule,
+                               const PipelineState& entry) {
+  PipelineState state =
+      entry.unit_last_issue.empty() ? PipelineState::drained(machine) : entry;
+  PS_CHECK(state.unit_last_issue.size() == machine.pipeline_count(),
+           "pipeline state does not match the machine's unit count");
+  // Issue cycles rise along the schedule, so each unit keeps its last.
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    if (schedule.unit[i] != kNoPipeline) {
+      state.unit_last_issue[static_cast<std::size_t>(schedule.unit[i])] =
+          schedule.issue_cycle[i];
+    }
+  }
+  const int exit_cycle = schedule.completion_cycle();
+  for (int& last : state.unit_last_issue) {
+    last = std::max(kUnitIdle, last - exit_cycle);
   }
   return state;
 }

@@ -100,10 +100,6 @@ class PipelineTimer {
   /// Snapshot the current (complete or partial) schedule.
   Schedule snapshot() const;
 
-  /// Residual occupancy seen by a block that starts right after the
-  /// current last issue (for chaining across a fall-through edge).
-  PipelineState exit_state() const;
-
   /// Reset to the empty schedule (initial conditions are kept).
   void clear();
 
@@ -136,6 +132,15 @@ class PipelineTimer {
   std::vector<int> unit_last_issue_;   // per pipeline unit, 0 = never used
   int total_nops_ = 0;
 };
+
+/// Residual occupancy seen by a block that starts right after the last
+/// issue of `schedule`, which began in state `entry` (drained when empty):
+/// each unit's last issue comes from the schedule's issue_cycle and unit
+/// rows, or from `entry` when the schedule never used it. For chaining
+/// across a fall-through edge.
+PipelineState exit_state_after(const Machine& machine,
+                               const Schedule& schedule,
+                               const PipelineState& entry = {});
 
 /// Evaluate a complete order from scratch: the O(n) procedure "Q" of
 /// Section 2.3. Throws Error if `order` is not a legal topological order.

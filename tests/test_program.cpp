@@ -288,5 +288,39 @@ TEST(ProgramCompiler, ChainedEntryStateDelaysConflictingOps) {
             drained.blocks[1].schedule.total_nops());
 }
 
+TEST(ProgramCompiler, HonoursReassociationLikeCompileBlock) {
+  // Every block goes through compile_block, so reassociation reshapes a
+  // loop body's Add/Mul chains exactly as it does on its own.
+  const Program prog = generate_program(parse_source(
+      "acc = 0;\n"
+      "while (n) {\n"
+      "  t = a + b + c + d + e + f;\n"
+      "  acc = acc * t * g * h * i;\n"
+      "  n = n - 1;\n"
+      "}\n"
+      "out = acc;\n"));
+  ProgramCompileOptions options;
+  options.block.search.curtail_lambda = 2000;
+  options.block.reassociate = true;
+  const ProgramCompileResult result = compile_program(prog, options);
+  ASSERT_EQ(result.blocks.size(), prog.size());
+
+  CompileOptions plain = options.block;
+  plain.reassociate = false;
+  bool reshaped = false;
+  for (std::size_t i = 0; i < prog.size(); ++i) {
+    BasicBlock body = prog.block(static_cast<BlockId>(i)).block;
+    body.set_label("");
+    BasicBlock compiled = result.blocks[i].optimized;
+    compiled.set_label("");
+    EXPECT_EQ(compiled.to_string(),
+              compile_block(body, options.block).block.to_string())
+        << "block " << i;
+    reshaped |= compiled.to_string() !=
+                compile_block(body, plain).block.to_string();
+  }
+  EXPECT_TRUE(reshaped);
+}
+
 }  // namespace
 }  // namespace pipesched

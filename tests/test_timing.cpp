@@ -274,9 +274,9 @@ TEST(Timing, ExitStateRoundTripsThroughChainedTimers) {
   for (int i = 0; i < 3; ++i) first.push(order[static_cast<std::size_t>(i)]);
   // NOTE: dependences crossing the cut live in the same DAG, so the
   // second timer must also know the first half's issue cycles — chain by
-  // continuing the SAME timer; exit_state() covers unit occupancy for
-  // blocks with no cross-cut value dependences.
-  const PipelineState exit_state = first.exit_state();
+  // continuing the SAME timer; exit_state_after() covers unit occupancy
+  // for blocks with no cross-cut value dependences.
+  const PipelineState exit_state = exit_state_after(m, first.snapshot());
   for (std::size_t u = 0; u < m.pipeline_count(); ++u) {
     EXPECT_LE(exit_state.unit_last_issue[u], 0);
   }
