@@ -63,12 +63,12 @@ std::string compact_double(double v, int digits) {
 }
 
 std::string pad_right(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s.substr(0, width);
+  if (s.size() >= width) return s;
   return s + std::string(width - s.size(), ' ');
 }
 
 std::string pad_left(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s.substr(0, width);
+  if (s.size() >= width) return s;
   return std::string(width - s.size(), ' ') + s;
 }
 

@@ -22,10 +22,11 @@ std::string with_commas(unsigned long long n);
 /// Format a double with `digits` significant digits, scientific when large.
 std::string compact_double(double v, int digits = 3);
 
-/// Pad or truncate to an exact column width (left-aligned).
+/// Pad with spaces to at least `width` columns (left-aligned). Text at
+/// or over the width comes back whole: a column never cuts a number.
 std::string pad_right(const std::string& s, std::size_t width);
 
-/// Pad on the left (right-aligned).
+/// Pad on the left (right-aligned); longer text comes back whole.
 std::string pad_left(const std::string& s, std::size_t width);
 
 }  // namespace pipesched

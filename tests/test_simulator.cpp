@@ -3,11 +3,16 @@
 // paper's point that the delay mechanism is orthogonal to scheduling.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "ir/block_parser.hpp"
 #include "ir/dag.hpp"
 #include "sched/greedy_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/optimal_scheduler.hpp"
+#include "sched/timing.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 
@@ -141,6 +146,40 @@ TEST(Simulator, TraceRendersOccupancy) {
   EXPECT_NE(trace.find("cycle"), std::string::npos);
   EXPECT_NE(trace.find("loader"), std::string::npos);
   EXPECT_NE(trace.find("multiplier"), std::string::npos);
+}
+
+TEST(Simulator, ListingAndTraceKeepFourDigitCycles) {
+  // A chain of 401 dependent multiplies runs past cycle 1,000; every
+  // "cycle N" line of the schedule listing must name its own cycle, and
+  // the occupancy trace's header must hold 1000 whole.
+  std::string text = "1: Load #a\n";
+  for (int i = 2; i <= 402; ++i) {
+    text += std::to_string(i) + ": Mul " + std::to_string(i - 1) + ", " +
+            std::to_string(i - 1) + "\n";
+  }
+  const BasicBlock block = parse_block(text);
+  const Machine machine = Machine::paper_simulation();
+  const DepGraph dag(block);
+  std::vector<TupleIndex> order(block.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<TupleIndex>(i);
+  }
+  const Schedule schedule = evaluate_order(machine, dag, order);
+  ASSERT_GT(schedule.completion_cycle(), 1000);
+
+  std::istringstream listing(schedule.to_string(block, machine));
+  std::string line;
+  int cycle = 0;
+  while (std::getline(listing, line) && line.rfind("cycle ", 0) == 0) {
+    ++cycle;
+    EXPECT_EQ(std::stoi(line.substr(6, line.find(':') - 6)), cycle) << line;
+  }
+  EXPECT_EQ(cycle, schedule.completion_cycle());
+
+  const std::string trace = render_pipeline_trace(
+      machine, block, simulate_interlocked(machine, dag, order));
+  const std::string header = trace.substr(0, trace.find('\n'));
+  EXPECT_NE(header.find("1000"), std::string::npos) << header.substr(0, 80);
 }
 
 TEST(Simulator, ParallelUnitsAbsorbConflicts) {

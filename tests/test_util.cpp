@@ -191,7 +191,7 @@ TEST(Strings, TrimAndSplit) {
 TEST(Strings, Padding) {
   EXPECT_EQ(pad_right("ab", 5), "ab   ");
   EXPECT_EQ(pad_left("ab", 5), "   ab");
-  EXPECT_EQ(pad_right("abcdef", 3), "abc");
+  EXPECT_EQ(pad_right("abcdef", 3), "abcdef");
 }
 
 TEST(Csv, QuotesSpecialCharacters) {
