@@ -73,7 +73,10 @@ int main() {
             ? 100.0 * (nops - free_nops.mean()) / free_nops.mean()
             : 0.0;
     std::cout << pad_right(name, 34) << pad_left(compact_double(nops, 4), 16)
-              << pad_left("+" + compact_double(overhead, 3) + "%", 12)
+              << pad_left(std::string("+")
+                              .append(compact_double(overhead, 3))
+                              .append("%"),
+                          12)
               << "\n";
     csv.row_of(name, nops, overhead);
   };

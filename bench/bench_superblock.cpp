@@ -25,7 +25,7 @@ using namespace pipesched;
 Program fractured_program(const SourceProgram& source) {
   Program program;
   for (std::size_t s = 0; s < source.statements.size(); ++s) {
-    BlockEmitter emitter("s" + std::to_string(s));
+    BlockEmitter emitter(std::string("s").append(std::to_string(s)));
     const Stmt& stmt = source.statements[s];
     emitter.emit_assign(stmt.target, *stmt.value);
     const BlockId id = program.add_block();

@@ -92,7 +92,7 @@ int main() {
     const std::string exhaustive = factorial_pretty(static_cast<int>(row.size));
     const std::uint64_t legal = count_topological_orders(dag, kLegalCap);
     const std::string legal_text =
-        legal >= kLegalCap ? ">" + with_commas(kLegalCap)
+        legal >= kLegalCap ? std::string(">").append(with_commas(kLegalCap))
                            : with_commas(legal);
 
     SearchConfig config = paper.search;

@@ -87,7 +87,10 @@ int main(int argc, char** argv) {
                   static_cast<double>(optimal_total)
             : 0.0;
     std::cout << pad_right(name, 12) << pad_left(std::to_string(t.total_nops), 12)
-              << pad_left("+" + compact_double(excess, 3) + "%", 12)
+              << pad_left(std::string("+")
+                              .append(compact_double(excess, 3))
+                              .append("%"),
+                          12)
               << pad_left(std::to_string(t.ties_optimal) + "/" +
                               std::to_string(scheduled),
                           11)

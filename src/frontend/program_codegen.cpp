@@ -22,7 +22,7 @@ class ProgramLowerer {
  private:
   void open() {
     emitter_ = std::make_unique<BlockEmitter>(
-        "b" + std::to_string(program_.size()));
+        std::string("b").append(std::to_string(program_.size())));
   }
 
   /// Close the block under construction with `term`; returns its id and

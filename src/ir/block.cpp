@@ -115,7 +115,7 @@ std::string BasicBlock::operand_to_string(const Operand& o) const {
     case Operand::Kind::Ref:
       return std::to_string(o.ref + 1);  // 1-based, as in the paper
     case Operand::Kind::Imm:
-      return "\"" + std::to_string(o.imm) + "\"";
+      return std::string("\"").append(std::to_string(o.imm)).append("\"");
   }
   return "?";
 }

@@ -134,7 +134,8 @@ std::string program_to_text(const Program& program) {
   for (std::size_t i = 0; i < program.size(); ++i) {
     const std::string& label =
         program.block(static_cast<BlockId>(i)).block.label();
-    labels[i] = label.empty() ? "b" + std::to_string(i) : label;
+    labels[i] =
+        label.empty() ? std::string("b").append(std::to_string(i)) : label;
   }
 
   std::ostringstream oss;

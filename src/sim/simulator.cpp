@@ -199,7 +199,7 @@ std::string render_pipeline_trace(const Machine& machine,
   for (const SimEvent& e : result.trace) {
     if (e.cycle < 1 || e.cycle > last) continue;
     if (e.tuple < 0) {
-      issue_row[static_cast<std::size_t>(e.cycle)] = "-";
+      issue_row[static_cast<std::size_t>(e.cycle)] = '-';
       continue;
     }
     const std::string label = std::to_string(e.tuple + 1);

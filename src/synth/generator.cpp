@@ -51,7 +51,7 @@ class SourceGenerator {
     PS_CHECK(params.variables >= 1, "need at least one variable");
     PS_CHECK(params.constants >= 1, "need at least one constant");
     for (int v = 0; v < params.variables; ++v) {
-      variables_.push_back("v" + std::to_string(v));
+      variables_.push_back(std::string("v").append(std::to_string(v)));
     }
     // Distinct small constants; values themselves are immaterial to the
     // scheduling problem but kept distinct so CSE behaves realistically.

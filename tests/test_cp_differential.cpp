@@ -35,7 +35,7 @@ Machine random_machine(Rng& rng) {
   Machine machine("diff-random");
   const int units = 1 + static_cast<int>(rng.next_below(4));
   for (int u = 0; u < units; ++u) {
-    machine.add_pipeline("u" + std::to_string(u),
+    machine.add_pipeline(std::string("u").append(std::to_string(u)),
                          1 + static_cast<int>(rng.next_below(6)),
                          1 + static_cast<int>(rng.next_below(4)));
   }

@@ -202,7 +202,8 @@ TEST(Dag, DotRenderingContainsAllNodes) {
   const BasicBlock block = parse_block(kFigure3);
   const std::string dot = DepGraph(block).to_dot();
   for (int i = 1; i <= 5; ++i) {
-    EXPECT_NE(dot.find("n" + std::to_string(i) + " ["), std::string::npos);
+    EXPECT_NE(dot.find(std::string("n").append(std::to_string(i)).append(" [")),
+              std::string::npos);
   }
   EXPECT_NE(dot.find("anti"), std::string::npos);
 }

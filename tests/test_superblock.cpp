@@ -185,7 +185,7 @@ TEST(Superblock, FracturedChainsCompileIdenticallyAfterMerge) {
 
     ProgramEnv env;
     for (int v = 0; v < params.variables; ++v) {
-      env["v" + std::to_string(v)] = rng.next_in(-30, 30);
+      env[std::string("v").append(std::to_string(v))] = rng.next_in(-30, 30);
     }
     EXPECT_EQ(interpret_program(fractured, env).final_vars,
               interpret_program(merged.program, env).final_vars)

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, three times over:
-#   1. Release       — the configuration the benches and users run;
+#   1. Release       — the configuration the benches and users run,
+#      built with -Werror so a new warning fails the lane;
 #   2. Debug + ASan/UBSan (-DPIPESCHED_SANITIZE=address,undefined) — the
 #      configuration that catches lifetime and UB bugs the optimizer hides;
 #   3. Debug + TSan (-DPIPESCHED_SANITIZE=thread), focused on the
@@ -29,7 +30,7 @@ run_suite() {
   ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
 }
 
-run_suite build-ci-release -DCMAKE_BUILD_TYPE=Release
+run_suite build-ci-release -DCMAKE_BUILD_TYPE=Release -DPIPESCHED_WERROR=ON
 
 run_suite build-ci-sanitize \
   -DCMAKE_BUILD_TYPE=Debug \
