@@ -65,21 +65,26 @@ echo "==== TSan: corpus runner (pool workers writing per-block records) ===="
 # exact-count fingerprint that repeats in every pass — and that
 # fingerprint must equal the workload's committed line in
 # tools/perfbench_fingerprints.txt, so a change that moves the search on
-# every pass fails too. A non-zero exit is a failed check, not a slow
-# run: timing is not gated here.
+# every pass fails too. Each workload runs at the default seed and at
+# --seed 7, whose line is keyed "W --seed 7". A non-zero exit is a failed
+# check, not a slow run: timing is not gated here.
 for workload in corpus large_blocks regs_tight; do
-  echo "==== perfbench smoke: ${workload} ===="
-  report="$(mktemp)"
-  python3 perfbench/run.py --workload "${workload}" --seconds 3 --trace 0 |
-    tee "${report}"
-  if ! diff <(grep "^${workload}: " tools/perfbench_fingerprints.txt) \
-      <(sed -n "s/^fingerprint (identical in every pass): /${workload}: /p" \
-        "${report}"); then
-    echo "perfbench ${workload}: fingerprint differs from" \
-      "tools/perfbench_fingerprints.txt" >&2
-    exit 1
-  fi
-  rm -f "${report}"
+  for seed_args in "" "--seed 7"; do
+    key="${workload}${seed_args:+ ${seed_args}}"
+    echo "==== perfbench smoke: ${key} ===="
+    report="$(mktemp)"
+    # shellcheck disable=SC2086  # seed_args is empty or two words
+    python3 perfbench/run.py --workload "${workload}" ${seed_args} \
+      --seconds 3 --trace 0 | tee "${report}"
+    if ! diff <(grep "^${key}: " tools/perfbench_fingerprints.txt) \
+        <(sed -n "s/^fingerprint (identical in every pass): /${key}: /p" \
+          "${report}"); then
+      echo "perfbench ${key}: fingerprint differs from" \
+        "tools/perfbench_fingerprints.txt" >&2
+      exit 1
+    fi
+    rm -f "${report}"
+  done
 done
 
 # Traced corpus smoke, in BOTH configurations: a small corpus run with
