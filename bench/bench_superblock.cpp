@@ -25,9 +25,9 @@ using namespace pipesched;
 Program fractured_program(const SourceProgram& source) {
   Program program;
   for (std::size_t s = 0; s < source.statements.size(); ++s) {
-    BlockEmitter emitter(std::string("s").append(std::to_string(s)));
+    BlockEmitter emitter(source, std::string("s").append(std::to_string(s)));
     const Stmt& stmt = source.statements[s];
-    emitter.emit_assign(stmt.target, *stmt.value);
+    emitter.emit_assign(stmt.target, stmt.value);
     const BlockId id = program.add_block();
     program.block_mut(id).block = emitter.take();
     program.block_mut(id).term =

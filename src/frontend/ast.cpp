@@ -1,157 +1,163 @@
 #include "frontend/ast.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 #include "util/check.hpp"
 
 namespace pipesched {
 
-ExprPtr Expr::make_number(std::int64_t value) {
-  auto e = std::make_unique<Expr>();
-  e->kind = Kind::Number;
-  e->number = value;
-  return e;
+ExprId SourceProgram::make_number(std::int64_t value) {
+  Expr e;
+  e.kind = Expr::Kind::Number;
+  e.number = value;
+  exprs.push_back(e);
+  return static_cast<ExprId>(exprs.size() - 1);
 }
 
-ExprPtr Expr::make_variable(std::string name) {
-  auto e = std::make_unique<Expr>();
-  e->kind = Kind::Variable;
-  e->variable = std::move(name);
-  return e;
+ExprId SourceProgram::make_variable(std::string_view name) {
+  Expr e;
+  e.kind = Expr::Kind::Variable;
+  e.variable = names.intern(name);
+  exprs.push_back(e);
+  return static_cast<ExprId>(exprs.size() - 1);
 }
 
-ExprPtr Expr::make_negate(ExprPtr operand) {
-  PS_ASSERT(operand);
-  auto e = std::make_unique<Expr>();
-  e->kind = Kind::Negate;
-  e->height = operand->height + 1;
-  e->lhs = std::move(operand);
-  return e;
+ExprId SourceProgram::make_negate(ExprId operand) {
+  Expr e;
+  e.kind = Expr::Kind::Negate;
+  e.height = expr(operand).height + 1;
+  e.lhs = operand;
+  exprs.push_back(e);
+  return static_cast<ExprId>(exprs.size() - 1);
 }
 
-ExprPtr Expr::make_binary(Kind kind, ExprPtr lhs, ExprPtr rhs) {
-  PS_ASSERT(kind == Kind::Add || kind == Kind::Sub || kind == Kind::Mul ||
-            kind == Kind::Div);
-  PS_ASSERT(lhs && rhs);
-  auto e = std::make_unique<Expr>();
-  e->kind = kind;
-  e->height = std::max(lhs->height, rhs->height) + 1;
-  e->lhs = std::move(lhs);
-  e->rhs = std::move(rhs);
-  return e;
+ExprId SourceProgram::make_binary(Expr::Kind kind, ExprId lhs, ExprId rhs) {
+  PS_ASSERT(kind == Expr::Kind::Add || kind == Expr::Kind::Sub ||
+            kind == Expr::Kind::Mul || kind == Expr::Kind::Div);
+  Expr e;
+  e.kind = kind;
+  e.height = std::max(expr(lhs).height, expr(rhs).height) + 1;
+  e.lhs = lhs;
+  e.rhs = rhs;
+  exprs.push_back(e);
+  return static_cast<ExprId>(exprs.size() - 1);
 }
 
-Stmt Stmt::assign(std::string target, ExprPtr value) {
-  PS_ASSERT(value);
+Stmt Stmt::assign(NameId target, ExprId value) {
+  PS_ASSERT(target >= 0 && value >= 0);
   Stmt s;
   s.kind = Kind::Assign;
-  s.target = std::move(target);
-  s.value = std::move(value);
+  s.target = target;
+  s.value = value;
   return s;
 }
 
-Stmt Stmt::if_else(ExprPtr cond, std::vector<Stmt> then_body,
+Stmt Stmt::if_else(ExprId cond, std::vector<Stmt> then_body,
                    std::vector<Stmt> else_body) {
-  PS_ASSERT(cond);
+  PS_ASSERT(cond >= 0);
   Stmt s;
   s.kind = Kind::If;
-  s.cond = std::move(cond);
+  s.cond = cond;
   s.then_body = std::move(then_body);
   s.else_body = std::move(else_body);
   return s;
 }
 
-Stmt Stmt::while_loop(ExprPtr cond, std::vector<Stmt> body) {
-  PS_ASSERT(cond);
+Stmt Stmt::while_loop(ExprId cond, std::vector<Stmt> body) {
+  PS_ASSERT(cond >= 0);
   Stmt s;
   s.kind = Kind::While;
-  s.cond = std::move(cond);
+  s.cond = cond;
   s.then_body = std::move(body);
   return s;
 }
 
 namespace {
 
-void render(const Expr& e, std::ostringstream& oss) {
+void render(const SourceProgram& program, ExprId id, std::string& out) {
+  const Expr& e = program.expr(id);
   switch (e.kind) {
-    case Expr::Kind::Number:
-      oss << e.number;
+    case Expr::Kind::Number: {
+      char digits[24];
+      const auto end = std::to_chars(digits, digits + sizeof digits, e.number);
+      out.append(digits, end.ptr);
       return;
+    }
     case Expr::Kind::Variable:
-      oss << e.variable;
+      out += program.name(e.variable);
       return;
     case Expr::Kind::Negate:
-      oss << "-(";
-      render(*e.lhs, oss);
-      oss << ")";
+      out += "-(";
+      render(program, e.lhs, out);
+      out += ')';
       return;
     default: {
       const char* op = e.kind == Expr::Kind::Add   ? " + "
                        : e.kind == Expr::Kind::Sub ? " - "
                        : e.kind == Expr::Kind::Mul ? " * "
                                                    : " / ";
-      oss << "(";
-      render(*e.lhs, oss);
-      oss << op;
-      render(*e.rhs, oss);
-      oss << ")";
+      out += '(';
+      render(program, e.lhs, out);
+      out += op;
+      render(program, e.rhs, out);
+      out += ')';
       return;
     }
   }
 }
 
-void render_stmts(const std::vector<Stmt>& statements, int indent,
-                  std::ostringstream& oss) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
+void render_stmts(const SourceProgram& program,
+                  const std::vector<Stmt>& statements, std::size_t indent,
+                  std::string& out) {
   for (const Stmt& s : statements) {
+    out.append(2 * indent, ' ');
     switch (s.kind) {
       case Stmt::Kind::Assign:
-        oss << pad << s.target << " = ";
-        render(*s.value, oss);
-        oss << ";\n";
+        out += program.name(s.target);
+        out += " = ";
+        render(program, s.value, out);
+        out += ";\n";
         break;
       case Stmt::Kind::If:
-        oss << pad << "if (";
-        render(*s.cond, oss);
-        oss << ") {\n";
-        render_stmts(s.then_body, indent + 1, oss);
-        oss << pad << "}";
+        out += "if (";
+        render(program, s.cond, out);
+        out += ") {\n";
+        render_stmts(program, s.then_body, indent + 1, out);
+        out.append(2 * indent, ' ');
+        out += '}';
         if (!s.else_body.empty()) {
-          oss << " else {\n";
-          render_stmts(s.else_body, indent + 1, oss);
-          oss << pad << "}";
+          out += " else {\n";
+          render_stmts(program, s.else_body, indent + 1, out);
+          out.append(2 * indent, ' ');
+          out += '}';
         }
-        oss << "\n";
+        out += '\n';
         break;
       case Stmt::Kind::While:
-        oss << pad << "while (";
-        render(*s.cond, oss);
-        oss << ") {\n";
-        render_stmts(s.then_body, indent + 1, oss);
-        oss << pad << "}\n";
+        out += "while (";
+        render(program, s.cond, out);
+        out += ") {\n";
+        render_stmts(program, s.then_body, indent + 1, out);
+        out.append(2 * indent, ' ');
+        out += "}\n";
         break;
     }
   }
 }
 
-bool any_control_flow(const std::vector<Stmt>& statements) {
-  for (const Stmt& s : statements) {
-    if (s.kind != Stmt::Kind::Assign) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 bool SourceProgram::is_straight_line() const {
-  return !any_control_flow(statements);
+  return std::all_of(statements.begin(), statements.end(), [](const Stmt& s) {
+    return s.kind == Stmt::Kind::Assign;
+  });
 }
 
 std::string SourceProgram::to_string() const {
-  std::ostringstream oss;
-  render_stmts(statements, 0, oss);
-  return oss.str();
+  std::string out;
+  render_stmts(*this, statements, 0, out);
+  return out;
 }
 
 }  // namespace pipesched

@@ -5,32 +5,39 @@
 // The front end exists to feed the scheduler realistic tuple code: straight
 // -line assignment statements over scalar variables, integer constants and
 // the +, -, *, / operators, with unary negation and parentheses.
+//
+// A SourceProgram owns its whole tree. Every expression node sits in one
+// vector, `exprs`, and names its operands by index (ExprId); every
+// identifier is interned once in `names`, and nodes and statements name
+// variables by id (NameId). Building a straight-line program therefore
+// costs a fixed number of allocations, not one per node and name. Ids are
+// local to their program: a Stmt or ExprId means nothing in another one.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/name_table.hpp"
 
 namespace pipesched {
 
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+/// Index of an expression node in its program's `exprs`.
+using ExprId = std::int32_t;
+
+/// Index of an identifier in its program's `names`.
+using NameId = std::int32_t;
 
 struct Expr {
   enum class Kind { Number, Variable, Negate, Add, Sub, Mul, Div };
 
-  Kind kind;
-  std::int64_t number = 0;   ///< Kind::Number
-  std::string variable;      ///< Kind::Variable
-  ExprPtr lhs;               ///< unary operand / binary left
-  ExprPtr rhs;               ///< binary right
+  Kind kind = Kind::Number;
   int height = 1;            ///< levels in this subtree (a leaf is 1)
-
-  static ExprPtr make_number(std::int64_t value);
-  static ExprPtr make_variable(std::string name);
-  static ExprPtr make_negate(ExprPtr operand);
-  static ExprPtr make_binary(Kind kind, ExprPtr lhs, ExprPtr rhs);
+  ExprId lhs = -1;           ///< unary operand / binary left
+  ExprId rhs = -1;           ///< binary right
+  NameId variable = -1;      ///< Kind::Variable
+  std::int64_t number = 0;   ///< Kind::Number
 };
 
 /// One statement: an assignment, or structured control flow over nested
@@ -42,25 +49,39 @@ struct Stmt {
   Kind kind = Kind::Assign;
 
   // Assign: target = value;
-  std::string target;
-  ExprPtr value;
+  NameId target = -1;
+  ExprId value = -1;
 
   // If: if (cond) { then_body } [else { else_body }]
   // While: while (cond) { body } (body stored in then_body)
-  ExprPtr cond;
+  ExprId cond = -1;
   std::vector<Stmt> then_body;
   std::vector<Stmt> else_body;
 
-  static Stmt assign(std::string target, ExprPtr value);
-  static Stmt if_else(ExprPtr cond, std::vector<Stmt> then_body,
+  static Stmt assign(NameId target, ExprId value);
+  static Stmt if_else(ExprId cond, std::vector<Stmt> then_body,
                       std::vector<Stmt> else_body);
-  static Stmt while_loop(ExprPtr cond, std::vector<Stmt> body);
+  static Stmt while_loop(ExprId cond, std::vector<Stmt> body);
 };
 
 /// A parsed source program: a statement list, possibly with nested control
-/// flow. Straight-line programs lower to a single basic block.
+/// flow, over one pool of expression nodes and one table of names.
+/// Straight-line programs lower to a single basic block.
 struct SourceProgram {
   std::vector<Stmt> statements;
+  std::vector<Expr> exprs;  ///< every node; operands come before their users
+  NameTable names;
+
+  const Expr& expr(ExprId id) const {
+    return exprs[static_cast<std::size_t>(id)];
+  }
+  const std::string& name(NameId id) const { return names.name(id); }
+
+  // Node builders: each appends one node and returns its id.
+  ExprId make_number(std::int64_t value);
+  ExprId make_variable(std::string_view name);  ///< interns `name`
+  ExprId make_negate(ExprId operand);
+  ExprId make_binary(Expr::Kind kind, ExprId lhs, ExprId rhs);
 
   /// True when no statement carries control flow.
   bool is_straight_line() const;

@@ -15,37 +15,51 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 #include "frontend/ast.hpp"
 #include "ir/block.hpp"
 
 namespace pipesched {
 
-/// Lowers expressions/assignments into one basic block, maintaining the
-/// per-variable current-value map.
+/// Lowers expressions/assignments of one program into one basic block,
+/// maintaining each variable's current value. Variable ids and current
+/// values are found through vectors indexed by the program's NameId and
+/// the block's VarId, so each name is interned in the block once.
 class BlockEmitter {
  public:
-  explicit BlockEmitter(std::string label = "");
+  /// `program` must outlive the emitter.
+  explicit BlockEmitter(const SourceProgram& program, std::string label = "");
+
+  /// Room for `tuples` tuples and `vars` variables in the block.
+  void reserve(std::size_t tuples, std::size_t vars);
 
   /// Lower an expression; returns the tuple holding its value.
-  TupleIndex emit_expr(const Expr& e);
+  TupleIndex emit_expr(ExprId e);
 
   /// Lower `target = value;`.
-  void emit_assign(const std::string& target, const Expr& value);
+  void emit_assign(NameId target, ExprId value);
 
-  /// Store an already-computed value into a named variable (used for
-  /// branch-condition temporaries).
-  void emit_store(const std::string& target, TupleIndex value);
+  /// Store an already-computed value into a variable named outside the
+  /// program (used for branch-condition temporaries).
+  void emit_store(std::string_view target, TupleIndex value);
 
   bool empty() const { return block_.empty(); }
 
-  /// Finish the block (validated). The emitter must not be reused.
+  /// Finish the block (valid: append() checks every tuple). The emitter
+  /// must not be reused.
   BasicBlock take();
 
  private:
+  VarId var_of(NameId name);
+  TupleIndex& current_value(VarId var);
+  void store(VarId var, TupleIndex value);
+
+  const SourceProgram& program_;
   BasicBlock block_;
-  std::unordered_map<VarId, TupleIndex> current_value_;
+  std::vector<VarId> var_of_name_;         ///< by NameId; -1 until used
+  std::vector<TupleIndex> current_value_;  ///< by VarId; -1 when none
 };
 
 /// Lower a straight-line source program to one basic block (unoptimized).

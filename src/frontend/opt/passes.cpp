@@ -1,8 +1,8 @@
 #include "frontend/opt/passes.hpp"
 
 #include <array>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,15 +97,42 @@ ValueKey value_key(const Tuple& t) {
   return {static_cast<std::int64_t>(t.op), a[0], a[1], b[0], b[1]};
 }
 
-struct ValueKeyHash {
-  std::size_t operator()(const ValueKey& key) const {
-    std::uint64_t h = 0;
-    for (const std::int64_t word : key) {
-      h = (h ^ static_cast<std::uint64_t>(word)) * 0x9e3779b97f4a7c15ull;
-      h ^= h >> 29;
-    }
-    return static_cast<std::size_t>(h);
+std::uint64_t hash_value_key(const ValueKey& key) {
+  std::uint64_t h = 0;
+  for (const std::int64_t word : key) {
+    h = (h ^ static_cast<std::uint64_t>(word)) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
   }
+  return h;
+}
+
+/// The LVN value table: the value-producing tuples of the output, found by
+/// ValueKey through one open-addressing array of output indices (-1 marks
+/// an empty slot), sized once to stay at most half full.
+class ValueTable {
+ public:
+  explicit ValueTable(std::size_t capacity) {
+    std::size_t slots = 16;
+    while (slots < 2 * capacity) slots *= 2;
+    slots_.assign(slots, -1);
+  }
+
+  /// The output tuple whose key is `key`; when there is none, `next`,
+  /// which is recorded as that key's tuple.
+  TupleIndex find_or_add(const ValueKey& key, TupleIndex next,
+                         const std::vector<Tuple>& out) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(hash_value_key(key)) & mask;
+    for (; slots_[slot] >= 0; slot = (slot + 1) & mask) {
+      const TupleIndex held = slots_[slot];
+      if (value_key(out[static_cast<std::size_t>(held)]) == key) return held;
+    }
+    slots_[slot] = next;
+    return next;
+  }
+
+ private:
+  std::vector<TupleIndex> slots_;
 };
 
 /// The forward sweep. A value-producing tuple's value number is the index
@@ -113,11 +140,11 @@ struct ValueKeyHash {
 /// value table, which hands back an equal earlier tuple or admits this
 /// one. Loads go through a per-variable current-value map instead, since
 /// a Store changes what a Load of its variable reads.
-BasicBlock local_value_numbering(const BasicBlock& block) {
+std::vector<Tuple> local_value_numbering(const BasicBlock& block) {
   std::vector<Tuple> out;
+  out.reserve(block.size());
   std::vector<TupleIndex> number(block.size(), -1);
-  std::unordered_map<ValueKey, TupleIndex, ValueKeyHash> table;
-  table.reserve(block.size());
+  ValueTable table(block.size());
   // Per variable: the value number of what it holds, -1 when unknown.
   std::vector<TupleIndex> current(block.var_count(), -1);
   const auto numbered = [&](const Operand& o) {
@@ -151,49 +178,62 @@ BasicBlock local_value_numbering(const BasicBlock& block) {
       number[i] = t.a.ref;
       continue;
     }
-    const auto [it, inserted] = table.try_emplace(value_key(t), next);
-    if (inserted) out.push_back(t);
-    number[i] = it->second;
+    number[i] = table.find_or_add(value_key(t), next, out);
+    if (number[i] == next) out.push_back(t);
   }
-  BasicBlock result = block;  // keeps the label and the variable table
-  result.replace_tuples(std::move(out));
-  return result;
+  return out;
+}
+
+/// Drops from `tuples`, in place, every tuple whose value no live tuple
+/// uses and every Store that neither block exit nor a live Load observes,
+/// renumbering the survivors' refs; returns whether any tuple went. One
+/// backward sweep marks, one forward sweep compacts, and the vector ends
+/// with no spare capacity.
+bool sweep_dead_code(std::vector<Tuple>& tuples, std::size_t var_count) {
+  const std::size_t n = tuples.size();
+  // Per tuple: 1 when live, 0 when dead, until the forward sweep
+  // overwrites a live tuple's entry with its index in the output.
+  std::vector<TupleIndex> index(n, 0);
+  // Per variable: whether block exit or a live Load reads the value it
+  // holds at this point of the backward sweep.
+  std::vector<char> observed(var_count, 1);
+  for (std::size_t ri = n; ri-- > 0;) {
+    const Tuple& t = tuples[ri];
+    if (t.op == Opcode::Store) {
+      const auto var = static_cast<std::size_t>(t.a.var);
+      index[ri] = observed[var];
+      observed[var] = 0;
+    } else if (t.op == Opcode::Load && index[ri] != 0) {
+      observed[static_cast<std::size_t>(t.a.var)] = 1;
+    }
+    if (index[ri] == 0) continue;
+    // References point backward, so every user is already decided.
+    for (const Operand* o : {&t.a, &t.b}) {
+      if (o->is_ref()) index[static_cast<std::size_t>(o->ref)] = 1;
+    }
+  }
+
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (index[i] == 0) continue;
+    Tuple t = tuples[i];
+    for (Operand* o : {&t.a, &t.b}) {
+      if (o->is_ref()) o->ref = index[static_cast<std::size_t>(o->ref)];
+    }
+    index[i] = static_cast<TupleIndex>(kept);
+    tuples[kept++] = t;
+  }
+  tuples.resize(kept);
+  tuples.shrink_to_fit();
+  return kept < n;
 }
 
 }  // namespace
 
 PassResult dead_code_elimination(const BasicBlock& block) {
-  const std::size_t n = block.size();
-  std::vector<bool> live(n, false);
-  // Per variable: whether block exit or a live Load reads the value it
-  // holds at this point of the backward sweep.
-  std::vector<bool> observed(block.var_count(), true);
-  for (std::size_t ri = n; ri-- > 0;) {
-    const Tuple& t = block.tuple(static_cast<TupleIndex>(ri));
-    if (t.op == Opcode::Store) {
-      const auto var = static_cast<std::size_t>(t.a.var);
-      live[ri] = observed[var];
-      observed[var] = false;
-    } else if (t.op == Opcode::Load && live[ri]) {
-      observed[static_cast<std::size_t>(t.a.var)] = true;
-    }
-    if (!live[ri]) continue;
-    // References point backward, so every user is already decided.
-    for (const Operand* o : {&t.a, &t.b}) {
-      if (o->is_ref()) live[static_cast<std::size_t>(o->ref)] = true;
-    }
-  }
-
-  BlockRewriter rw(block);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (live[i]) {
-      rw.keep(static_cast<TupleIndex>(i));
-    } else {
-      rw.drop(static_cast<TupleIndex>(i));
-    }
-  }
-  const bool changed = rw.changed();
-  return {rw.finish(), changed};
+  std::vector<Tuple> tuples = block.tuples();
+  const bool changed = sweep_dead_code(tuples, block.var_count());
+  return {block.with_tuples(std::move(tuples)), changed};
 }
 
 PassResult reassociation(const BasicBlock& block) {
@@ -263,9 +303,7 @@ PassResult reassociation(const BasicBlock& block) {
     std::vector<Operand> level;
     for (const Operand& leaf : leaves) {
       if (leaf.is_ref()) {
-        const auto resolved = rw.resolve_new(leaf.ref);
-        PS_ASSERT(resolved.has_value());
-        level.push_back(Operand::of_ref(*resolved));
+        level.push_back(Operand::of_ref(rw.resolve_new(leaf.ref)));
       } else {
         level.push_back(leaf);
       }
@@ -287,7 +325,9 @@ PassResult reassociation(const BasicBlock& block) {
 }
 
 BasicBlock run_standard_pipeline(const BasicBlock& block) {
-  return dead_code_elimination(local_value_numbering(block)).block;
+  std::vector<Tuple> tuples = local_value_numbering(block);
+  sweep_dead_code(tuples, block.var_count());
+  return block.with_tuples(std::move(tuples));
 }
 
 }  // namespace pipesched

@@ -5,13 +5,7 @@
 namespace pipesched {
 
 BlockRewriter::BlockRewriter(const BasicBlock& input)
-    : input_(&input), output_(input.label()) {
-  // Preserve the variable table: interning names in id order keeps VarIds
-  // stable across the rewrite.
-  for (std::size_t v = 0; v < input.var_count(); ++v) {
-    const VarId id = output_.var_id(input.var_name(static_cast<VarId>(v)));
-    PS_ASSERT(id == static_cast<VarId>(v));
-  }
+    : input_(&input), output_(input.with_tuples({})) {
   new_of_old_.assign(input.size(), -1);
 }
 
@@ -25,10 +19,7 @@ Operand BlockRewriter::remap(const Operand& o) const {
   if (!o.is_ref()) return o;
   PS_CHECK(static_cast<std::size_t>(o.ref) < next_old_,
            "pass bug: operand references unprocessed tuple " << o.ref + 1);
-  const TupleIndex mapped = new_of_old_[static_cast<std::size_t>(o.ref)];
-  PS_CHECK(mapped >= 0,
-           "pass bug: operand references dropped tuple " << o.ref + 1);
-  return Operand::of_ref(mapped);
+  return Operand::of_ref(new_of_old_[static_cast<std::size_t>(o.ref)]);
 }
 
 void BlockRewriter::keep(TupleIndex old_index) {
@@ -55,18 +46,9 @@ TupleIndex BlockRewriter::emit_new(const Tuple& t) {
   return output_.append(t);
 }
 
-void BlockRewriter::drop(TupleIndex old_index) {
-  advance(old_index);
-  new_of_old_[static_cast<std::size_t>(old_index)] = -1;
-  structural_change_ = true;
-}
-
-std::optional<TupleIndex> BlockRewriter::resolve_new(
-    TupleIndex old_index) const {
+TupleIndex BlockRewriter::resolve_new(TupleIndex old_index) const {
   PS_ASSERT(static_cast<std::size_t>(old_index) < next_old_);
-  const TupleIndex mapped = new_of_old_[static_cast<std::size_t>(old_index)];
-  if (mapped < 0) return std::nullopt;
-  return mapped;
+  return new_of_old_[static_cast<std::size_t>(old_index)];
 }
 
 BasicBlock BlockRewriter::finish() {

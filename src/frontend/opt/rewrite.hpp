@@ -1,13 +1,11 @@
-// Rebuild machinery shared by dead code elimination and reassociation.
+// Rebuild machinery of reassociation.
 //
 // A pass walks the input block's tuples in ascending order and, for each,
-// decides to keep it, alias its uses to another tuple, or drop it. The
+// decides to keep it or alias its uses to another tuple. The
 // rewriter maintains the old-index -> new-index mapping (resolving alias
 // chains, which always point backward) and produces a compact, validated
 // output block with the variable table preserved.
 #pragma once
-
-#include <optional>
 
 #include "ir/block.hpp"
 
@@ -18,16 +16,12 @@ class BlockRewriter {
   explicit BlockRewriter(const BasicBlock& input);
 
   /// Emit the old tuple unchanged (operands remapped). Calls must proceed
-  /// in ascending old-index order across keep/alias_new/drop.
+  /// in ascending old-index order across keep/alias_new.
   void keep(TupleIndex old_index);
 
   /// Future uses of `old_index` resolve to the tuple at `target_new` in
   /// the NEW index space.
   void alias_new(TupleIndex old_index, TupleIndex target_new);
-
-  /// Remove the tuple. Later references to it are a pass bug and throw
-  /// at remap time.
-  void drop(TupleIndex old_index);
 
   /// Append a brand-new tuple that replaces no input tuple. Operands are
   /// given directly in the NEW index space (no remapping). Returns its new
@@ -35,9 +29,8 @@ class BlockRewriter {
   /// balanced combines).
   TupleIndex emit_new(const Tuple& t);
 
-  /// Old-space index of the tuple a processed old index resolves to in the
-  /// new block; nullopt when dropped.
-  std::optional<TupleIndex> resolve_new(TupleIndex old_index) const;
+  /// New-space index of the tuple a processed old index resolves to.
+  TupleIndex resolve_new(TupleIndex old_index) const;
 
   /// Complete the rebuild; `changed` reports whether the output differs
   /// from the input.
@@ -50,7 +43,7 @@ class BlockRewriter {
 
   const BasicBlock* input_;
   BasicBlock output_;
-  std::vector<TupleIndex> new_of_old_;  // -1 = dropped
+  std::vector<TupleIndex> new_of_old_;  // -1 until processed
   std::size_t next_old_ = 0;
   bool structural_change_ = false;
 };

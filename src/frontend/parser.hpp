@@ -14,6 +14,11 @@
 // at most that high, so a long `a + b + c + ...` chain counts too. Every
 // later pass walks the tree recursively, and the cap keeps hostile input
 // from overflowing the stack; deeper input raises Error.
+//
+// The lexer holds one token of lookahead and skips whitespace and comments
+// once per token. One pass over the text's bytes first bounds the nodes,
+// statements and names it can hold, so a straight-line program is built
+// with a fixed number of allocations.
 #pragma once
 
 #include <string>

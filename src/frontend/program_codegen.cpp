@@ -1,6 +1,6 @@
 #include "frontend/program_codegen.hpp"
 
-#include <memory>
+#include <optional>
 
 #include "frontend/codegen.hpp"
 #include "util/check.hpp"
@@ -11,9 +11,11 @@ namespace {
 
 class ProgramLowerer {
  public:
-  Program run(const SourceProgram& source) {
+  explicit ProgramLowerer(const SourceProgram& source) : source_(source) {}
+
+  Program run() {
     open();
-    lower(source.statements);
+    lower(source_.statements);
     seal(Terminator::ret());
     program_.validate();
     return std::move(program_);
@@ -21,8 +23,8 @@ class ProgramLowerer {
 
  private:
   void open() {
-    emitter_ = std::make_unique<BlockEmitter>(
-        std::string("b").append(std::to_string(program_.size())));
+    emitter_.emplace(source_,
+                     std::string("b").append(std::to_string(program_.size())));
   }
 
   /// Close the block under construction with `term`; returns its id and
@@ -42,7 +44,7 @@ class ProgramLowerer {
     for (const Stmt& s : stmts) {
       switch (s.kind) {
         case Stmt::Kind::Assign:
-          emitter_->emit_assign(s.target, *s.value);
+          emitter_->emit_assign(s.target, s.value);
           break;
         case Stmt::Kind::If:
           lower_if(s);
@@ -56,7 +58,7 @@ class ProgramLowerer {
 
   void lower_if(const Stmt& s) {
     const std::string temp = fresh_temp();
-    emitter_->emit_store(temp, emitter_->emit_expr(*s.cond));
+    emitter_->emit_store(temp, emitter_->emit_expr(s.cond));
     // Branch target patched below: ELSE entry (or END without an else).
     const BlockId cond_block =
         seal(Terminator::branch(temp, 0, /*when_zero=*/true));
@@ -79,7 +81,7 @@ class ProgramLowerer {
     seal(Terminator::fall_through());  // preceding code falls into HEAD
 
     const std::string temp = fresh_temp();
-    emitter_->emit_store(temp, emitter_->emit_expr(*s.cond));
+    emitter_->emit_store(temp, emitter_->emit_expr(s.cond));
     const BlockId head =
         seal(Terminator::branch(temp, 0, /*when_zero=*/true));
 
@@ -88,15 +90,16 @@ class ProgramLowerer {
     program_.block_mut(head).term.target = body_end + 1;  // EXIT
   }
 
+  const SourceProgram& source_;
   Program program_;
-  std::unique_ptr<BlockEmitter> emitter_;
+  std::optional<BlockEmitter> emitter_;
   int temp_counter_ = 0;
 };
 
 }  // namespace
 
 Program generate_program(const SourceProgram& source) {
-  return ProgramLowerer().run(source);
+  return ProgramLowerer(source).run();
 }
 
 }  // namespace pipesched

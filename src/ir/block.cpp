@@ -6,22 +6,18 @@
 
 namespace pipesched {
 
-VarId BasicBlock::var_id(const std::string& name) {
+VarId BasicBlock::var_id(std::string_view name) {
   PS_CHECK(!name.empty(), "variable name may not be empty");
-  auto [it, inserted] =
-      var_ids_.try_emplace(name, static_cast<VarId>(var_names_.size()));
-  if (inserted) var_names_.push_back(name);
-  return it->second;
+  return vars_.intern(name);
 }
 
-VarId BasicBlock::find_var(const std::string& name) const {
-  auto it = var_ids_.find(name);
-  return it == var_ids_.end() ? -1 : it->second;
+VarId BasicBlock::find_var(std::string_view name) const {
+  return vars_.find(name);
 }
 
 const std::string& BasicBlock::var_name(VarId id) const {
-  PS_ASSERT(id >= 0 && static_cast<std::size_t>(id) < var_names_.size());
-  return var_names_[static_cast<std::size_t>(id)];
+  PS_ASSERT(id >= 0 && static_cast<std::size_t>(id) < vars_.size());
+  return vars_.name(id);
 }
 
 TupleIndex BasicBlock::append(const Tuple& t) {
@@ -44,6 +40,13 @@ Tuple& BasicBlock::tuple_mut(TupleIndex i) {
 void BasicBlock::replace_tuples(std::vector<Tuple> tuples) {
   tuples_ = std::move(tuples);
   validate();
+}
+
+BasicBlock BasicBlock::with_tuples(std::vector<Tuple> tuples) const {
+  BasicBlock out(label_);
+  out.vars_ = vars_;
+  out.replace_tuples(std::move(tuples));
+  return out;
 }
 
 void BasicBlock::validate() const {
@@ -70,7 +73,7 @@ void BasicBlock::validate_tuple(TupleIndex i, const Tuple& t) const {
     }
     if (o.is_var()) {
       PS_CHECK(o.var >= 0 &&
-                   static_cast<std::size_t>(o.var) < var_names_.size(),
+                   static_cast<std::size_t>(o.var) < vars_.size(),
                "tuple " << i << ": operand " << slot
                         << " names an unknown variable id " << o.var);
     }

@@ -7,10 +7,11 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "ir/tuple.hpp"
+#include "util/name_table.hpp"
 
 namespace pipesched {
 
@@ -25,13 +26,17 @@ class BasicBlock {
   // --- variables -----------------------------------------------------------
 
   /// Intern a variable name, returning its stable id.
-  VarId var_id(const std::string& name);
+  VarId var_id(std::string_view name);
 
   /// Lookup without interning; -1 when unknown.
-  VarId find_var(const std::string& name) const;
+  VarId find_var(std::string_view name) const;
 
   const std::string& var_name(VarId id) const;
-  std::size_t var_count() const { return var_names_.size(); }
+  std::size_t var_count() const { return vars_.size(); }
+
+  /// Room for `count` variables in all, so interning that many makes a
+  /// fixed number of allocations (see NameTable).
+  void reserve_vars(std::size_t count) { vars_.reserve(count); }
 
   // --- tuples --------------------------------------------------------------
 
@@ -51,9 +56,16 @@ class BasicBlock {
   bool empty() const { return tuples_.empty(); }
   const std::vector<Tuple>& tuples() const { return tuples_; }
 
-  /// Replace the tuple sequence wholesale (optimizer passes rebuild blocks).
-  /// Re-validates reference ordering.
+  /// Room for `count` tuples in all.
+  void reserve(std::size_t count) { tuples_.reserve(count); }
+
+  /// Replace the tuple sequence wholesale. Re-validates reference ordering.
   void replace_tuples(std::vector<Tuple> tuples);
+
+  /// This block's label and variable table over `tuples` (validated): how
+  /// the optimizer returns a rewritten block without copying the old
+  /// tuples.
+  BasicBlock with_tuples(std::vector<Tuple> tuples) const;
 
   /// Check structural invariants (operand kinds match opcode expectations,
   /// references point backward to value-producing tuples). Throws Error on
@@ -71,8 +83,7 @@ class BasicBlock {
 
   std::string label_;
   std::vector<Tuple> tuples_;
-  std::vector<std::string> var_names_;
-  std::unordered_map<std::string, VarId> var_ids_;
+  NameTable vars_;
 };
 
 }  // namespace pipesched

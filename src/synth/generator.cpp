@@ -1,5 +1,7 @@
 #include "synth/generator.hpp"
 
+#include <algorithm>
+
 #include "frontend/codegen.hpp"
 #include "frontend/opt/passes.hpp"
 #include "util/check.hpp"
@@ -62,11 +64,15 @@ class SourceGenerator {
   }
 
   SourceProgram run() {
-    SourceProgram program;
-    for (int s = 0; s < params_.statements; ++s) {
-      program.statements.push_back(statement());
+    const auto statements = static_cast<std::size_t>(params_.statements);
+    program_.statements.reserve(statements);
+    program_.exprs.reserve(kMaxFormNodes * statements);
+    program_.names.reserve(
+        std::min(variables_.size(), kMaxFormNames * statements));
+    for (std::size_t s = 0; s < statements; ++s) {
+      program_.statements.push_back(statement());
     }
-    return program;
+    return std::move(program_);
   }
 
  private:
@@ -78,59 +84,68 @@ class SourceGenerator {
     return constant_pool_[rng_.next_below(constant_pool_.size())];
   }
 
-  ExprPtr var() { return Expr::make_variable(pick_var()); }
-  ExprPtr num() { return Expr::make_number(pick_const()); }
+  ExprId var() { return program_.make_variable(pick_var()); }
+  ExprId num() { return program_.make_number(pick_const()); }
 
-  ExprPtr binary(Expr::Kind kind, ExprPtr l, ExprPtr r) {
-    return Expr::make_binary(kind, std::move(l), std::move(r));
+  /// `kind` over a variable drawn now and `right`, drawn before it. A
+  /// right operand is always drawn before its left one: the order in
+  /// which the corpus and every fingerprint were generated.
+  ExprId var_op(Expr::Kind kind, ExprId right) {
+    return program_.make_binary(kind, var(), right);
   }
 
   Stmt statement() {
-    Stmt s;
-    s.target = pick_var();
+    const NameId target = program_.names.intern(pick_var());
+    ExprId value = -1;
     switch (kForms[rng_.next_weighted(weights_)].form) {
       case Form::VConst:
-        s.value = num();
+        value = num();
         break;
       case Form::VCopy:
-        s.value = var();
+        value = var();
         break;
       case Form::VAddV:
-        s.value = binary(Expr::Kind::Add, var(), var());
+        value = var_op(Expr::Kind::Add, var());
         break;
       case Form::VSubV:
-        s.value = binary(Expr::Kind::Sub, var(), var());
+        value = var_op(Expr::Kind::Sub, var());
         break;
       case Form::VMulV:
-        s.value = binary(Expr::Kind::Mul, var(), var());
+        value = var_op(Expr::Kind::Mul, var());
         break;
       case Form::VDivV:
-        s.value = binary(Expr::Kind::Div, var(), var());
+        value = var_op(Expr::Kind::Div, var());
         break;
       case Form::VAddC:
-        s.value = binary(Expr::Kind::Add, var(), num());
+        value = var_op(Expr::Kind::Add, num());
         break;
       case Form::VMulC:
-        s.value = binary(Expr::Kind::Mul, var(), num());
+        value = var_op(Expr::Kind::Mul, num());
         break;
       case Form::VNeg:
-        s.value = Expr::make_negate(var());
+        value = program_.make_negate(var());
         break;
       case Form::VMulAdd:
-        s.value = binary(Expr::Kind::Add, var(),
-                         binary(Expr::Kind::Mul, var(), var()));
+        value = var_op(Expr::Kind::Add, var_op(Expr::Kind::Mul, var()));
         break;
-      case Form::VCompound:
-        s.value = binary(Expr::Kind::Mul,
-                         binary(Expr::Kind::Add, var(), var()),
-                         binary(Expr::Kind::Sub, var(), var()));
+      case Form::VCompound: {
+        const ExprId difference = var_op(Expr::Kind::Sub, var());
+        value = program_.make_binary(Expr::Kind::Mul,
+                                     var_op(Expr::Kind::Add, var()),
+                                     difference);
         break;
+      }
     }
-    return s;
+    return Stmt::assign(target, value);
   }
+
+  /// Nodes and names of the largest form, v = (v + v) * (v - v).
+  static constexpr std::size_t kMaxFormNodes = 7;
+  static constexpr std::size_t kMaxFormNames = 5;
 
   const GeneratorParams& params_;
   Rng rng_;
+  SourceProgram program_;
   std::vector<std::string> variables_;
   std::vector<std::int64_t> constant_pool_;
   std::vector<double> weights_;

@@ -533,28 +533,31 @@ std::string read_sample(const std::string& name) {
 
 /// A control-flow program from one generated statement list: the first
 /// third runs as straight code, the middle third is split between the two
-/// arms of an if/else, and the last third forms a while body.
+/// arms of an if/else, and the last third forms a while body. The
+/// statements are regrouped within the generated program, whose node pool
+/// their ids index.
 Program control_flow_program(std::uint64_t k) {
   GeneratorParams p;
   p.statements = 3 + static_cast<int>(k % 22);
   p.variables = 3 + static_cast<int>(k % 7);
   p.constants = 2;
   p.seed = splitmix(0x9e0a7a11ull + k);
-  std::vector<Stmt> statements = generate_source(p).statements;
+  SourceProgram source = generate_source(p);
+  std::vector<Stmt> statements = std::move(source.statements);
   const std::size_t n = statements.size();
   const auto take = [&](std::size_t from, std::size_t to) {
     return std::vector<Stmt>(
         std::make_move_iterator(statements.begin() + from),
         std::make_move_iterator(statements.begin() + to));
   };
-  SourceProgram source;
   source.statements = take(0, n / 3);
   const std::size_t middle = n / 3 + (2 * n / 3 - n / 3) / 2;
-  source.statements.push_back(Stmt::if_else(Expr::make_variable("v0"),
-                                            take(n / 3, middle),
-                                            take(middle, 2 * n / 3)));
+  const ExprId if_cond = source.make_variable("v0");
+  source.statements.push_back(Stmt::if_else(
+      if_cond, take(n / 3, middle), take(middle, 2 * n / 3)));
+  const ExprId while_cond = source.make_variable("v1");
   source.statements.push_back(
-      Stmt::while_loop(Expr::make_variable("v1"), take(2 * n / 3, n)));
+      Stmt::while_loop(while_cond, take(2 * n / 3, n)));
   return generate_program(source);
 }
 

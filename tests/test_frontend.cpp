@@ -16,29 +16,33 @@ namespace {
 TEST(SourceParser, ParsesFigure3Program) {
   const SourceProgram prog = parse_source("{ b = 15; a = b * a; }");
   ASSERT_EQ(prog.statements.size(), 2u);
-  EXPECT_EQ(prog.statements[0].target, "b");
-  EXPECT_EQ(prog.statements[0].value->kind, Expr::Kind::Number);
-  EXPECT_EQ(prog.statements[1].target, "a");
-  EXPECT_EQ(prog.statements[1].value->kind, Expr::Kind::Mul);
+  EXPECT_EQ(prog.name(prog.statements[0].target), "b");
+  EXPECT_EQ(prog.expr(prog.statements[0].value).kind, Expr::Kind::Number);
+  EXPECT_EQ(prog.name(prog.statements[1].target), "a");
+  EXPECT_EQ(prog.expr(prog.statements[1].value).kind, Expr::Kind::Mul);
+  // One node per leaf and operator, one name per identifier.
+  EXPECT_EQ(prog.exprs.size(), 4u);
+  EXPECT_EQ(prog.names.size(), 2u);
 }
 
 TEST(SourceParser, PrecedenceAndParentheses) {
   const SourceProgram prog = parse_source("x = a + b * c; y = (a + b) * c;");
-  const Expr& sum = *prog.statements[0].value;
+  const Expr& sum = prog.expr(prog.statements[0].value);
   EXPECT_EQ(sum.kind, Expr::Kind::Add);
-  EXPECT_EQ(sum.rhs->kind, Expr::Kind::Mul);
-  const Expr& prod = *prog.statements[1].value;
+  EXPECT_EQ(prog.expr(sum.rhs).kind, Expr::Kind::Mul);
+  const Expr& prod = prog.expr(prog.statements[1].value);
   EXPECT_EQ(prod.kind, Expr::Kind::Mul);
-  EXPECT_EQ(prod.lhs->kind, Expr::Kind::Add);
+  EXPECT_EQ(prog.expr(prod.lhs).kind, Expr::Kind::Add);
 }
 
 TEST(SourceParser, UnaryMinusAndComments) {
   const SourceProgram prog = parse_source(
       "// negate a\n"
       "x = -a; y = --a;\n");
-  EXPECT_EQ(prog.statements[0].value->kind, Expr::Kind::Negate);
-  EXPECT_EQ(prog.statements[1].value->kind, Expr::Kind::Negate);
-  EXPECT_EQ(prog.statements[1].value->lhs->kind, Expr::Kind::Negate);
+  EXPECT_EQ(prog.expr(prog.statements[0].value).kind, Expr::Kind::Negate);
+  const Expr& twice = prog.expr(prog.statements[1].value);
+  EXPECT_EQ(twice.kind, Expr::Kind::Negate);
+  EXPECT_EQ(prog.expr(twice.lhs).kind, Expr::Kind::Negate);
 }
 
 TEST(SourceParser, DiagnosesSyntaxErrors) {

@@ -170,9 +170,9 @@ TEST(Superblock, FracturedChainsCompileIdenticallyAfterMerge) {
 
     Program fractured;
     for (std::size_t st = 0; st < source.statements.size(); ++st) {
-      BlockEmitter emitter;
+      BlockEmitter emitter(source);
       emitter.emit_assign(source.statements[st].target,
-                          *source.statements[st].value);
+                          source.statements[st].value);
       const BlockId id = fractured.add_block();
       fractured.block_mut(id).block = emitter.take();
       fractured.block_mut(id).term =

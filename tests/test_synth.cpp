@@ -72,7 +72,7 @@ TEST(Generator, StatementMixRoughlyFollowsTable) {
   params.seed = 11;
   const SourceProgram source = generate_source(params);
   std::map<Expr::Kind, int> kinds;
-  for (const Stmt& s : source.statements) ++kinds[s.value->kind];
+  for (const Stmt& s : source.statements) ++kinds[source.expr(s.value).kind];
   EXPECT_GT(kinds[Expr::Kind::Add], kinds[Expr::Kind::Mul]);
   EXPECT_GT(kinds[Expr::Kind::Mul], kinds[Expr::Kind::Div]);
   EXPECT_GT(kinds[Expr::Kind::Sub], 0);
