@@ -1,10 +1,11 @@
 // Allocation budgets for the per-block layers around the search. Timing on
 // a shared host is too noisy to gate, but heap allocations are exact: this
 // binary replaces the global operator new with one that counts, and checks
-// that building the dependence graph, linear scan and emitting assembly
-// each make a fixed number of allocations whatever the block's size, and
-// that a search reuses its thread's initial dominance table. It is its own
-// executable because the replacement covers the whole program.
+// that parsing, tuple generation, the optimizer, spill insertion, building
+// the dependence graph, linear scan and emitting assembly each make a
+// fixed number of allocations whatever the block's size, and that a search
+// reuses its thread's initial dominance table. It is its own executable
+// because the replacement covers the whole program.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +17,12 @@
 
 #include "asmout/emitter.hpp"
 #include "core/compiler.hpp"
+#include "frontend/codegen.hpp"
+#include "frontend/opt/passes.hpp"
+#include "frontend/parser.hpp"
 #include "ir/dag.hpp"
 #include "regalloc/regalloc.hpp"
+#include "regalloc/spill.hpp"
 #include "sched/optimal_scheduler.hpp"
 #include "synth/generator.hpp"
 
@@ -82,27 +87,75 @@ Count count_allocations(Fn&& fn) {
 /// A per-block layer may allocate this often, whatever the block's size.
 constexpr std::size_t kLayerBudget = 16;
 
-/// The first optimized generated block whose size lies in [lo, hi].
-BasicBlock block_of_size(std::size_t lo, std::size_t hi) {
+/// A register ceiling that forces spill code.
+constexpr int kSpillCeiling = 3;
+
+/// The parameters of the first generated block whose optimized size lies
+/// in [lo, hi] and, when `must_spill`, whose pressure exceeds
+/// kSpillCeiling.
+GeneratorParams params_of_size(std::size_t lo, std::size_t hi,
+                               bool must_spill = false) {
+  GeneratorParams p;
   for (std::uint64_t seed = 1; seed < 5000; ++seed) {
-    GeneratorParams p;
     p.statements = static_cast<int>(lo + hi) / 2;
     p.variables = std::max(3, p.statements / 3);
     p.constants = 3;
     p.seed = seed;
-    BasicBlock block = generate_block(p);
-    if (block.size() >= lo && block.size() <= hi) return block;
+    const BasicBlock block = generate_block(p);
+    if (block.size() >= lo && block.size() <= hi &&
+        (!must_spill || block_max_live(block) > kSpillCeiling)) {
+      return p;
+    }
   }
   ADD_FAILURE() << "no generated block of " << lo << ".." << hi << " tuples";
-  return {};
+  return p;
+}
+
+BasicBlock block_of_size(std::size_t lo, std::size_t hi) {
+  return generate_block(params_of_size(lo, hi));
+}
+
+struct Size {
+  std::size_t lo, hi;
+};
+constexpr Size kSizes[] = {{8, 12}, {36, 44}, {55, 65}, {130, 150}};
+
+TEST(AllocationBudget, FrontEndAndSpillMakeAFixedNumberOfAllocations) {
+  for (const Size size : kSizes) {
+    const GeneratorParams params =
+        params_of_size(size.lo, size.hi, /*must_spill=*/true);
+    const std::string source = generate_source(params).to_string();
+    SCOPED_TRACE(std::to_string(params.statements) + " statements");
+
+    SourceProgram program;
+    const Count parsed =
+        count_allocations([&] { program = parse_source(source); });
+    EXPECT_LE(parsed.allocations, kLayerBudget) << "parse_source";
+
+    BasicBlock tuples;
+    const Count lowered =
+        count_allocations([&] { tuples = generate_tuples(program); });
+    EXPECT_LE(lowered.allocations, kLayerBudget) << "generate_tuples";
+
+    BasicBlock block;
+    const Count optimized =
+        count_allocations([&] { block = run_standard_pipeline(tuples); });
+    EXPECT_LE(optimized.allocations, kLayerBudget) << "run_standard_pipeline";
+    // perfbench keeps every result of a pass: no slack in the tuples.
+    EXPECT_EQ(block.tuples().capacity(), block.size());
+
+    ASSERT_GT(block_max_live(block), kSpillCeiling);
+    SpillResult spilled;
+    const Count spill = count_allocations(
+        [&] { spilled = insert_spill_code(block, kSpillCeiling); });
+    EXPECT_GT(spilled.values_spilled, 0);
+    EXPECT_LE(spill.allocations, kLayerBudget) << "insert_spill_code";
+    EXPECT_EQ(spilled.block.tuples().capacity(), spilled.block.size());
+  }
 }
 
 TEST(AllocationBudget, LayersMakeAFixedNumberOfAllocations) {
-  struct Size {
-    std::size_t lo, hi;
-  };
-  for (const Size size : {Size{8, 12}, Size{36, 44}, Size{55, 65},
-                          Size{130, 150}}) {
+  for (const Size size : kSizes) {
     const BasicBlock block = block_of_size(size.lo, size.hi);
     SCOPED_TRACE(std::to_string(block.size()) + " tuples");
     CompileOptions options;
