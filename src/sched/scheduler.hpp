@@ -247,11 +247,13 @@ class SearchBudget {
   }
 
   /// Has a budget run out? If so, mark `stats` curtailed and record why.
-  /// The deadline outranks lambda: once the clock expired, lambda no
-  /// longer describes why the search stopped.
-  bool curtail(SearchStats& stats) const {
+  /// Lambda counts the omega calls past `omega_base`, so a search that
+  /// spends one lambda per part (the window splitter) passes the count at
+  /// the part's start. The deadline outranks lambda: once the clock
+  /// expired, lambda no longer describes why the search stopped.
+  bool curtail(SearchStats& stats, std::uint64_t omega_base = 0) const {
     if (!deadline_expired_ &&
-        (lambda_ == 0 || stats.omega_calls < lambda_)) {
+        (lambda_ == 0 || stats.omega_calls - omega_base < lambda_)) {
       return false;
     }
     stats.completed = false;

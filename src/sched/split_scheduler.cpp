@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sched/list_scheduler.hpp"
+#include "sched/scheduler.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -12,16 +13,21 @@ namespace {
 
 /// Branch-and-bound over one window of instructions, extending the shared
 /// timer. Local alpha-beta: window cost relative to the incumbent window
-/// cost; the incumbent is the window in list order.
+/// cost; the incumbent is the window in list order. Lambda is per window;
+/// the deadline, armed once in `budget`, covers the whole split.
 class WindowSearch {
  public:
   WindowSearch(const DepGraph& dag, PipelineTimer& timer,
-               const SearchConfig& config,
+               const SearchConfig& config, SearchBudget& budget,
                const std::vector<TupleIndex>& window)
-      : dag_(dag), timer_(timer), config_(config), window_(window) {}
+      : dag_(dag),
+        timer_(timer),
+        config_(config),
+        budget_(budget),
+        window_(window) {}
 
-  /// Returns the locally optimal window order; accumulates stats.
-  /// Sets stats.completed = false when this window's search was curtailed.
+  /// Returns the locally optimal window order; accumulates stats. A cut
+  /// window marks stats curtailed and names the budget that ran out.
   std::vector<TupleIndex> run(SearchStats& stats) {
     stats_ = &stats;
     lambda_base_ = stats.omega_calls;
@@ -34,16 +40,10 @@ class WindowSearch {
     for (std::size_t k = 0; k < window_.size(); ++k) timer_.pop();
 
     if (best_cost_ > 0) descend();
-    if (truncated_) stats.completed = false;
     return best_order_;
   }
 
  private:
-  bool curtailed() const {
-    return config_.curtail_lambda != 0 &&
-           stats_->omega_calls - lambda_base_ >= config_.curtail_lambda;
-  }
-
   void descend() {
     if (current_.size() == window_.size()) {
       ++stats_->schedules_examined;
@@ -55,7 +55,7 @@ class WindowSearch {
       return;
     }
     for (TupleIndex candidate : window_) {
-      if (curtailed()) {
+      if (budget_.curtail(*stats_, lambda_base_)) {
         truncated_ = true;
         return;
       }
@@ -72,6 +72,9 @@ class WindowSearch {
       if (!ready) continue;
 
       ++stats_->omega_calls;
+      if (budget_.count_node(*stats_)) {
+        budget_.tick(*stats_, base_nops_ + best_cost_, current_.size(), 0, 0);
+      }
       timer_.push(candidate);
       current_.push_back(candidate);
       const bool keep = !config_.alpha_beta ||
@@ -87,6 +90,7 @@ class WindowSearch {
   const DepGraph& dag_;
   PipelineTimer& timer_;
   const SearchConfig& config_;
+  SearchBudget& budget_;
   const std::vector<TupleIndex>& window_;
   std::vector<TupleIndex> current_;
   std::vector<TupleIndex> best_order_;
@@ -103,6 +107,7 @@ SplitResult split_schedule(const Machine& machine, const DepGraph& dag,
                            const SplitConfig& config) {
   PS_CHECK(config.window_size >= 1, "window size must be positive");
   Timer wall;
+  SearchBudget budget(config.search, "split");
   SplitResult result;
 
   const std::vector<TupleIndex> list_order = list_schedule_order(dag);
@@ -118,10 +123,13 @@ SplitResult split_schedule(const Machine& machine, const DepGraph& dag,
     const std::vector<TupleIndex> window(
         list_order.begin() + static_cast<std::ptrdiff_t>(begin),
         list_order.begin() + static_cast<std::ptrdiff_t>(end));
-    WindowSearch search(dag, timer, config.search, window);
+    WindowSearch search(dag, timer, config.search, budget, window);
     const std::vector<TupleIndex> best = search.run(result.stats);
     for (TupleIndex t : best) timer.push(t);
     ++result.windows;
+  }
+  if (SearchBudget::observed()) {
+    budget.tick(result.stats, timer.total_nops(), timer.depth(), 0, 0);
   }
 
   result.schedule = timer.snapshot();

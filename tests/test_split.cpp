@@ -95,6 +95,43 @@ TEST(Split, WindowLambdaBoundsWork) {
                 (5 + block.size()));
 }
 
+TEST(Split, DeadlineCutsEveryWindowAndNamesTheBudget) {
+  const Machine machine = Machine::paper_simulation();
+  // 339 unoptimized tuples whose 17 windows take 16,024 placements.
+  GeneratorParams params;
+  params.statements = 150;
+  params.variables = 12;
+  params.seed = 2;
+  params.optimize = false;
+  const BasicBlock block = generate_block(params);
+  const DepGraph dag(block);
+  SplitConfig config;
+  config.window_size = 20;
+  config.search.curtail_lambda = 50000;
+  const SplitResult full = split_schedule(machine, dag, config);
+  ASSERT_TRUE(full.stats.completed);
+  ASSERT_GT(full.stats.omega_calls, 10000u);
+  EXPECT_EQ(full.stats.curtail_reason, CurtailReason::None);
+
+  // The deadline is armed once for the whole split and sampled every
+  // 1,024 placements; once it has passed, every later window stops at its
+  // first candidate and keeps its list order.
+  config.search.deadline_seconds = 1e-9;
+  const SplitResult timed = split_schedule(machine, dag, config);
+  EXPECT_FALSE(timed.stats.completed);
+  EXPECT_EQ(timed.stats.curtail_reason, CurtailReason::Deadline);
+  EXPECT_EQ(timed.stats.omega_calls, 1024u);
+  EXPECT_TRUE(dag.is_legal_order(timed.schedule.order));
+  EXPECT_LE(timed.schedule.total_nops(),
+            list_schedule(machine, dag).total_nops());
+
+  config.search.deadline_seconds = 0;
+  config.search.curtail_lambda = 5;
+  const SplitResult cut = split_schedule(machine, dag, config);
+  EXPECT_FALSE(cut.stats.completed);
+  EXPECT_EQ(cut.stats.curtail_reason, CurtailReason::Lambda);
+}
+
 TEST(Split, HandlesWindowSizeOne) {
   // Degenerate split: every window has a single instruction, so the result
   // is exactly the list schedule.
