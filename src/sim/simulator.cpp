@@ -213,25 +213,31 @@ std::string render_pipeline_trace(const Machine& machine,
     }
   }
 
+  // Every cell is one wider than the widest cycle number or tuple label,
+  // and at least 3, so neighbouring numbers never touch.
+  const std::size_t widest = std::max(std::to_string(last).size(),
+                                      std::to_string(block.size()).size());
+  const std::size_t width = std::max<std::size_t>(3, widest + 1);
   auto emit_row = [&](const std::string& name,
                       const std::vector<std::string>& cells) {
     oss << pad_right(name, 14) << "|";
     for (int c = 1; c <= last; ++c) {
-      oss << pad_left(cells[static_cast<std::size_t>(c)], 3);
+      oss << pad_left(cells[static_cast<std::size_t>(c)], width);
     }
     oss << "\n";
   };
 
-  oss << pad_right("cycle", 14) << "|";
-  for (int c = 1; c <= last; ++c) oss << pad_left(std::to_string(c), 3);
-  oss << "\n";
+  std::vector<std::string> cycles(static_cast<std::size_t>(last) + 1);
+  for (int c = 1; c <= last; ++c) {
+    cycles[static_cast<std::size_t>(c)] = std::to_string(c);
+  }
+  emit_row("cycle", cycles);
   emit_row("issue", issue_row);
   for (std::size_t u = 0; u < machine.pipeline_count(); ++u) {
     emit_row(machine.pipeline(static_cast<PipelineId>(u)).function + " #" +
                  std::to_string(u + 1),
              unit_rows[u]);
   }
-  (void)block;
   return oss.str();
 }
 

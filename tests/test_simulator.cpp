@@ -176,10 +176,36 @@ TEST(Simulator, ListingAndTraceKeepFourDigitCycles) {
   }
   EXPECT_EQ(cycle, schedule.completion_cycle());
 
+  // The occupancy trace: past cycle 999 its cells widen to 5 characters,
+  // so the header and the issue row split into equal cells, header cell k
+  // reads k, and the issue row names the chain's tuples in order.
   const std::string trace = render_pipeline_trace(
       machine, block, simulate_interlocked(machine, dag, order));
-  const std::string header = trace.substr(0, trace.find('\n'));
-  EXPECT_NE(header.find("1000"), std::string::npos) << header.substr(0, 80);
+  std::istringstream rows(trace);
+  std::string header;
+  std::string issue;
+  ASSERT_TRUE(std::getline(rows, header) && std::getline(rows, issue));
+  const std::size_t prefix = header.find('|') + 1;
+  ASSERT_EQ(issue.find('|') + 1, prefix);
+  const auto cycles = static_cast<std::size_t>(schedule.completion_cycle());
+  ASSERT_EQ((header.size() - prefix) % cycles, 0u);
+  const std::size_t width = (header.size() - prefix) / cycles;
+  EXPECT_EQ(width, 5u);
+  ASSERT_EQ(issue.size(), header.size());
+  const auto cell = [&](const std::string& row, std::size_t k) {
+    const std::string padded = row.substr(prefix + (k - 1) * width, width);
+    EXPECT_EQ(padded[0], ' ') << "cell " << k << " touches its neighbour";
+    return padded.substr(padded.find_first_not_of(' '));
+  };
+  int tuple = 0;
+  for (std::size_t k = 1; k <= cycles; ++k) {
+    EXPECT_EQ(cell(header, k), std::to_string(k));
+    const std::string issued = cell(issue, k);
+    if (issued != "." && issued != "-") {
+      EXPECT_EQ(issued, std::to_string(++tuple)) << "cycle " << k;
+    }
+  }
+  EXPECT_EQ(tuple, 402);
 }
 
 TEST(Simulator, ParallelUnitsAbsorbConflicts) {
