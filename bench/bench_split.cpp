@@ -68,15 +68,18 @@ int main() {
     }
     for (int window : {5, 10, 20, 30}) {
       Timer t;
-      SplitConfig config;
-      config.window_size = window;
-      config.search.curtail_lambda =
+      SearchConfig config;
+      config.split_window = window;
+      config.curtail_lambda =
           kBudget / static_cast<std::uint64_t>(
                         (block.size() + window - 1) / window);
-      const SplitResult s = split_schedule(machine, dag, config);
+      const ScheduleResult s = split_schedule(machine, dag, config);
       rows[row].nops.add(s.schedule.total_nops());
       rows[row].micros.add(t.micros());
-      rows[row].completed.add(s.stats.completed ? 100 : 0);
+      // "Complete" here means no window was cut: every window reached its
+      // local optimum.
+      rows[row].completed.add(
+          s.stats.curtail_reason == CurtailReason::None ? 100 : 0);
       ++row;
     }
     {

@@ -40,6 +40,8 @@ CompileResult compile_block(const BasicBlock& block,
   const int ceiling = options.search.max_live_registers;
   PS_CHECK(ceiling <= 0 || options.scheduler == SchedulerKind::Optimal,
            "a register ceiling needs the optimal scheduler");
+  PS_CHECK(ceiling <= 0 || ceiling >= 3,
+           "register-limited compilation needs at least 3 registers");
   CompileResult result;
   {
     PS_COMPILE_STAGE("optimize");
@@ -102,8 +104,6 @@ CompileResult compile_source(const std::string& source,
 
 RegisterLimitedResult compile_with_register_limit(const BasicBlock& block,
                                                   CompileOptions options) {
-  PS_CHECK(options.registers >= 3,
-           "register-limited compilation needs at least 3 registers");
   options.scheduler = SchedulerKind::Optimal;
   options.search.max_live_registers = options.registers;
   RegisterLimitedResult result;

@@ -48,7 +48,7 @@ LogHistogram& compile_stage_histogram(const char* stage);
 struct CompileOptions {
   Machine machine = Machine::paper_simulation();
   SchedulerKind scheduler = SchedulerKind::Optimal;
-  SearchConfig search;      ///< used by SchedulerKind::Optimal; its
+  SearchConfig search;      ///< the scheduler's budgets and settings; its
                             ///< max_live_registers is the register ceiling
   bool optimize = true;     ///< run the standard pass pipeline first
   bool reassociate = false; ///< + reassociation (balances Add/Mul trees to
@@ -82,7 +82,7 @@ CompileResult compile_source(const std::string& source,
 /// ends without a schedule (stats.outcome() is Infeasible or NoSchedule),
 /// the post-spill original order is emitted and its NOPs are reported in
 /// stats.best_nops. A ceiling needs SchedulerKind::Optimal, the only
-/// scheduler that honours it, and R >= 3 whenever spill code is needed.
+/// scheduler that honours it, and R >= 3.
 CompileResult compile_block(const BasicBlock& block,
                             const CompileOptions& options = {},
                             const PipelineState& entry = {});

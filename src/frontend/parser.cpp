@@ -108,8 +108,10 @@ class Lexer {
   }
 
   void expect(char c) {
-    PS_CHECK(accept(c), "line " << line_ << ": expected '" << c
-                                << "', found '" << peek() << "'");
+    PS_CHECK(accept(c), "line " << line_ << ": expected '" << c << "', found "
+                                << (token_ == Token::End
+                                        ? std::string("end of input")
+                                        : std::string{'\'', peek(), '\''}));
   }
 
   /// Consume `word` if the current token is exactly that identifier.

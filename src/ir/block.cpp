@@ -32,11 +32,6 @@ const Tuple& BasicBlock::tuple(TupleIndex i) const {
   return tuples_[static_cast<std::size_t>(i)];
 }
 
-Tuple& BasicBlock::tuple_mut(TupleIndex i) {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < tuples_.size());
-  return tuples_[static_cast<std::size_t>(i)];
-}
-
 void BasicBlock::replace_tuples(std::vector<Tuple> tuples) {
   tuples_ = std::move(tuples);
   validate();

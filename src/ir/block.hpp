@@ -50,7 +50,6 @@ class BasicBlock {
   }
 
   const Tuple& tuple(TupleIndex i) const;
-  Tuple& tuple_mut(TupleIndex i);
 
   std::size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }

@@ -54,7 +54,8 @@ const char* curtail_reason_name(CurtailReason reason);
 enum class SearchOutcome {
   Optimal,     ///< exhausted with a schedule: proven optimal
   Infeasible,  ///< exhausted with none: proven that nothing fits the ceiling
-  Curtailed,   ///< a budget ran out; the schedule kept may be suboptimal
+  Curtailed,   ///< a budget ran out, or (curtail_reason None) no
+               ///< exhaustive search ran; the schedule may be suboptimal
   NoSchedule,  ///< a budget ran out before any schedule fit the ceiling
 };
 
@@ -75,8 +76,10 @@ struct SearchStats {
 
   /// True when the search space was exhausted (termination condition [1]);
   /// false when the curtail point or the wall-clock deadline truncated it
-  /// (condition [2]). `curtail_reason` says which budget expired. Read
-  /// the ending through outcome(), which also weighs `feasible`.
+  /// (condition [2]), and when no exhaustive search ran (the heuristic
+  /// kinds, and most splits; see split_schedule). `curtail_reason` says
+  /// which budget expired, and is None when no exhaustive search ran.
+  /// Read the ending through outcome(), which also weighs `feasible`.
   bool completed = true;
   CurtailReason curtail_reason = CurtailReason::None;
 

@@ -1,8 +1,8 @@
 // The scheduler entry point and the definitions every policy shares.
 //
 // Every scheduling policy in src/sched/ — original order, list, greedy,
-// exhaustive, and the two optimal backends (branch-and-bound and CP/DP) —
-// is reached through one function:
+// exhaustive, the Section 5.3 window splitter, and the two optimal
+// backends (branch-and-bound and CP/DP) — is reached through one function:
 //
 //   ScheduleResult run_scheduler(kind, machine, dag, config, initial)
 //
@@ -36,6 +36,7 @@ enum class SchedulerKind {
   Greedy,      ///< Gross-style machine-aware heuristic baseline
   Optimal,     ///< optimal search (backend selected by SearchConfig)
   Exhaustive,  ///< all legal orders (ground truth; small blocks only)
+  Split,       ///< Section 5.3 window splitter (see split_scheduler.hpp)
 };
 
 const char* scheduler_kind_name(SchedulerKind kind);
@@ -91,6 +92,10 @@ struct SearchConfig {
   /// optimal schedule *among the feasible ones*; stats.feasible reports
   /// whether any complete feasible schedule was found.
   int max_live_registers = 0;
+
+  /// Instructions per window under SchedulerKind::Split (the paper's
+  /// "say, twenty instructions or less each").
+  int split_window = 20;
 };
 
 /// Memory budget, per search, for the state memo of either exact backend:
@@ -110,8 +115,9 @@ struct ScheduleResult {
 /// Schedule one block with the policy `kind`; SchedulerKind::Optimal
 /// runs the backend config.backend selects. `initial` carries residual
 /// pipeline occupancy at block entry (paper footnote 1). The heuristic
-/// policies report their one schedule as both initial and best. Emits a
-/// trace span named after the kind.
+/// policies report their one schedule as both initial and best, and prove
+/// nothing: completed is false with curtail_reason None. Emits a trace
+/// span named after the kind.
 ScheduleResult run_scheduler(SchedulerKind kind, const Machine& machine,
                              const DepGraph& dag,
                              const SearchConfig& config = {},
@@ -294,7 +300,8 @@ std::vector<int> latency_heights(const Machine& machine, const DepGraph& dag);
 /// node); the registry receives the totals in one batch here, so registry
 /// sums are exactly the sums of the per-search stats — a property the
 /// test suite asserts. Each kSearchCounters row names its series. Called
-/// once per run by both optimal backends and the exhaustive scheduler.
+/// once per run by both optimal backends, the exhaustive scheduler and
+/// the window splitter.
 void flush_search_metrics(const SearchStats& stats);
 
 }  // namespace pipesched

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sched/list_scheduler.hpp"
-#include "sched/scheduler.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -103,30 +102,34 @@ class WindowSearch {
 
 }  // namespace
 
-SplitResult split_schedule(const Machine& machine, const DepGraph& dag,
-                           const SplitConfig& config) {
-  PS_CHECK(config.window_size >= 1, "window size must be positive");
+ScheduleResult split_schedule(const Machine& machine, const DepGraph& dag,
+                              const SearchConfig& config,
+                              const PipelineState& initial) {
+  PS_CHECK(config.split_window >= 1, "window size must be positive");
   Timer wall;
-  SearchBudget budget(config.search, "split");
-  SplitResult result;
+  SearchBudget budget(config, "split");
+  ScheduleResult result;
 
   const std::vector<TupleIndex> list_order = list_schedule_order(dag);
   result.stats.initial_nops =
-      evaluate_order(machine, dag, list_order).total_nops();
+      evaluate_order(machine, dag, list_order, initial).total_nops();
 
-  PipelineTimer timer(machine, dag);
+  PipelineTimer timer(machine, dag, initial);
   const std::size_t n = list_order.size();
-  for (std::size_t begin = 0; begin < n;
-       begin += static_cast<std::size_t>(config.window_size)) {
-    const std::size_t end =
-        std::min(n, begin + static_cast<std::size_t>(config.window_size));
+  const auto width = static_cast<std::size_t>(config.split_window);
+  for (std::size_t begin = 0; begin < n; begin += width) {
+    const std::size_t end = std::min(n, begin + width);
     const std::vector<TupleIndex> window(
         list_order.begin() + static_cast<std::ptrdiff_t>(begin),
         list_order.begin() + static_cast<std::ptrdiff_t>(end));
-    WindowSearch search(dag, timer, config.search, budget, window);
+    WindowSearch search(dag, timer, config, budget, window);
     const std::vector<TupleIndex> best = search.run(result.stats);
     for (TupleIndex t : best) timer.push(t);
-    ++result.windows;
+  }
+  // Proven only if one window searched every order and every unit choice
+  // (the window search leaves heterogeneous units to the timer).
+  if (n > width || machine.has_heterogeneous_alternatives()) {
+    result.stats.completed = false;
   }
   if (SearchBudget::observed()) {
     budget.tick(result.stats, timer.total_nops(), timer.depth(), 0, 0);
@@ -135,6 +138,7 @@ SplitResult split_schedule(const Machine& machine, const DepGraph& dag,
   result.schedule = timer.snapshot();
   result.stats.best_nops = result.schedule.total_nops();
   result.stats.seconds = wall.seconds();
+  flush_search_metrics(result.stats);
   return result;
 }
 

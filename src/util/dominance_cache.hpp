@@ -130,7 +130,6 @@ class DominanceCache {
 
   const DominanceCacheStats& stats() const { return stats_; }
   std::size_t capacity() const { return entries_.size(); }
-  std::size_t max_capacity() const { return max_entries_; }
 
  private:
   struct Entry {

@@ -3,7 +3,6 @@
 #include <pthread.h>
 #include <signal.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -13,8 +12,6 @@
 namespace pipesched {
 
 namespace {
-
-std::atomic<bool> g_interrupted{false};
 
 struct InterruptState {
   std::mutex mutex;
@@ -46,7 +43,6 @@ void watcher_loop() {
   int sig = 0;
   while (sigwait(&set, &sig) != 0) {
   }
-  g_interrupted.store(true, std::memory_order_relaxed);
   std::cerr << "\ninterrupted (" << signal_name(sig)
             << "): flushing observability outputs before exit\n";
   std::function<void(int)> cleanup;
@@ -87,10 +83,6 @@ void install_graceful_interrupt(std::function<void(int)> cleanup) {
   // inherits the mask, leaving the watcher as the sole receiver.
   pthread_sigmask(SIG_BLOCK, &set, nullptr);
   std::thread(watcher_loop).detach();
-}
-
-bool interrupt_requested() {
-  return g_interrupted.load(std::memory_order_relaxed);
 }
 
 }  // namespace pipesched

@@ -30,8 +30,4 @@ namespace pipesched {
 /// number; exceptions it throws are swallowed (best-effort flush).
 void install_graceful_interrupt(std::function<void(int)> cleanup);
 
-/// True once a graceful interrupt is in flight (the cleanup is running
-/// or about to). Long loops may poll this to stop early.
-bool interrupt_requested();
-
 }  // namespace pipesched

@@ -37,7 +37,6 @@ class JsonValue {
   bool is_number() const { return kind_ == Kind::Number; }
   bool is_string() const { return kind_ == Kind::String; }
   bool is_array() const { return kind_ == Kind::Array; }
-  bool is_object() const { return kind_ == Kind::Object; }
 
   /// True for numbers carrying an exact int64 (integer-syntax token in
   /// range, or make_integer). as_number() works on these too, with the

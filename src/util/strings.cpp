@@ -34,11 +34,6 @@ std::vector<std::string> split(const std::string& s, char delim) {
   return out;
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 std::string with_commas(unsigned long long n) {
   std::string digits = std::to_string(n);
   std::string out;

@@ -12,9 +12,6 @@ std::string trim(const std::string& s);
 /// Split on a delimiter character; keeps empty fields.
 std::vector<std::string> split(const std::string& s, char delim);
 
-/// True when `s` begins with `prefix`.
-bool starts_with(const std::string& s, const std::string& prefix);
-
 /// Format a count with thousands separators, e.g. 1307674368000 ->
 /// "1,307,674,368,000" (used by the Table 1 reproduction).
 std::string with_commas(unsigned long long n);

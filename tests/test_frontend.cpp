@@ -50,6 +50,12 @@ TEST(SourceParser, DiagnosesSyntaxErrors) {
   EXPECT_THROW(parse_source("x + 1;"), Error);
   EXPECT_THROW(parse_source("x = 1"), Error);
   EXPECT_THROW(parse_source("x = (1;"), Error);
+  // At the end of input the message names it, not the NUL peek() holds.
+  try {
+    parse_source("x = 1");
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "line 1: expected ';', found end of input");
+  }
 }
 
 std::string repeat(const std::string& s, int times) {

@@ -19,6 +19,7 @@
 #include "sched/greedy_scheduler.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/optimal_scheduler.hpp"
+#include "sched/split_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "util/metrics.hpp"
@@ -388,11 +389,18 @@ TEST(RunScheduler, EachKindMatchesItsDirectCall) {
       EXPECT_EQ(r.stats.omega_calls, direct.stats.omega_calls) << where;
       EXPECT_EQ(r.stats.nodes_expanded, direct.stats.nodes_expanded)
           << where;
+      EXPECT_EQ(r.stats.outcome(), direct.stats.outcome()) << where;
+      EXPECT_EQ(r.stats.curtail_reason, direct.stats.curtail_reason)
+          << where;
     };
-    // The heuristics report their one schedule as both seed and best.
+    // The heuristics report their one schedule as both seed and best, and
+    // never claim a proof: no exhaustive search ran, and no budget ran
+    // out.
     const auto heuristic = [](Schedule schedule) {
       ScheduleResult r;
       r.stats.initial_nops = r.stats.best_nops = schedule.total_nops();
+      r.stats.completed = false;
+      r.stats.curtail_reason = CurtailReason::None;
       r.schedule = std::move(schedule);
       return r;
     };
@@ -411,6 +419,7 @@ TEST(RunScheduler, EachKindMatchesItsDirectCall) {
     // never another cost.
     const ScheduleResult seeded = exhaustive_search(machine, dag, bnb);
     expect_same(SchedulerKind::Exhaustive, bnb, seeded);
+    expect_same(SchedulerKind::Split, bnb, split_schedule(machine, dag, bnb));
     const ScheduleResult oracle = exhaustive_schedule(machine, dag);
     ASSERT_TRUE(oracle.stats.completed);
     EXPECT_EQ(seeded.schedule.total_nops(), oracle.schedule.total_nops())

@@ -204,7 +204,7 @@ TEST(ParserFuzz, SourceTextOutcomes) {
          }
        });
   EXPECT_EQ(rejected + straight + control, kBudget);
-  EXPECT_EQ(hash, 0x3f141d942ab6d960ull)
+  EXPECT_EQ(hash, 0x63221381c9e5f2ccull)
       << "0x" << std::hex << hash << std::dec << " (" << rejected
       << " rejected, " << straight << " straight-line, " << control
       << " control flow)";

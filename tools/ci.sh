@@ -306,7 +306,8 @@ cli_flag_smoke() {
   echo "==== psc flag validation smoke (${build}) ===="
   local rc out
   for bad in "--deadline bogus" "--lambda -3" "--lambda 4x" \
-             "--registers 1e3" "--split --lambda"; do
+             "--registers 1e3" "--split --lambda" "--split 0" "--split -3" \
+             "--registers 0" "--registers -5"; do
     rc=0
     # shellcheck disable=SC2086  # intentional word-splitting of flag+value
     out="$(echo "x = a;" | "./${build}/tools/psc" ${bad} 2>&1)" || rc=$?

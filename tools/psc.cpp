@@ -15,9 +15,7 @@
 #include "core/corpus_runner.hpp"
 #include "core/program_compiler.hpp"
 #include "core/superblock.hpp"
-#include "asmout/emitter.hpp"
 #include "frontend/codegen.hpp"
-#include "frontend/opt/passes.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/program_codegen.hpp"
 #include "ir/block_parser.hpp"
@@ -25,8 +23,6 @@
 #include "ir/dag.hpp"
 #include "machine/machine_parser.hpp"
 #include "obs/http_exporter.hpp"
-#include "regalloc/regalloc.hpp"
-#include "sched/split_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/build_info.hpp"
 #include "util/check.hpp"
@@ -66,10 +62,13 @@ scheduling:
   --deadline <secs>     wall-clock budget per search (0 = none); expiry
                         keeps the best schedule found so far, like lambda
   --no-cache            disable the state-dominance (transposition) cache
-  --split <W>           schedule straight-line blocks with the Section 5.3
-                        window splitter instead of the global search
+  --split <W>           schedule every block with the Section 5.3 window
+                        splitter (list-order windows of W instructions,
+                        each searched to a local optimum) instead of the
+                        global search
   --registers <N>       register-limited compilation: spill + pressure-
                         constrained search so the code fits N registers
+                        (needs the optimal scheduler)
 back end:
   --mechanism <name>    nop (default) | interlock | wait | tera | carp
   --boundary <name>     drain (default) | chain   (control-flow programs)
@@ -138,8 +137,8 @@ struct Args {
   std::uint64_t lambda = 50000;
   double deadline = 0;
   bool dominance_cache = true;
-  int split_window = 0;
-  int register_limit = 0;
+  int split_window = 0;    ///< 0 = no --split
+  int register_limit = 0;  ///< 0 = no --registers
   DelayMechanism mechanism = DelayMechanism::NopPadding;
   BoundaryMode boundary = BoundaryMode::Drain;
   bool superblock = false;
@@ -218,11 +217,12 @@ std::uint64_t parse_u64_flag(const std::string& flag,
   }
 }
 
-int parse_int_flag(const std::string& flag, const std::string& value) {
+int parse_positive_int_flag(const std::string& flag,
+                            const std::string& value) {
   try {
     std::size_t pos = 0;
     const int parsed = std::stoi(value, &pos);
-    if (pos != value.size()) invalid_flag_value(flag, value);
+    if (pos != value.size() || parsed < 1) invalid_flag_value(flag, value);
     return parsed;
   } catch (const std::exception&) {
     invalid_flag_value(flag, value);
@@ -280,9 +280,9 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--no-cache") {
       args.dominance_cache = false;
     } else if (arg == "--split") {
-      args.split_window = parse_int_flag(arg, next());
+      args.split_window = parse_positive_int_flag(arg, next());
     } else if (arg == "--registers") {
-      args.register_limit = parse_int_flag(arg, next());
+      args.register_limit = parse_positive_int_flag(arg, next());
     } else if (arg == "--mechanism") {
       args.mechanism = parse_mechanism(next());
     } else if (arg == "--boundary") {
@@ -349,6 +349,10 @@ std::string outcome_text(const SearchStats& stats) {
     case SearchOutcome::Optimal:
       return "proven optimal";
     case SearchOutcome::Curtailed:
+      // Reason None: no budget ran out, but no search covered the block.
+      if (stats.curtail_reason == CurtailReason::None) {
+        return "not proven optimal (no exhaustive search)";
+      }
       return "curtailed (" + reason + ")";
     case SearchOutcome::Infeasible:
       return "proven infeasible: no schedule fits the register ceiling" +
@@ -440,6 +444,10 @@ CompileOptions compile_options(const Args& args, const Machine& machine) {
   CompileOptions options;
   options.machine = machine;
   options.scheduler = args.scheduler;
+  if (args.split_window > 0) {
+    options.scheduler = SchedulerKind::Split;
+    options.search.split_window = args.split_window;
+  }
   options.search.backend = args.backend;
   options.search.curtail_lambda = args.lambda;
   options.search.deadline_seconds = args.deadline;
@@ -447,33 +455,14 @@ CompileOptions compile_options(const Args& args, const Machine& machine) {
   options.optimize = args.optimize;
   options.reassociate = args.reassociate;
   options.emit.mechanism = args.mechanism;
+  options.search.max_live_registers = args.register_limit;
   if (args.register_limit > 0) options.registers = args.register_limit;
   return options;
 }
 
-int compile_one_block(BasicBlock block, const Machine& machine,
+int compile_one_block(const BasicBlock& block, const CompileOptions& options,
                       const Args& args) {
-  const CompileOptions options = compile_options(args, machine);
-  CompileResult result;
-  // --registers overrides --split: the window search knows no ceiling.
-  if (args.split_window > 0 && args.register_limit == 0) {
-    result.block = args.optimize ? run_standard_pipeline(block) : block;
-    SplitConfig config;
-    config.window_size = args.split_window;
-    config.search = options.search;
-    SplitResult split = split_schedule(machine, DepGraph(result.block), config);
-    result.schedule = std::move(split.schedule);
-    result.stats = split.stats;
-    result.allocation =
-        linear_scan(result.block, result.schedule.order, options.registers);
-    result.assembly = emit_assembly(result.block, machine, result.schedule,
-                                    result.allocation, options.emit);
-  } else {
-    result = args.register_limit > 0
-                 ? compile_with_register_limit(block, options).compiled
-                 : compile_block(block, options);
-  }
-
+  const CompileResult result = compile_block(block, options);
   if (args.dump_tuples) std::cerr << result.block.to_string();
   if (args.dump_dag) std::cerr << DepGraph(result.block).to_dot();
   const SearchStats& stats = result.stats;
@@ -490,60 +479,52 @@ int compile_one_block(BasicBlock block, const Machine& machine,
                  {{static_cast<int>(result.block.size()), stats, {}, {}}});
   if (args.sim_trace) {
     const SimResult sim = simulate_interlocked(
-        machine, DepGraph(result.block), result.schedule.order);
-    std::cerr << render_pipeline_trace(machine, result.block, sim);
+        options.machine, DepGraph(result.block), result.schedule.order);
+    std::cerr << render_pipeline_trace(options.machine, result.block, sim);
   }
   std::cout << result.assembly;
   return 0;
 }
 
 int run_compile(const Args& args, HttpExporter* server) {
-  const Machine machine =
-      args.machine_file.empty()
-          ? Machine::preset(args.machine_preset)
-          : parse_machine(read_input(args.machine_file));
-
+  const CompileOptions options = compile_options(
+      args, args.machine_file.empty()
+                ? Machine::preset(args.machine_preset)
+                : parse_machine(read_input(args.machine_file)));
   const std::string input = read_input(args.input_path);
 
   // Setup is done (machine + input loaded): flip /readyz before the
   // compile itself starts, the same point a daemon would mark ready.
   if (server != nullptr) server->set_ready(true);
 
-  Program parsed_program;
-  bool have_program = false;
-  if (args.tuples) {
-    // A leading "program" keyword selects the whole-CFG tuple format.
-    const std::string head = trim(input).substr(0, 7);
-    if (head == "program") {
+  // With --tuples, a leading "program" keyword selects the whole-CFG
+  // format; straight-line input is one block, anything else a CFG.
+  Program program;
+  if (args.tuples && trim(input).substr(0, 7) == "program") {
+    PS_TRACE_SPAN("parse");
+    program = parse_program_text(input);
+  } else if (args.tuples) {
+    const BasicBlock block = [&] {
       PS_TRACE_SPAN("parse");
-      parsed_program = parse_program_text(input);
-      have_program = true;
-    } else {
-      BasicBlock block = [&] {
-        PS_TRACE_SPAN("parse");
-        return parse_block(input);
-      }();
-      return compile_one_block(std::move(block), machine, args);
-    }
-  }
-
-  if (!have_program) {
-    SourceProgram source = [&] {
+      return parse_block(input);
+    }();
+    return compile_one_block(block, options, args);
+  } else {
+    const SourceProgram source = [&] {
       PS_TRACE_SPAN("parse");
       return parse_source(input);
     }();
     if (source.is_straight_line()) {
-      BasicBlock tuples = [&] {
+      const BasicBlock tuples = [&] {
         PS_TRACE_SPAN("tuple_gen");
         return generate_tuples(source);
       }();
-      return compile_one_block(std::move(tuples), machine, args);
+      return compile_one_block(tuples, options, args);
     }
-    parsed_program = generate_program(source);
+    program = generate_program(source);
   }
 
   // Control flow: the whole-program pipeline.
-  Program program = std::move(parsed_program);
   if (args.superblock) {
     SuperblockResult merged = merge_linear_chains(program);
     if (args.stats) {
@@ -553,18 +534,17 @@ int run_compile(const Args& args, HttpExporter* server) {
     program = std::move(merged.program);
   }
   if (args.dump_cfg) std::cerr << program.to_string();
-  PS_CHECK(args.split_window == 0 && args.register_limit == 0,
-           "--split/--registers currently apply to straight-line input");
   std::unique_ptr<ProgressReporter> progress;
   if (args.progress) {
     progress = std::make_unique<ProgressReporter>(
         program.size(), std::cerr, ProgressReporter::stderr_is_tty());
   }
-  ProgramCompileOptions options;
-  options.block = compile_options(args, machine);
-  options.boundary = args.boundary;
-  options.progress = progress.get();
-  const ProgramCompileResult result = compile_program(program, options);
+  ProgramCompileOptions program_options;
+  program_options.block = options;
+  program_options.boundary = args.boundary;
+  program_options.progress = progress.get();
+  const ProgramCompileResult result =
+      compile_program(program, program_options);
   if (progress) progress->finish();
   if (args.stats) {
     std::cerr << "; program: " << result.blocks.size() << " blocks, "
@@ -582,6 +562,42 @@ int run_compile(const Args& args, HttpExporter* server) {
   return 0;
 }
 
+/// Stop the profiler, the watchdog, the tracer and the metrics registry
+/// and write each file asked for, naming it on stderr. Runs at normal exit
+/// and from the Ctrl-C / SIGTERM cleanup, which may fire before the
+/// profiler or the tracer was switched on.
+void write_observability_files(const Args& args) {
+  if (!args.profile_path.empty() && profiler_enabled()) {
+    profiler_disable();  // stops sampling and flushes ps_profile_samples_total
+    profiler_write_collapsed(args.profile_path);
+    std::cerr << "; profile: " << profiler_total_samples()
+              << " samples written to " << args.profile_path
+              << " (collapsed-stack format for flamegraph.pl/speedscope)\n";
+    if (args.stats) {
+      const std::string table = profiler_phase_table();
+      if (!table.empty()) {
+        std::cerr << "; phase shares (sampled every "
+                  << compact_double(profiler_sample_period_seconds() * 1e3, 4)
+                  << "ms):\n"
+                  << table;
+      }
+    }
+  }
+  if (args.watchdog_seconds > 0) watchdog_disable();
+  if (!args.trace_path.empty() && trace_enabled()) {
+    trace_disable();
+    trace_write_json(args.trace_path);
+    std::cerr << "; trace written to " << args.trace_path
+              << " (open in chrome://tracing or https://ui.perfetto.dev)\n";
+  }
+  if (!args.metrics_path.empty()) {
+    metrics_disable();
+    metrics_write(args.metrics_path);
+    std::cerr << "; " << metrics_summary_line() << " written to "
+              << args.metrics_path << "\n";
+  }
+}
+
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
 
@@ -594,18 +610,7 @@ int run(int argc, char** argv) {
   install_graceful_interrupt([&args](int) {
     if (server) server->stop();
     progress_finish_all();
-    if (!args.profile_path.empty() && profiler_enabled()) {
-      profiler_disable();
-      profiler_write_collapsed(args.profile_path);
-    }
-    if (!args.trace_path.empty() && trace_enabled()) {
-      trace_disable();
-      trace_write_json(args.trace_path);
-    }
-    if (!args.metrics_path.empty()) {
-      metrics_disable();
-      metrics_write(args.metrics_path);
-    }
+    write_observability_files(args);
   });
 
   if (!args.trace_path.empty()) trace_enable();
@@ -635,35 +640,7 @@ int run(int argc, char** argv) {
   }
 
   const int code = run_compile(args, server.get());
-  if (!args.profile_path.empty()) {
-    profiler_disable();  // stops sampling and flushes ps_profile_samples_total
-    profiler_write_collapsed(args.profile_path);
-    std::cerr << "; profile: " << profiler_total_samples()
-              << " samples written to " << args.profile_path
-              << " (collapsed-stack format for flamegraph.pl/speedscope)\n";
-    if (args.stats) {
-      const std::string table = profiler_phase_table();
-      if (!table.empty()) {
-        std::cerr << "; phase shares (sampled every "
-                  << compact_double(profiler_sample_period_seconds() * 1e3, 4)
-                  << "ms):\n"
-                  << table;
-      }
-    }
-  }
-  if (args.watchdog_seconds > 0) watchdog_disable();
-  if (!args.trace_path.empty()) {
-    trace_disable();
-    trace_write_json(args.trace_path);
-    std::cerr << "; trace written to " << args.trace_path
-              << " (open in chrome://tracing or https://ui.perfetto.dev)\n";
-  }
-  if (!args.metrics_path.empty()) {
-    metrics_disable();
-    metrics_write(args.metrics_path);
-    std::cerr << "; " << metrics_summary_line() << " written to "
-              << args.metrics_path << "\n";
-  }
+  write_observability_files(args);
   // Last: endpoints answer until every other output is flushed, then the
   // server joins its threads so psc exits with nothing left running.
   if (server) server->stop();
