@@ -19,7 +19,8 @@
 //
 // The B&B variant slice calls optimal_schedule directly on generated
 // blocks, once per search variant that none of the slices above reaches
-// (see BnbVariantsSlice).
+// (see BnbVariantsSlice); the ceiling slice searches the same blocks under
+// every register ceiling from 3 to 8 (see BnbCeilingSlice).
 //
 // The assembly slice hashes the emitted bytes of the corpus and regs_tight
 // slices (see AssemblySlice), which no count above would notice.
@@ -366,6 +367,102 @@ TEST(Fingerprint, BnbVariantsSlice) {
       add_search(f, r.stats);
     }
     EXPECT_EQ(f, v.expected);
+  }
+}
+
+/// asymmetric_alus() with Store on two ports of differing latency: Add,
+/// Sub and Neg, which define values, and Store, which defines none, each
+/// branch over two unit groups.
+Machine asymmetric_alus_and_stores() {
+  Machine machine = Machine::asymmetric_alus();
+  machine.add_pipeline("store", 1, 1);
+  machine.add_pipeline("store", 3, 1);
+  machine.map_op(Opcode::Store, "store");
+  machine.validate();
+  return machine;
+}
+
+// B&B under a register ceiling on the variant slice's mixed blocks: every
+// ceiling from 3 to 8 at the slice's lambda, and each again at a lambda of
+// 100, small enough that the candidate loop also leaves through its
+// curtail exits, on the paper's machine and on one whose stores as well
+// as some value-defining ops branch over two unit groups. Pressure pruning
+// fires at every node that sits at its ceiling, so a change to how the
+// loop filters or counts blocked candidates shows here.
+TEST(Fingerprint, BnbCeilingSlice) {
+  const std::vector<BasicBlock> mixed = variant_blocks(300, 0);
+  struct Row {
+    int ceiling;
+    std::uint64_t lambda;
+    bool unit_groups;
+    Fingerprint expected;
+  };
+  const Row rows[] = {
+      {3, 5000, false,
+       {963, 6258, 113, 110158, 113105, 0, 779932, 0, 2456, 780, 46359,
+        173862}},
+      {4, 5000, false,
+       {688, 5983, 221, 216643, 231775, 0, 1403400, 0, 10432, 4982, 104707,
+        239163}},
+      {5, 5000, false,
+       {377, 5672, 272, 144161, 172989, 0, 951711, 0, 21201, 7896, 65789,
+        148158}},
+      {6, 5000, false,
+       {257, 5552, 289, 87147, 121501, 0, 562072, 0, 26969, 7645, 36614,
+        73486}},
+      {7, 5000, false,
+       {213, 5508, 298, 35115, 68050, 0, 159162, 0, 26895, 6290, 11098,
+        15795}},
+      {8, 5000, false,
+       {209, 5504, 299, 28648, 61423, 0, 119145, 0, 27543, 5476, 8771, 5226}},
+      {3, 100, false,
+       {990, 6285, 73, 22092, 23025, 0, 185238, 0, 909, 313, 4540, 41456}},
+      {4, 100, false,
+       {862, 6157, 120, 18187, 21547, 0, 117422, 0, 2887, 755, 3094, 28090}},
+      {5, 100, false,
+       {701, 5996, 148, 13771, 20027, 0, 59253, 0, 5665, 860, 1759, 16198}},
+      {6, 100, false,
+       {622, 5917, 164, 11001, 18947, 0, 32881, 0, 7456, 750, 1090, 8542}},
+      {7, 100, false,
+       {579, 5874, 167, 9021, 17892, 0, 17369, 0, 8492, 629, 593, 3654}},
+      {8, 100, false,
+       {562, 5857, 168, 8171, 17467, 0, 12894, 0, 8922, 618, 425, 1370}},
+      {3, 100, true,
+       {2266, 7561, 46, 22912, 25557, 0, 165116, 0, 2083, 851, 6892, 38464}},
+      {4, 100, true,
+       {1960, 7255, 59, 18563, 26090, 0, 91760, 0, 6027, 1786, 5737, 23895}},
+      {5, 100, true,
+       {1630, 6925, 67, 13719, 25704, 0, 42689, 0, 10496, 1770, 3541, 12968}},
+      {6, 100, true,
+       {1482, 6777, 74, 10790, 25107, 0, 21850, 0, 13113, 1485, 2101, 6915}},
+      {7, 100, true,
+       {1399, 6694, 81, 8900, 24541, 0, 10617, 0, 14627, 1294, 1029, 3121}},
+      {8, 100, true,
+       {1384, 6679, 83, 7983, 24309, 0, 6637, 0, 15386, 1219, 529, 1101}},
+  };
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "ceiling " << row.ceiling << ", lambda " << row.lambda
+                 << (row.unit_groups ? ", unit groups" : ""));
+    const Machine machine = row.unit_groups ? asymmetric_alus_and_stores()
+                                            : Machine::paper_simulation();
+    SearchConfig config;
+    config.curtail_lambda = row.lambda;
+    config.lower_bound_prune = true;
+    config.max_live_registers = row.ceiling;
+    Fingerprint f;
+    for (const BasicBlock& block : mixed) {
+      const DepGraph dag(block);
+      const ScheduleResult r = optimal_schedule(machine, dag, config);
+      f.final_nops +=
+          static_cast<std::uint64_t>(std::max(0, r.schedule.total_nops()));
+      f.code_cycles +=
+          static_cast<std::uint64_t>(r.schedule.completion_cycle());
+      f.optimal_blocks += r.stats.outcome() == SearchOutcome::Optimal;
+      add_search(f, r.stats);
+    }
+    EXPECT_EQ(f, row.expected);
   }
 }
 
