@@ -122,28 +122,44 @@ class Search {
   /// bits in order visits candidates in the seed's order.
   void init_from_seed(const std::vector<TupleIndex>& seed) {
     candidates_by_seed_ = seed;
-    rank_of_.resize(n_);
+    info_.resize(n_);
     for (std::size_t r = 0; r < n_; ++r) {
-      rank_of_[static_cast<std::size_t>(seed[r])] = r;
+      info_[static_cast<std::size_t>(seed[r])].rank =
+          static_cast<std::uint32_t>(r);
     }
 
-    unplaced_preds_.resize(n_);
-    producer_latency_.resize(n_);
-    avail_.assign(n_, std::numeric_limits<int>::min());
     ready_.assign(words_for(n_), 0);
     unplaced_.assign(words_for(n_), 0);
+    if (live_.constrained()) defines_.assign(words_for(n_), 0);
     for (std::size_t i = 0; i < n_; ++i) {
       const auto index = static_cast<TupleIndex>(i);
-      unplaced_preds_[i] = static_cast<int>(dag_.preds(index).size());
-      producer_latency_[i] =
-          machine_.latency_for(dag_.block().tuple(index).op);
-      set_bit(unplaced_, rank_of_[i]);
-      if (unplaced_preds_[i] == 0) set_bit(ready_, rank_of_[i]);
+      const Opcode op = dag_.block().tuple(index).op;
+      TupleInfo& info = info_[i];
+      info.groups = &machine_.unit_groups(op);
+      info.unplaced_preds = static_cast<int>(dag_.preds(index).size());
+      info.producer_latency = machine_.latency_for(op);
+      info.avail = std::numeric_limits<int>::min();
+      set_bit(unplaced_, info.rank);
+      if (info.unplaced_preds == 0) set_bit(ready_, info.rank);
+      if (live_.constrained() && live_.defines(index)) {
+        set_bit(defines_, info.rank);
+      }
     }
 
-    // Class ids run from 0 to at most n.
+    // Class ids run from 0 to at most n. Rule [5c] can only skip a
+    // candidate whose class has a second member; the first row finds one
+    // and is cleared again.
     class_words_ = words_for(n_ + 1);
     tried_stack_.assign(n_ * class_words_, 0);
+    bool shared_class = false;
+    for (const int id : classes_) {
+      const auto c = static_cast<std::size_t>(id);
+      shared_class = shared_class || (tried_stack_[c >> 6] & bit_of(c)) != 0;
+      tried_stack_[c >> 6] |= bit_of(c);
+    }
+    std::fill_n(tried_stack_.begin(),
+                std::min(class_words_, tried_stack_.size()), 0);
+    equivalence_ = config_.equivalence_prune && shared_class;
   }
 
   /// Take `t`, just pushed on the timer, out of the unplaced and ready
@@ -151,24 +167,24 @@ class Search {
   /// and, when the bound is on, records when its producers' results are
   /// due (DESIGN.md §3.11: the value holds while it stays ready).
   void mark_placed(TupleIndex t) {
-    const std::size_t rank = rank_of_[static_cast<std::size_t>(t)];
+    const std::size_t rank = info_[static_cast<std::size_t>(t)].rank;
     clear_bit(unplaced_, rank);
     clear_bit(ready_, rank);
     for (TupleIndex s : dag_.succs(t)) {
-      const auto si = static_cast<std::size_t>(s);
-      if (--unplaced_preds_[si] != 0) continue;
-      set_bit(ready_, rank_of_[si]);
-      if (config_.lower_bound_prune) avail_[si] = producers_available(s);
+      TupleInfo& succ = info_[static_cast<std::size_t>(s)];
+      if (--succ.unplaced_preds != 0) continue;
+      set_bit(ready_, succ.rank);
+      if (config_.lower_bound_prune) succ.avail = producers_available(s);
     }
   }
 
   /// Undo mark_placed(t).
   void mark_unplaced(TupleIndex t) {
     for (TupleIndex s : dag_.succs(t)) {
-      const auto si = static_cast<std::size_t>(s);
-      if (unplaced_preds_[si]++ == 0) clear_bit(ready_, rank_of_[si]);
+      TupleInfo& succ = info_[static_cast<std::size_t>(s)];
+      if (succ.unplaced_preds++ == 0) clear_bit(ready_, succ.rank);
     }
-    const std::size_t rank = rank_of_[static_cast<std::size_t>(t)];
+    const std::size_t rank = info_[static_cast<std::size_t>(t)].rank;
     set_bit(unplaced_, rank);
     set_bit(ready_, rank);
   }
@@ -178,16 +194,19 @@ class Search {
   int producers_available(TupleIndex t) const {
     int avail = std::numeric_limits<int>::min();
     for (TupleIndex p : dag_.preds(t)) {
-      const int latency = producer_latency_[static_cast<std::size_t>(p)];
+      const int latency = info_[static_cast<std::size_t>(p)].producer_latency;
       avail = std::max(avail, timer_.issue_cycle_of(p) + latency);
     }
     return avail;
   }
 
-  /// The lowest ready seed rank at or above `from`; n when there is none.
-  std::size_t next_ready(std::size_t from) const {
+  /// The lowest ready seed rank at or above `from`, passing over the
+  /// tuples that define a value when `full` (the live count sits at the
+  /// ceiling, so exactly those are blocked); n when there is none.
+  std::size_t next_ready(std::size_t from, bool full = false) const {
     for (std::size_t w = from >> 6; w < ready_.size(); ++w) {
       std::uint64_t bits = ready_[w];
+      if (full) bits &= ~defines_[w];
       if (w == from >> 6) bits &= ~std::uint64_t{0} << (from & 63);
       if (bits != 0) {
         return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
@@ -227,7 +246,7 @@ class Search {
       const auto i = static_cast<std::size_t>(candidates_by_seed_[r]);
       // Ready instruction: its earliest issue is bounded by its placed
       // producers, and a latency-weighted chain hangs below it.
-      const int earliest = std::max(t_now + 1, avail_[i]);
+      const int earliest = std::max(t_now + 1, info_[i].avail);
       bound = std::max(bound, earliest + latency_height_[i]);
     }
     return bound;
@@ -348,61 +367,57 @@ class Search {
 
     // Per-depth record of equivalence classes already tried at this slot
     // (rule [5c] only filters alternatives for the *same* position).
-    std::uint64_t* tried_classes = &tried_stack_[timer_.depth() * class_words_];
-    std::fill_n(tried_classes, class_words_, 0);
+    std::uint64_t* tried_classes = nullptr;
+    if (equivalence_) {
+      tried_classes = &tried_stack_[timer_.depth() * class_words_];
+      std::fill_n(tried_classes, class_words_, 0);
+    }
+    // Section 3.1's pressure test, once for the node: the live count never
+    // passes the ceiling, so a candidate is blocked exactly when the count
+    // sits at the ceiling and the candidate defines a value.
+    const bool full = live_.at_ceiling();
 
-    // The candidates are the ready tuples, in seed order; every placement
-    // below is undone before the next one is sought, so the walk sees
-    // this node's ready set throughout. Rule [5b] counts every waiting
-    // tuple the seed order puts before the rank at which the loop leaves
-    // (see leave_candidates). Only a placement and the subtree below it
-    // move the budget, so it is checked before the first candidate and
-    // after each placed one: exactly where a check before every rank
-    // would first see a change.
+    // The candidates are the ready tuples, in seed order, less the blocked
+    // ones when full; every placement below is undone before the next one
+    // is sought, so the walk sees this node's sets throughout. Rule [5b]
+    // and the pressure test count every tuple they skip that the seed
+    // order puts before the rank at which the loop leaves (see
+    // leave_candidates). Only a placement and the subtree below it move
+    // the budget, so it is checked before the first candidate and after
+    // each placed one: exactly where a check before every rank would
+    // first see a change.
     if (budget_->curtail(*stats_)) return;
-    for (std::size_t rank = next_ready(0); rank < n_;
-         rank = next_ready(rank + 1)) {
+    for (std::size_t rank = next_ready(0, full); rank < n_;
+         rank = next_ready(rank + 1, full)) {
       const TupleIndex candidate = candidates_by_seed_[rank];
-      {
-        // Rule [5c] + pressure: the per-candidate filters. The marker
-        // scope ends before the group loop so the push/descend/undo work
-        // below is attributed to its own phases (and never stacks under
-        // the recursion).
+      if (equivalence_) {
+        // Rule [5c], the per-candidate filter. The marker scope ends
+        // before the group loop so the push/descend/undo work below is
+        // attributed to its own phases (and never stacks under the
+        // recursion).
         PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "candidate_filter");
-        if (live_.blocks(candidate)) {
-          ++stats_->pruned_pressure;
+        const auto cls = static_cast<std::size_t>(
+            classes_[static_cast<std::size_t>(candidate)]);
+        if (tried_classes[cls >> 6] & bit_of(cls)) {
+          ++stats_->pruned_equivalence;
           continue;
         }
-
-        if (config_.equivalence_prune) {
-          const auto cls = static_cast<std::size_t>(
-              classes_[static_cast<std::size_t>(candidate)]);
-          if (tried_classes[cls >> 6] & bit_of(cls)) {
-            ++stats_->pruned_equivalence;  // rule [5c]
-            continue;
-          }
-          tried_classes[cls >> 6] |= bit_of(cls);
-        }
+        tried_classes[cls >> 6] |= bit_of(cls);
       }
 
       // Branch over the candidate's unit-signature groups (footnote 3's
       // generalization): homogeneous ops have exactly one group, so the
       // paper's machines take a single pass here.
-      const auto& groups =
-          machine_.unit_groups(dag_.block().tuple(candidate).op);
+      const auto& groups = *info_[static_cast<std::size_t>(candidate)].groups;
       const std::size_t branches = groups.empty() ? 1 : groups.size();
       for (std::size_t g = 0; g < branches; ++g) {
-        if (budget_->curtail(*stats_)) return leave_candidates(rank);
+        if (budget_->curtail(*stats_)) return leave_candidates(rank, full);
         {
           // Omega's incremental append: the placement itself plus every
           // piece of state pushed alongside it.
           PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_append");
           ++stats_->omega_calls;
-          if (groups.empty()) {
-            timer_.push(candidate);
-          } else {
-            timer_.push(candidate, groups[g]);
-          }
+          timer_.push(candidate, groups.empty() ? no_units_ : groups[g]);
           toggle_scheduled(candidate);
           live_.push(candidate);
           mark_placed(candidate);
@@ -433,28 +448,35 @@ class Search {
 
         // Curtailed deeper in the tree, or nothing can beat zero NOPs.
         if (!stats_->completed || best_nops_ == 0) {
-          return leave_candidates(rank);
+          return leave_candidates(rank, full);
         }
       }
       if (rank + 1 < n_ && budget_->curtail(*stats_)) {
-        return leave_candidates(rank + 1);
+        return leave_candidates(rank + 1, full);
       }
     }
-    leave_candidates(n_);
+    leave_candidates(n_, full);
   }
 
-  /// The candidate loop leaves at seed rank `rank`: count rule [5b]'s
-  /// skips of the waiting tuples (unplaced, not ready) ranked below it.
-  void leave_candidates(std::size_t rank) {
-    const std::size_t full = rank >> 6;
-    for (std::size_t w = 0; w < full; ++w) {
-      stats_->pruned_readiness += static_cast<std::uint64_t>(
-          std::popcount(unplaced_[w] & ~ready_[w]));
+  /// The candidate loop leaves at seed rank `rank`: count what it passed
+  /// over below that rank. Rule [5b] skipped the waiting tuples (unplaced,
+  /// not ready); when the node is `full`, the pressure test skipped the
+  /// ready tuples that define a value (DESIGN.md §3.11).
+  void leave_candidates(std::size_t rank, bool full) {
+    std::uint64_t waiting = 0;
+    std::uint64_t blocked = 0;
+    for (std::size_t w = 0; w * 64 < rank; ++w) {
+      const std::uint64_t below =
+          rank - w * 64 >= 64 ? ~std::uint64_t{0} : bit_of(rank) - 1;
+      waiting += static_cast<std::uint64_t>(
+          std::popcount(unplaced_[w] & ~ready_[w] & below));
+      if (full) {
+        blocked += static_cast<std::uint64_t>(
+            std::popcount(ready_[w] & defines_[w] & below));
+      }
     }
-    if ((rank & 63) != 0) {
-      stats_->pruned_readiness += static_cast<std::uint64_t>(std::popcount(
-          unplaced_[full] & ~ready_[full] & (bit_of(rank) - 1)));
-    }
+    stats_->pruned_readiness += waiting;
+    stats_->pruned_pressure += blocked;
   }
 
   const Machine& machine_;
@@ -466,16 +488,28 @@ class Search {
   std::vector<int> classes_;
   std::vector<int> latency_height_;
   std::vector<TupleIndex> candidates_by_seed_;  ///< seed rank -> tuple
-  std::vector<std::size_t> rank_of_;            ///< tuple -> seed rank
-  std::vector<int> unplaced_preds_;
-  std::vector<int> producer_latency_;  ///< latency_for(op) per tuple
-  /// Per ready tuple: when its producers' results are due (bound only).
-  std::vector<int> avail_;
+  /// What the candidate loop and the push and undo blocks read per tuple.
+  struct TupleInfo {
+    /// machine_.unit_groups(op): one entry per unit signature; empty for a
+    /// sigma-empty op, which is pushed with no_units_.
+    const std::vector<std::vector<PipelineId>>* groups = nullptr;
+    std::uint32_t rank = 0;  ///< seed rank
+    int unplaced_preds = 0;
+    int producer_latency = 0;  ///< latency_for(op)
+    /// While ready: when its producers' results are due (bound only).
+    int avail = 0;
+  };
+  std::vector<TupleInfo> info_;          ///< per tuple
+  const std::vector<PipelineId> no_units_;  ///< a sigma-empty op's units
   std::vector<std::uint64_t> ready_;     ///< bits over seed rank
   std::vector<std::uint64_t> unplaced_;  ///< bits over seed rank
+  /// Bits over seed rank: tuples that define a value (ceiling only).
+  std::vector<std::uint64_t> defines_;
   /// One row of class_words_ words per depth: classes tried at that slot.
   std::vector<std::uint64_t> tried_stack_;
   std::size_t class_words_ = 0;
+  /// Rule [5c] is on and some class has two members.
+  bool equivalence_ = false;
   LiveValues live_;  ///< Section 3.1's register ceiling, when one is set
   ZobristKeys zobrist_;
   ZobristKeys zobrist2_;  // independent table for the verification word

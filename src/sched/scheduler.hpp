@@ -26,6 +26,7 @@
 
 #include "sched/schedule.hpp"
 #include "sched/timing.hpp"
+#include "util/check.hpp"
 #include "util/profiler.hpp"
 
 namespace pipesched {
@@ -163,67 +164,98 @@ std::vector<TupleIndex> seed_order(const DepGraph& dag,
 /// ceiling of 0 (unconstrained) every call does nothing and nothing
 /// blocks. regalloc's compute_live_ranges()/max_live() state the same
 /// rule independently, as the check the tests compare against.
+///
+/// Only unblocked tuples are pushed, so the live count never passes the
+/// ceiling, and a tuple is blocked exactly when the count sits at the
+/// ceiling and the tuple defines a value: at_ceiling() && defines(t).
+/// The B&B search filters a whole node's candidates on that one test.
 class LiveValues {
  public:
-  LiveValues(const DepGraph& dag, int ceiling)
-      : block_(dag.block()), ceiling_(ceiling) {
+  /// Reads each tuple once, through the block's checked accessor, into a
+  /// per-tuple table; the calls below read only that table.
+  LiveValues(const DepGraph& dag, int ceiling) : ceiling_(ceiling) {
     if (ceiling_ <= 0) return;
-    total_uses_.assign(dag.size(), 0);
+    values_.resize(dag.size());
     for (std::size_t i = 0; i < dag.size(); ++i) {
-      const Tuple& t = block_.tuple(static_cast<TupleIndex>(i));
-      for (const Operand* o : {&t.a, &t.b}) {
-        if (o->is_ref()) ++total_uses_[static_cast<std::size_t>(o->ref)];
+      const Tuple& t = dag.block().tuple(static_cast<TupleIndex>(i));
+      Value& v = values_[i];
+      v.defines = opcode_has_result(t.op);
+      v.reads[0] = t.a.is_ref() ? t.a.ref : kNoRead;
+      v.reads[1] = t.b.is_ref() ? t.b.ref : kNoRead;
+      for (TupleIndex r : v.reads) {
+        if (r != kNoRead) ++values_[static_cast<std::size_t>(r)].uses;
       }
     }
-    uses_ = total_uses_;
-    live_before_.assign(dag.size(), 0);
+    reset();
   }
+
+  /// Is there a ceiling to keep?
+  bool constrained() const { return ceiling_ > 0; }
+
+  /// Does `t` define a value? (Constrained only.)
+  bool defines(TupleIndex t) const { return value(t).defines; }
+
+  /// Values live after the pushes so far.
+  int live() const { return live_; }
+
+  /// Is the live count at the ceiling, so that every tuple that defines a
+  /// value is blocked and no other is?
+  bool at_ceiling() const { return ceiling_ > 0 && live_ == ceiling_; }
 
   /// Would placing `t` now hold more values live than the ceiling?
   bool blocks(TupleIndex t) const {
-    if (ceiling_ <= 0) return false;
-    return live_ + (opcode_has_result(block_.tuple(t).op) ? 1 : 0) >
-           ceiling_;
+    return ceiling_ > 0 && live_ + (value(t).defines ? 1 : 0) > ceiling_;
   }
 
   void push(TupleIndex t) {
     if (ceiling_ <= 0) return;
-    live_before_[depth_++] = live_;
-    const Tuple& tuple = block_.tuple(t);
-    const bool result = opcode_has_result(tuple.op);
-    if (result) ++live_;
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref() && --uses_[static_cast<std::size_t>(o->ref)] == 0) {
+    const Value& v = value(t);
+    if (v.defines) ++live_;
+    for (TupleIndex r : v.reads) {
+      if (r != kNoRead && --values_[static_cast<std::size_t>(r)].unread == 0) {
         --live_;
       }
     }
-    if (result && total_uses_[static_cast<std::size_t>(t)] == 0) --live_;
+    if (v.defines && v.uses == 0) --live_;
+    PS_ASSERT(live_ <= ceiling_);
   }
 
-  /// Undo the push of `t`, the most recent one not yet undone.
+  /// Undo the push of `t`, the most recent one not yet undone: push()'s
+  /// steps in reverse.
   void pop(TupleIndex t) {
     if (ceiling_ <= 0) return;
-    const Tuple& tuple = block_.tuple(t);
-    for (const Operand* o : {&tuple.a, &tuple.b}) {
-      if (o->is_ref()) ++uses_[static_cast<std::size_t>(o->ref)];
+    const Value& v = value(t);
+    if (v.defines && v.uses == 0) ++live_;
+    for (TupleIndex r : v.reads) {
+      if (r != kNoRead && values_[static_cast<std::size_t>(r)].unread++ == 0) {
+        ++live_;
+      }
     }
-    live_ = live_before_[--depth_];
+    if (v.defines) --live_;
   }
 
   /// Forget every push: back to the empty placement.
   void reset() {
-    uses_ = total_uses_;
-    depth_ = 0;
+    for (Value& v : values_) v.unread = v.uses;
     live_ = 0;
   }
 
  private:
-  const BasicBlock& block_;
+  static constexpr TupleIndex kNoRead = -1;
+
+  struct Value {
+    TupleIndex reads[2] = {kNoRead, kNoRead};  ///< operand refs, if any
+    int uses = 0;    ///< operand slots reading this tuple's value
+    int unread = 0;  ///< of those, reads not yet placed
+    bool defines = false;
+  };
+
+  const Value& value(TupleIndex t) const {
+    return values_[static_cast<std::size_t>(t)];
+  }
+
   const int ceiling_;
-  std::vector<int> total_uses_;   ///< operand slots reading each value
-  std::vector<int> uses_;         ///< of those, reads not yet placed
-  std::vector<int> live_before_;  ///< live count before each push
-  std::size_t depth_ = 0;
+  std::vector<Value> values_;  ///< per tuple; empty when unconstrained
   int live_ = 0;
 };
 

@@ -138,6 +138,103 @@ TEST(Pressure, TighterLimitNeverReducesNops) {
   }
 }
 
+/// Values live after placing `placed` under the allocator's rule, counted
+/// from scratch: each placed tuple that defines a value some unplaced
+/// tuple still reads.
+int reference_live(const BasicBlock& block, const std::vector<bool>& placed) {
+  std::vector<bool> awaited(block.size(), false);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    if (placed[i]) continue;
+    const Tuple& t = block.tuple(static_cast<TupleIndex>(i));
+    for (const Operand* o : {&t.a, &t.b}) {
+      if (o->is_ref()) awaited[static_cast<std::size_t>(o->ref)] = true;
+    }
+  }
+  int live = 0;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    live += placed[i] && awaited[i] &&
+            opcode_has_result(block.tuple(static_cast<TupleIndex>(i)).op);
+  }
+  return live;
+}
+
+// The B&B candidate loop filters a node's candidates with one test
+// instead of asking blocks() per candidate. That rests on two facts,
+// checked here at every step of random walks that push only unblocked
+// ready tuples and now and then pop: LiveValues never holds more values
+// than its ceiling, and blocks(t) is exactly "at the ceiling and t defines
+// a value". The live count also matches a count from scratch, and a walk
+// that places every tuple peaks at the allocator's max_live for its order.
+TEST(Pressure, UnblockedOrdersNeverPassTheCeiling) {
+  Rng rng(0x11fe);
+  int steps = 0;
+  int full_steps = 0;
+  int complete_walks = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    GeneratorParams params;
+    params.statements = 6 + static_cast<int>(seed % 31);
+    params.variables = 4 + static_cast<int>(seed % 13);
+    params.constants = 2;
+    params.seed = seed * 13;
+    const BasicBlock block = generate_block(params);
+    const DepGraph dag(block);
+    const std::size_t n = block.size();
+    for (int ceiling = 3; ceiling <= 8; ++ceiling) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << ", ceiling " << ceiling);
+      LiveValues live(dag, ceiling);
+      ASSERT_TRUE(live.constrained());
+      std::vector<bool> placed(n, false);
+      std::vector<TupleIndex> order;
+      int peak = 0;
+      for (;;) {
+        ASSERT_LE(live.live(), ceiling);
+        ASSERT_EQ(live.live(), reference_live(block, placed));
+        std::vector<TupleIndex> unblocked;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto t = static_cast<TupleIndex>(i);
+          if (placed[i]) continue;
+          const auto preds = dag.preds(t);
+          if (!std::all_of(preds.begin(), preds.end(), [&](TupleIndex p) {
+                return placed[static_cast<std::size_t>(p)];
+              })) {
+            continue;
+          }
+          const bool defines = opcode_has_result(block.tuple(t).op);
+          ASSERT_EQ(live.defines(t), defines);
+          ASSERT_EQ(live.blocks(t), live.at_ceiling() && defines);
+          if (!live.blocks(t)) unblocked.push_back(t);
+        }
+        ++steps;
+        full_steps += live.at_ceiling();
+        if (order.size() == n || unblocked.empty()) break;
+        // One step in five undoes the last push instead, unless it is
+        // the first step.
+        if (!order.empty() && rng.next_below(5) == 0) {
+          live.pop(order.back());
+          placed[static_cast<std::size_t>(order.back())] = false;
+          order.pop_back();
+          continue;
+        }
+        const TupleIndex t = unblocked[rng.next_below(unblocked.size())];
+        peak = std::max(peak, live.live() + (live.defines(t) ? 1 : 0));
+        live.push(t);
+        placed[static_cast<std::size_t>(t)] = true;
+        order.push_back(t);
+      }
+      if (order.size() == n) {
+        ++complete_walks;
+        // A walk with pops in it may have peaked on a prefix it undid.
+        EXPECT_GE(peak, order_max_pressure(block, order));
+        EXPECT_LE(order_max_pressure(block, order), ceiling);
+      }
+    }
+  }
+  EXPECT_GT(steps, 10000);
+  EXPECT_GT(full_steps, 1000);
+  EXPECT_GT(complete_walks, 100);
+}
+
 TEST(Pressure, InfeasibleSearchDoesNotMasqueradeAsOptimal) {
   // Regression: an infeasible constrained search used to return the
   // pressure-infeasible seed schedule with its finite NOP count in
