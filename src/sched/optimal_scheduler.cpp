@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -74,13 +75,24 @@ class Search {
     ScheduleResult result;
 
     // Step [1]: evaluate the seed schedule; it becomes the incumbent pi.
+    // Under a ceiling the seed may hold too many values live; the block's
+    // own order then stands in when it fits, as it does after
+    // compile_block's spill step. Candidates keep the seed's ranks.
     const std::vector<TupleIndex> seed = seed_order(dag_, config_);
-    result.schedule = evaluate_order(machine_, dag_, seed, initial_);
+    init_from_seed(seed);
+    bool fits = true;
+    if (breaks_register_ceiling(dag_, seed, config_)) {
+      std::vector<TupleIndex> own(n_);
+      std::iota(own.begin(), own.end(), TupleIndex{0});
+      fits = !breaks_register_ceiling(dag_, own, config_);
+      result.schedule =
+          evaluate_order(machine_, dag_, fits ? own : seed, initial_);
+    } else {
+      result.schedule = evaluate_order(machine_, dag_, seed, initial_);
+    }
     best_nops_ = result.schedule.total_nops();
     result.stats.initial_nops = best_nops_;
-
-    init_from_seed(seed);
-    if (breaks_register_ceiling(dag_, seed, config_)) {
+    if (!fits) {
       best_nops_ = kInfiniteCost;
       result.stats.feasible = false;
     }

@@ -41,10 +41,17 @@
 // part of the optimized decision; homogeneous machines degenerate to a
 // single pass and behave exactly as the paper's algorithm.
 //
+// Under a register ceiling (SearchConfig::max_live_registers) a candidate
+// that would hold more values live than the ceiling is skipped. When the
+// list seed itself breaks the ceiling, the block's own order is the first
+// incumbent if it fits (compile_block's spill step makes it fit), while
+// candidates are still tried in seed order.
+//
 // A node's work is proportional to its ready set and the edges of the
 // tuple it places: the ready set, the bound's producer-availability cycles
 // and the classes tried at each depth are kept incrementally across pushes
-// and undos, never rescanned over the block (DESIGN.md §3.11).
+// and undos, never rescanned over the block, and the pressure test is one
+// mask over the ready bits per node (DESIGN.md §3.11).
 //
 // The curtail point lambda (Section 2.3) bounds worst-case compile time:
 // the search stops after lambda candidate placements (the paper's Lambda
@@ -66,9 +73,10 @@ namespace pipesched {
 /// `initial` carries residual pipeline occupancy at block entry (paper
 /// footnote 1: adjacent blocks are handled by modifying the initial
 /// conditions of the analysis). When stats.feasible is false (a
-/// pressure-constrained search with no feasible completion) the schedule
-/// is the *infeasible* seed, returned for diagnostics only: stats.best_nops
-/// is -1 then, and callers must not treat the schedule as a usable result.
+/// pressure-constrained search with no feasible completion, whose seed and
+/// own order both break the ceiling) the schedule is the *infeasible*
+/// seed, returned for diagnostics only: stats.best_nops is -1 then, and
+/// callers must not treat the schedule as a usable result.
 ScheduleResult optimal_schedule(const Machine& machine, const DepGraph& dag,
                                 const SearchConfig& config = {},
                                 const PipelineState& initial = {});

@@ -214,8 +214,8 @@ CompileOptions regs_tight_options() {
 }
 
 /// perfbench's two regs_tight strata: long blocks that need spill code
-/// and mostly end without an incumbent, and short ones the
-/// pressure-constrained search proves.
+/// and end curtailed, and short ones the pressure-constrained search
+/// proves.
 std::vector<std::string> regs_tight_sources() {
   std::vector<std::string> sources;
   const auto add = [&](int count, int lo, int hi) {
@@ -254,8 +254,9 @@ TEST(Fingerprint, RegsTightSlice) {
                              0, 1611310, 0, 1377, 0, 46918, 309801};
   EXPECT_EQ(f, expected);
   // Optimal, proven infeasible, curtailed with a schedule, curtailed
-  // with none: every long block ends without a schedule.
-  EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
+  // with none: every long block's list seed breaks the ceiling, and the
+  // search ends curtailed with the block's own order as its incumbent.
+  EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 6, 0}));
 }
 
 // The same slice on the CP backend: its pressure feasibility walk, probe
@@ -269,6 +270,8 @@ TEST(Fingerprint, RegsTightSliceCp) {
   const Fingerprint expected{368, 1654, 6, 67035, 67029,
                              0, 658, 0, 10, 0, 47039, 306548};
   EXPECT_EQ(f, expected);
+  // CP takes no incumbent from the block's own order: every long block
+  // ends without a schedule.
   EXPECT_EQ(outcomes, (std::array<int, 4>{6, 0, 0, 6}));
 }
 
@@ -346,8 +349,8 @@ TEST(Fingerprint, BnbVariantsSlice) {
        {214, 5509, 292, 38757, 95649, 0, 253118, 0, 0, 57129, 0, 0}},
       {"strong_equivalence_6_registers", Machine::paper_simulation(),
        strong_pressure, {}, mixed,
-       {257, 5552, 289, 85967, 119644, 0, 557926, 859, 26421, 7516, 35792,
-        72690}},
+       {257, 5552, 289, 85734, 118801, 0, 557454, 859, 25810, 7516, 35792,
+        72614}},
       {"word_edge_sizes", Machine::paper_simulation(), strong, {}, edges,
        {4, 644, 6, 1383, 18716, 0, 6437, 840, 17340, 0, 0, 0}},
   };
@@ -399,46 +402,46 @@ TEST(Fingerprint, BnbCeilingSlice) {
   };
   const Row rows[] = {
       {3, 5000, false,
-       {963, 6258, 113, 110158, 113105, 0, 779932, 0, 2456, 780, 46359,
-        173862}},
+       {963, 6258, 113, 110078, 113012, 0, 779837, 0, 2438, 781, 46357,
+        173830}},
       {4, 5000, false,
-       {688, 5983, 221, 216643, 231775, 0, 1403400, 0, 10432, 4982, 104707,
-        239163}},
+       {688, 5983, 221, 216380, 231229, 0, 1402873, 0, 10145, 4982, 104706,
+        239050}},
       {5, 5000, false,
-       {377, 5672, 272, 144161, 172989, 0, 951711, 0, 21201, 7896, 65789,
-        148158}},
+       {377, 5672, 272, 143881, 172158, 0, 951188, 0, 20648, 7896, 65785,
+        148055}},
       {6, 5000, false,
-       {257, 5552, 289, 87147, 121501, 0, 562072, 0, 26969, 7645, 36614,
-        73486}},
+       {257, 5552, 289, 86914, 120658, 0, 561600, 0, 26358, 7645, 36614,
+        73410}},
       {7, 5000, false,
-       {213, 5508, 298, 35115, 68050, 0, 159162, 0, 26895, 6290, 11098,
-        15795}},
+       {213, 5508, 298, 34984, 67505, 0, 158902, 0, 26480, 6290, 11098,
+        15775}},
       {8, 5000, false,
-       {209, 5504, 299, 28648, 61423, 0, 119145, 0, 27543, 5476, 8771, 5226}},
+       {209, 5504, 299, 28574, 61126, 0, 119011, 0, 27319, 5476, 8771, 5222}},
       {3, 100, false,
-       {990, 6285, 73, 22092, 23025, 0, 185238, 0, 909, 313, 4540, 41456}},
+       {991, 6286, 73, 22017, 22937, 0, 185154, 0, 891, 314, 4538, 41430}},
       {4, 100, false,
-       {862, 6157, 120, 18187, 21547, 0, 117422, 0, 2887, 755, 3094, 28090}},
+       {860, 6155, 122, 18023, 21148, 0, 117578, 0, 2648, 755, 3128, 28005}},
       {5, 100, false,
-       {701, 5996, 148, 13771, 20027, 0, 59253, 0, 5665, 860, 1759, 16198}},
+       {707, 6002, 151, 13656, 19678, 0, 59660, 0, 5428, 861, 1772, 16144}},
       {6, 100, false,
-       {622, 5917, 164, 11001, 18947, 0, 32881, 0, 7456, 750, 1090, 8542}},
+       {643, 5938, 166, 10940, 18769, 0, 33193, 0, 7338, 750, 1102, 8500}},
       {7, 100, false,
-       {579, 5874, 167, 9021, 17892, 0, 17369, 0, 8492, 629, 593, 3654}},
+       {592, 5887, 169, 8988, 17714, 0, 17252, 0, 8346, 629, 593, 3651}},
       {8, 100, false,
-       {562, 5857, 168, 8171, 17467, 0, 12894, 0, 8922, 618, 425, 1370}},
+       {579, 5874, 169, 8148, 17367, 0, 12849, 0, 8844, 618, 425, 1369}},
       {3, 100, true,
-       {2266, 7561, 46, 22912, 25557, 0, 165116, 0, 2083, 851, 6892, 38464}},
+       {2274, 7569, 46, 22872, 25521, 0, 165116, 0, 2083, 851, 6892, 38457}},
       {4, 100, true,
-       {1960, 7255, 59, 18563, 26090, 0, 91760, 0, 6027, 1786, 5737, 23895}},
+       {1976, 7271, 59, 18520, 26048, 0, 91778, 0, 6026, 1784, 5737, 23900}},
       {5, 100, true,
-       {1630, 6925, 67, 13719, 25704, 0, 42689, 0, 10496, 1770, 3541, 12968}},
+       {1676, 6971, 67, 13712, 25704, 0, 42699, 0, 10503, 1770, 3541, 12968}},
       {6, 100, true,
-       {1482, 6777, 74, 10790, 25107, 0, 21850, 0, 13113, 1485, 2101, 6915}},
+       {1584, 6879, 74, 10790, 25107, 0, 21850, 0, 13113, 1485, 2101, 6915}},
       {7, 100, true,
-       {1399, 6694, 81, 8900, 24541, 0, 10617, 0, 14627, 1294, 1029, 3121}},
+       {1487, 6782, 81, 8900, 24541, 0, 10617, 0, 14627, 1294, 1029, 3121}},
       {8, 100, true,
-       {1384, 6679, 83, 7983, 24309, 0, 6637, 0, 15386, 1219, 529, 1101}},
+       {1433, 6728, 83, 7983, 24309, 0, 6637, 0, 15386, 1219, 529, 1101}},
   };
 
   for (const Row& row : rows) {
@@ -489,9 +492,10 @@ void expect_same_compile(const CompileResult& a, const CompileResult& b) {
 // A register ceiling is one input of compile_block: with
 // search.max_live_registers = 16 it spills, searches under the ceiling
 // and falls back to the post-spill original order exactly as
-// compile_with_register_limit does with 16 registers. The slice's long
-// blocks end without a schedule; so does complex_mul under 4 registers
-// and a 10-call curtail point.
+// compile_with_register_limit does with 16 registers. On B&B the slice's
+// long blocks, and complex_mul under 4 registers and a 10-call curtail
+// point, end curtailed from that order as incumbent; on CP complex_mul
+// ends without a schedule and takes the fallback.
 TEST(Fingerprint, CompileBlockCeilingMatchesRegisterLimit) {
   const auto check = [](const BasicBlock& tuples, CompileOptions limited,
                         int registers) {
@@ -505,19 +509,21 @@ TEST(Fingerprint, CompileBlockCeilingMatchesRegisterLimit) {
     expect_same_compile(compile_block(tuples, ceiling), expected.compiled);
     return expected.compiled.stats.outcome();
   };
-  int no_schedule = 0;
+  int curtailed_blocks = 0;
   for (const std::string& source : regs_tight_sources()) {
     SCOPED_TRACE(source);
-    no_schedule += check(generate_tuples(parse_source(source)),
-                         regs_tight_options(), 16) ==
-                   SearchOutcome::NoSchedule;
+    curtailed_blocks += check(generate_tuples(parse_source(source)),
+                              regs_tight_options(), 16) ==
+                        SearchOutcome::Curtailed;
   }
-  EXPECT_EQ(no_schedule, 6);
+  EXPECT_EQ(curtailed_blocks, 6);
 
   const BasicBlock complex_mul = generate_tuples(
       parse_source("re = a * c - b * d;\nim = a * d + b * c;\n"));
   CompileOptions curtailed;
   curtailed.search.curtail_lambda = 10;
+  EXPECT_EQ(check(complex_mul, curtailed, 4), SearchOutcome::Curtailed);
+  curtailed.search.backend = OptimalBackend::Cp;
   EXPECT_EQ(check(complex_mul, curtailed, 4), SearchOutcome::NoSchedule);
 
   // Only the optimal scheduler honours a ceiling; the others are refused.
