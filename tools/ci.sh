@@ -178,6 +178,40 @@ profiled_smoke() {
     --watchdog-seconds 60 --stats > /dev/null 2> "${dir}/psc_stats.log"
   test -f "${dir}/psc.folded"
   grep -q '; profile: ' "${dir}/psc_stats.log"
+  # The exhaustive search enters its own phase: a run that its lambda
+  # keeps searching a 30-statement block for over 0.3 s must sample it.
+  local i=0
+  while [[ ${i} -lt 30 ]]; do
+    echo "v$((i % 8)) = v$((i * 3 % 8)) * v$((i * 5 % 8)) + v$(((i + 1) % 8));"
+    i=$((i + 1))
+  done > "${dir}/exhaustive.ps"
+  "./${build}/tools/psc" --scheduler exhaustive --lambda 1000000 \
+    --profile "${dir}/exhaustive.folded" "${dir}/exhaustive.ps" \
+    > /dev/null 2>&1
+  grep -q '^exhaustive' "${dir}/exhaustive.folded"
+  # A compile that fails (150 unoptimized statements over 12 variables
+  # need more than 32 registers) still exits 1 with its error and leaves
+  # every file asked for, the JSON ones well-formed.
+  i=0
+  while [[ ${i} -lt 150 ]]; do
+    echo "v$((i % 12)) = v$((i * 5 % 12)) * v$((i * 7 % 12))" \
+         "+ v$(((i + 3) % 12)) - v$((i * 11 % 12));"
+    i=$((i + 1))
+  done > "${dir}/fail.ps"
+  local rc=0
+  "./${build}/tools/psc" --no-opt --lambda 0 --trace "${dir}/t.json" \
+    --metrics "${dir}/m.json" --profile "${dir}/p.folded" \
+    "${dir}/fail.ps" > /dev/null 2> "${dir}/fail.log" || rc=$?
+  if [[ "${rc}" -ne 1 ]]; then
+    echo "FAIL: failing psc compile exited ${rc}, expected 1" >&2
+    cat "${dir}/fail.log" >&2
+    exit 1
+  fi
+  grep -q '^psc: error: register allocation requires spill code' \
+    "${dir}/fail.log"
+  test -f "${dir}/p.folded"
+  python3 -m json.tool "${dir}/t.json" > /dev/null
+  python3 -m json.tool "${dir}/m.json" > /dev/null
   rm -rf "${dir}"
 }
 

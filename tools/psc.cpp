@@ -598,6 +598,12 @@ void write_observability_files(const Args& args) {
   }
 }
 
+/// Report a failed compile the one way psc does; its exit status is 1.
+int fail(const Error& e) {
+  std::cerr << "psc: error: " << e.what() << "\n";
+  return 1;
+}
+
 int run(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
 
@@ -639,7 +645,14 @@ int run(int argc, char** argv) {
               << server->base_url() << "\n";
   }
 
-  const int code = run_compile(args, server.get());
+  int code = 0;
+  try {
+    code = run_compile(args, server.get());
+  } catch (const Error& e) {
+    // A failed compile still leaves every file asked for, covering the
+    // work done up to the failure.
+    code = fail(e);
+  }
   write_observability_files(args);
   // Last: endpoints answer until every other output is flushed, then the
   // server joins its threads so psc exits with nothing left running.
@@ -653,7 +666,6 @@ int main(int argc, char** argv) {
   try {
     return run(argc, argv);
   } catch (const pipesched::Error& e) {
-    std::cerr << "psc: error: " << e.what() << "\n";
-    return 1;
+    return fail(e);
   }
 }
