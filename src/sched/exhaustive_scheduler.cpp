@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/profiler.hpp"
 #include "util/timer.hpp"
 
 namespace pipesched {
@@ -129,6 +130,7 @@ ScheduleResult exhaustive_schedule(const Machine& machine,
 ScheduleResult exhaustive_search(const Machine& machine, const DepGraph& dag,
                                  const SearchConfig& config,
                                  const PipelineState& initial) {
+  PS_PROF_PHASE("exhaustive");
   Timer wall;
   // The seed the exact backends start from is the first incumbent, so
   // initial_nops means the same thing under every exact scheduler and a

@@ -4,6 +4,7 @@
 
 #include "sched/list_scheduler.hpp"
 #include "util/check.hpp"
+#include "util/profiler.hpp"
 #include "util/timer.hpp"
 
 namespace pipesched {
@@ -106,6 +107,7 @@ ScheduleResult split_schedule(const Machine& machine, const DepGraph& dag,
                               const SearchConfig& config,
                               const PipelineState& initial) {
   PS_CHECK(config.split_window >= 1, "window size must be positive");
+  PS_PROF_PHASE("split");
   Timer wall;
   SearchBudget budget(config, "split");
   ScheduleResult result;

@@ -6,7 +6,8 @@
 //     threads, including nesting deeper than the fixed recording depth
 //     and enable/disable flips mid-scope;
 //   * the sampler's phase shares agree with the annotated wall time on a
-//     controlled spin workload, and real searches attribute under "bnb";
+//     controlled spin workload, and real searches attribute under "bnb",
+//     "split" and "exhaustive";
 //   * collapsed-stack output parses (path + count lines, counts summing
 //     to the session total) and the phase table's shares sum to ~100%;
 //   * the flight-recorder ring keeps the last N heartbeats in order;
@@ -24,10 +25,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ir/dag.hpp"
 #include "sched/optimal_scheduler.hpp"
+#include "sched/scheduler.hpp"
 #include "synth/generator.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
@@ -287,6 +290,39 @@ TEST_F(ProfilerTest, RealSearchAttributesUnderBnb) {
   EXPECT_GT(snapshot.value_or_zero("ps_profile_samples_total",
                                    {{"phase", "bnb"}}),
             0.0);
+}
+
+// The window splitter and the exhaustive search each enter a phase named
+// after them at their search entry, as B&B enters "bnb", so a profiled run
+// of either one samples its search.
+TEST_F(ProfilerTest, SplitAndExhaustiveSearchesEnterTheirPhases) {
+  const std::pair<SchedulerKind, std::string> kinds[] = {
+      {SchedulerKind::Split, "split"},
+      {SchedulerKind::Exhaustive, "exhaustive"}};
+  for (const auto& [kind, phase] : kinds) {
+    profiler_enable();
+    Timer wall;
+    SearchConfig config;
+    config.curtail_lambda = 500000;
+    config.split_window = 12;
+    std::uint64_t seed = 9000;
+    while (wall.seconds() < 0.25) {
+      GeneratorParams params;
+      params.statements = 14;
+      params.variables = 5;
+      params.seed = seed++;
+      const BasicBlock block = generate_block(params);
+      const DepGraph dag(block);
+      run_scheduler(kind, Machine::paper_simulation(), dag, config);
+    }
+    profiler_disable();
+
+    std::uint64_t samples = 0;
+    for (const ProfileSample& s : profiler_samples()) {
+      if (s.path.rfind(phase, 0) == 0) samples += s.count;
+    }
+    EXPECT_GT(samples, 0u) << phase;
+  }
 }
 
 TEST_F(ProfilerTest, RingKeepsLastHeartbeatsInOrder) {
