@@ -163,8 +163,8 @@ int reference_live(const BasicBlock& block, const std::vector<bool>& placed) {
 // checked here at every step of random walks that push only unblocked
 // ready tuples and now and then pop: LiveValues never holds more values
 // than its ceiling, and blocks(t) is exactly "at the ceiling and t defines
-// a value". The live count also matches a count from scratch, and a walk
-// that places every tuple peaks at the allocator's max_live for its order.
+// a value". The live count also matches a count from scratch, and an
+// order a walk completes, replayed, peaks at the allocator's max_live.
 TEST(Pressure, UnblockedOrdersNeverPassTheCeiling) {
   Rng rng(0x11fe);
   int steps = 0;
@@ -186,7 +186,6 @@ TEST(Pressure, UnblockedOrdersNeverPassTheCeiling) {
       ASSERT_TRUE(live.constrained());
       std::vector<bool> placed(n, false);
       std::vector<TupleIndex> order;
-      int peak = 0;
       for (;;) {
         ASSERT_LE(live.live(), ceiling);
         ASSERT_EQ(live.live(), reference_live(block, placed));
@@ -208,8 +207,9 @@ TEST(Pressure, UnblockedOrdersNeverPassTheCeiling) {
         ++steps;
         full_steps += live.at_ceiling();
         if (order.size() == n || unblocked.empty()) break;
-        // One step in five undoes the last push instead, unless it is
-        // the first step.
+        // One step in five undoes the last push instead, when there is
+        // one. A walk ends when it places every tuple or reaches a node
+        // where every ready tuple is blocked.
         if (!order.empty() && rng.next_below(5) == 0) {
           live.pop(order.back());
           placed[static_cast<std::size_t>(order.back())] = false;
@@ -217,16 +217,21 @@ TEST(Pressure, UnblockedOrdersNeverPassTheCeiling) {
           continue;
         }
         const TupleIndex t = unblocked[rng.next_below(unblocked.size())];
-        peak = std::max(peak, live.live() + (live.defines(t) ? 1 : 0));
         live.push(t);
         placed[static_cast<std::size_t>(t)] = true;
         order.push_back(t);
       }
       if (order.size() == n) {
         ++complete_walks;
-        // A walk with pops in it may have peaked on a prefix it undid.
-        EXPECT_GE(peak, order_max_pressure(block, order));
-        EXPECT_LE(order_max_pressure(block, order), ceiling);
+        // Placing t holds the values live before it plus its result.
+        LiveValues replay(dag, ceiling);
+        int peak = 0;
+        for (TupleIndex t : order) {
+          peak = std::max(peak, replay.live() + (replay.defines(t) ? 1 : 0));
+          replay.push(t);
+        }
+        EXPECT_EQ(peak, order_max_pressure(block, order));
+        EXPECT_LE(peak, ceiling);
       }
     }
   }
