@@ -20,7 +20,9 @@
 // The B&B variant slice calls optimal_schedule directly on generated
 // blocks, once per search variant that none of the slices above reaches
 // (see BnbVariantsSlice); the ceiling slice searches the same blocks under
-// every register ceiling from 3 to 8 (see BnbCeilingSlice).
+// every register ceiling from 3 to 8 (see BnbCeilingSlice), and both
+// run once more with the profiler on, which must walk the same trees
+// (see ProfiledSearchWalksTheSameTree).
 //
 // The assembly slice hashes the emitted bytes of the corpus and regs_tight
 // slices (see AssemblySlice), which no count above would notice.
@@ -66,6 +68,7 @@
 #include "synth/corpus.hpp"
 #include "synth/generator.hpp"
 #include "util/check.hpp"
+#include "util/profiler.hpp"
 
 namespace pipesched {
 namespace {
@@ -298,23 +301,59 @@ std::vector<BasicBlock> variant_blocks(std::size_t count, std::size_t size) {
   return blocks;
 }
 
+/// Sum one B&B search per block: final NOPs, final issue cycles, the
+/// proven-optimal count and every search counter.
+Fingerprint search_fingerprint(const Machine& machine,
+                               const SearchConfig& config,
+                               const PipelineState& initial,
+                               const std::vector<BasicBlock>& blocks) {
+  Fingerprint f;
+  for (const BasicBlock& block : blocks) {
+    const DepGraph dag(block);
+    const ScheduleResult r = optimal_schedule(machine, dag, config, initial);
+    f.final_nops +=
+        static_cast<std::uint64_t>(std::max(0, r.schedule.total_nops()));
+    f.code_cycles += static_cast<std::uint64_t>(r.schedule.completion_cycle());
+    f.optimal_blocks += r.stats.outcome() == SearchOutcome::Optimal;
+    add_search(f, r.stats);
+  }
+  return f;
+}
+
+/// One B&B search setting of a slice below, over its blocks.
+struct BnbCase {
+  std::string name;
+  Machine machine;
+  SearchConfig config;
+  PipelineState initial;
+  const std::vector<BasicBlock>* blocks;
+  Fingerprint expected;
+};
+
+/// The variant slice's inputs: 300 mixed blocks, and two blocks each of
+/// 63, 64, 65 and 128 tuples.
+struct VariantInputs {
+  std::vector<BasicBlock> mixed = variant_blocks(300, 0);
+  std::vector<BasicBlock> edges = [] {
+    std::vector<BasicBlock> blocks;
+    for (std::size_t size : {63, 64, 65, 128}) {
+      for (BasicBlock& b : variant_blocks(2, size)) {
+        blocks.push_back(std::move(b));
+      }
+    }
+    return blocks;
+  }();
+};
+
 // B&B paths no perfbench slice reaches: strong equivalence classes, unit
 // groups on a heterogeneous machine, residual occupancy at block entry, a
 // lambda small enough to curtail inside a node, the bound without
 // alpha-beta or the cache, strong classes under a register ceiling, and
-// blocks whose sizes sit on a 64-bit word edge. Each variant sums the
-// final NOPs, final issue cycles, proven-optimal count and every search
-// counter of one B&B search per block.
-TEST(Fingerprint, BnbVariantsSlice) {
+// blocks whose sizes sit on a 64-bit word edge.
+std::vector<BnbCase> bnb_variants(const VariantInputs& in) {
   SearchConfig base;
   base.curtail_lambda = 5000;
   base.lower_bound_prune = true;
-  const std::vector<BasicBlock> mixed = variant_blocks(300, 0);
-  std::vector<BasicBlock> edges;
-  for (std::size_t size : {63, 64, 65, 128}) {
-    for (BasicBlock& b : variant_blocks(2, size)) edges.push_back(std::move(b));
-  }
-
   SearchConfig strong = base;
   strong.strong_equivalence = true;
   SearchConfig short_lambda = base;
@@ -325,51 +364,37 @@ TEST(Fingerprint, BnbVariantsSlice) {
   SearchConfig strong_pressure = strong;
   strong_pressure.max_live_registers = 6;
 
-  struct Variant {
-    const char* name;
-    Machine machine;
-    SearchConfig config;
-    PipelineState initial;
-    const std::vector<BasicBlock>& blocks;
-    Fingerprint expected;
-  };
-  const Variant variants[] = {
-      {"strong_equivalence", Machine::paper_simulation(), strong, {}, mixed,
+  return {
+      {"strong_equivalence", Machine::paper_simulation(), strong, {},
+       &in.mixed,
        {209, 5504, 299, 25022, 57889, 0, 105546, 562, 27831, 5273, 7002, 0}},
-      {"asymmetric_alus", Machine::asymmetric_alus(), base, {}, mixed,
+      {"asymmetric_alus", Machine::asymmetric_alus(), base, {}, &in.mixed,
        {481, 5776, 283, 74736, 202878, 0, 344062, 0, 97642, 30777, 26540, 0}},
       {"residual_entry", Machine::risc_classic(), base,
-       PipelineState{{0, 0, 0, -4}}, mixed,
+       PipelineState{{0, 0, 0, -4}}, &in.mixed,
        {1415, 6710, 269, 149318, 298598, 0, 605250, 0, 103218, 46344, 68674,
         0}},
-      {"lambda_300", Machine::paper_simulation(), short_lambda, {}, mixed,
+      {"lambda_300", Machine::paper_simulation(), short_lambda, {},
+       &in.mixed,
        {323, 5618, 245, 12500, 33591, 0, 31948, 0, 20001, 1327, 918, 0}},
       {"bound_without_alpha_beta_or_cache", Machine::paper_simulation(),
-       bound_only, {}, mixed,
+       bound_only, {}, &in.mixed,
        {214, 5509, 292, 38757, 95649, 0, 253118, 0, 0, 57129, 0, 0}},
       {"strong_equivalence_6_registers", Machine::paper_simulation(),
-       strong_pressure, {}, mixed,
+       strong_pressure, {}, &in.mixed,
        {257, 5552, 289, 85734, 118801, 0, 557454, 859, 25810, 7516, 35792,
         72614}},
-      {"word_edge_sizes", Machine::paper_simulation(), strong, {}, edges,
+      {"word_edge_sizes", Machine::paper_simulation(), strong, {}, &in.edges,
        {4, 644, 6, 1383, 18716, 0, 6437, 840, 17340, 0, 0, 0}},
   };
+}
 
-  for (const Variant& v : variants) {
-    SCOPED_TRACE(v.name);
-    Fingerprint f;
-    for (const BasicBlock& block : v.blocks) {
-      const DepGraph dag(block);
-      const ScheduleResult r =
-          optimal_schedule(v.machine, dag, v.config, v.initial);
-      f.final_nops +=
-          static_cast<std::uint64_t>(std::max(0, r.schedule.total_nops()));
-      f.code_cycles +=
-          static_cast<std::uint64_t>(r.schedule.completion_cycle());
-      f.optimal_blocks += r.stats.outcome() == SearchOutcome::Optimal;
-      add_search(f, r.stats);
-    }
-    EXPECT_EQ(f, v.expected);
+TEST(Fingerprint, BnbVariantsSlice) {
+  const VariantInputs inputs;
+  for (const BnbCase& c : bnb_variants(inputs)) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(search_fingerprint(c.machine, c.config, c.initial, *c.blocks),
+              c.expected);
   }
 }
 
@@ -392,8 +417,7 @@ Machine asymmetric_alus_and_stores() {
 // as some value-defining ops branch over two unit groups. Pressure pruning
 // fires at every node that sits at its ceiling, so a change to how the
 // loop filters or counts blocked candidates shows here.
-TEST(Fingerprint, BnbCeilingSlice) {
-  const std::vector<BasicBlock> mixed = variant_blocks(300, 0);
+std::vector<BnbCase> bnb_ceilings(const VariantInputs& in) {
   struct Row {
     int ceiling;
     std::uint64_t lambda;
@@ -444,29 +468,76 @@ TEST(Fingerprint, BnbCeilingSlice) {
        {1433, 6728, 83, 7983, 24309, 0, 6637, 0, 15386, 1219, 529, 1101}},
   };
 
+  std::vector<BnbCase> cases;
   for (const Row& row : rows) {
-    SCOPED_TRACE(::testing::Message()
-                 << "ceiling " << row.ceiling << ", lambda " << row.lambda
-                 << (row.unit_groups ? ", unit groups" : ""));
-    const Machine machine = row.unit_groups ? asymmetric_alus_and_stores()
-                                            : Machine::paper_simulation();
     SearchConfig config;
     config.curtail_lambda = row.lambda;
     config.lower_bound_prune = true;
     config.max_live_registers = row.ceiling;
-    Fingerprint f;
-    for (const BasicBlock& block : mixed) {
-      const DepGraph dag(block);
-      const ScheduleResult r = optimal_schedule(machine, dag, config);
-      f.final_nops +=
-          static_cast<std::uint64_t>(std::max(0, r.schedule.total_nops()));
-      f.code_cycles +=
-          static_cast<std::uint64_t>(r.schedule.completion_cycle());
-      f.optimal_blocks += r.stats.outcome() == SearchOutcome::Optimal;
-      add_search(f, r.stats);
-    }
-    EXPECT_EQ(f, row.expected);
+    cases.push_back(
+        {std::string("ceiling ")
+             .append(std::to_string(row.ceiling))
+             .append(", lambda ")
+             .append(std::to_string(row.lambda))
+             .append(row.unit_groups ? ", unit groups" : ""),
+         row.unit_groups ? asymmetric_alus_and_stores()
+                         : Machine::paper_simulation(),
+         config, {}, &in.mixed, row.expected});
   }
+  return cases;
+}
+
+TEST(Fingerprint, BnbCeilingSlice) {
+  const VariantInputs inputs;
+  for (const BnbCase& c : bnb_ceilings(inputs)) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(search_fingerprint(c.machine, c.config, c.initial, *c.blocks),
+              c.expected);
+  }
+}
+
+// With the profiler on, the search runs its instantiation that carries
+// the phase markers, which no other slice reaches. On every setting of
+// the variant and ceiling slices it must return, block by block, the
+// schedule and every counter of the unprofiled search.
+TEST(Fingerprint, ProfiledSearchWalksTheSameTree) {
+  const VariantInputs inputs;
+  std::vector<BnbCase> cases = bnb_variants(inputs);
+  for (BnbCase& c : bnb_ceilings(inputs)) cases.push_back(std::move(c));
+
+  std::vector<ScheduleResult> plain;
+  for (const BnbCase& c : cases) {
+    for (const BasicBlock& block : *c.blocks) {
+      const DepGraph dag(block);
+      plain.push_back(optimal_schedule(c.machine, dag, c.config, c.initial));
+    }
+  }
+
+  profiler_enable();
+  std::size_t k = 0;
+  for (const BnbCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (const BasicBlock& block : *c.blocks) {
+      const DepGraph dag(block);
+      const ScheduleResult r =
+          optimal_schedule(c.machine, dag, c.config, c.initial);
+      const ScheduleResult& expected = plain[k++];
+      EXPECT_EQ(r.schedule.order, expected.schedule.order);
+      EXPECT_EQ(r.schedule.nops, expected.schedule.nops);
+      EXPECT_EQ(r.schedule.issue_cycle, expected.schedule.issue_cycle);
+      EXPECT_EQ(r.schedule.unit, expected.schedule.unit);
+      EXPECT_EQ(r.stats.outcome(), expected.stats.outcome());
+      EXPECT_EQ(r.stats.curtail_reason, expected.stats.curtail_reason);
+      EXPECT_EQ(r.stats.initial_nops, expected.stats.initial_nops);
+      EXPECT_EQ(r.stats.best_nops, expected.stats.best_nops);
+      for (const SearchCounter& counter : kSearchCounters) {
+        EXPECT_EQ(r.stats.*counter.member, expected.stats.*counter.member)
+            << counter.key;
+      }
+    }
+  }
+  profiler_disable();
+  profiler_clear();
 }
 
 /// `a` and `b` compiled the same block to the same bytes, schedule,
