@@ -66,20 +66,29 @@ echo "==== TSan: corpus runner (pool workers writing per-block records) ===="
 # fingerprint must equal the workload's committed line in
 # tools/perfbench_fingerprints.txt, so a change that moves the search on
 # every pass fails too. Each workload runs at the default seed and at
-# --seed 7, whose line is keyed "W --seed 7". A non-zero exit is a failed
-# check, not a slow run: timing is not gated here.
+# --seed 7, whose line is keyed "W --seed 7", and once more traced
+# (--trace 1) at the default seed: its traced passes search under the
+# sampling profiler, in the instantiation that carries the phase
+# markers, and must repeat the default seed's line. A non-zero exit is a
+# failed check, not a slow run: timing is not gated here.
 for workload in corpus large_blocks regs_tight; do
-  for seed_args in "" "--seed 7"; do
-    key="${workload}${seed_args:+ ${seed_args}}"
-    echo "==== perfbench smoke: ${key} ===="
+  for run in default seed7 traced; do
+    key="${workload}"
+    seed_args=""
+    trace=0
+    case "${run}" in
+      seed7) seed_args="--seed 7"; key="${workload} --seed 7" ;;
+      traced) trace=1 ;;
+    esac
+    echo "==== perfbench smoke: ${key} (--trace ${trace}) ===="
     report="$(mktemp)"
     # shellcheck disable=SC2086  # seed_args is empty or two words
     python3 perfbench/run.py --workload "${workload}" ${seed_args} \
-      --seconds 3 --trace 0 | tee "${report}"
+      --seconds 3 --trace "${trace}" | tee "${report}"
     if ! diff <(grep "^${key}: " tools/perfbench_fingerprints.txt) \
         <(sed -n "s/^fingerprint (identical in every pass): /${key}: /p" \
           "${report}"); then
-      echo "perfbench ${key}: fingerprint differs from" \
+      echo "perfbench ${key} (--trace ${trace}): fingerprint differs from" \
         "tools/perfbench_fingerprints.txt" >&2
       exit 1
     fi
