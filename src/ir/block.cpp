@@ -27,11 +27,6 @@ TupleIndex BasicBlock::append(const Tuple& t) {
   return index;
 }
 
-const Tuple& BasicBlock::tuple(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < tuples_.size());
-  return tuples_[static_cast<std::size_t>(i)];
-}
-
 void BasicBlock::replace_tuples(std::vector<Tuple> tuples) {
   tuples_ = std::move(tuples);
   validate();

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ir/tuple.hpp"
+#include "util/check.hpp"
 #include "util/name_table.hpp"
 
 namespace pipesched {
@@ -49,7 +50,10 @@ class BasicBlock {
     return append(Tuple{op, a, b});
   }
 
-  const Tuple& tuple(TupleIndex i) const;
+  const Tuple& tuple(TupleIndex i) const {
+    PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < tuples_.size());
+    return tuples_[static_cast<std::size_t>(i)];
+  }
 
   std::size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }

@@ -153,20 +153,6 @@ void DepGraph::compute_closures() {
   }
 }
 
-std::span<const TupleIndex> DepGraph::preds(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
-  const auto k = static_cast<std::size_t>(i);
-  return {pred_list_.data() + pred_start_[k],
-          pred_list_.data() + pred_start_[k + 1]};
-}
-
-std::span<const TupleIndex> DepGraph::succs(TupleIndex i) const {
-  PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
-  const auto k = static_cast<std::size_t>(i);
-  return {succ_list_.data() + succ_start_[k],
-          succ_list_.data() + succ_start_[k + 1]};
-}
-
 BitRow DepGraph::row(Matrix m, TupleIndex i) const {
   PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
   return {bits_.data() + (m * n_ + static_cast<std::size_t>(i)) *

@@ -72,8 +72,18 @@ class DepGraph {
   const BasicBlock& block() const { return *block_; }
 
   /// Immediate predecessors rho(i) / successors, in edge-insertion order.
-  std::span<const TupleIndex> preds(TupleIndex i) const;
-  std::span<const TupleIndex> succs(TupleIndex i) const;
+  std::span<const TupleIndex> preds(TupleIndex i) const {
+    PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
+    const auto k = static_cast<std::size_t>(i);
+    return {pred_list_.data() + pred_start_[k],
+            pred_list_.data() + pred_start_[k + 1]};
+  }
+  std::span<const TupleIndex> succs(TupleIndex i) const {
+    PS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < n_);
+    const auto k = static_cast<std::size_t>(i);
+    return {succ_list_.data() + succ_start_[k],
+            succ_list_.data() + succ_start_[k + 1]};
+  }
 
   /// Immediate predecessor set as a bitset.
   BitRow pred_set(TupleIndex i) const;

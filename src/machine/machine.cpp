@@ -53,15 +53,6 @@ void Machine::map_op(Opcode op, const std::vector<PipelineId>& pipelines) {
   rebuild_unit_groups();
 }
 
-const PipelineDesc& Machine::pipeline(PipelineId id) const {
-  PS_ASSERT(id >= 0 && static_cast<std::size_t>(id) < pipelines_.size());
-  return pipelines_[static_cast<std::size_t>(id)];
-}
-
-const std::vector<PipelineId>& Machine::pipelines_for(Opcode op) const {
-  return op_map_[static_cast<std::size_t>(op)];
-}
-
 int Machine::latency_for(Opcode op) const {
   const auto& mapped = pipelines_for(op);
   int best = 0;
@@ -80,11 +71,6 @@ int Machine::enqueue_for(Opcode op) const {
     if (best == 0 || enqueue < best) best = enqueue;
   }
   return best;
-}
-
-const std::vector<std::vector<PipelineId>>& Machine::unit_groups(
-    Opcode op) const {
-  return unit_groups_[static_cast<std::size_t>(op)];
 }
 
 void Machine::rebuild_unit_groups() {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ir/opcode.hpp"
+#include "util/check.hpp"
 
 namespace pipesched {
 
@@ -53,10 +54,15 @@ class Machine {
   void map_op(Opcode op, const std::vector<PipelineId>& pipelines);
 
   std::size_t pipeline_count() const { return pipelines_.size(); }
-  const PipelineDesc& pipeline(PipelineId id) const;
+  const PipelineDesc& pipeline(PipelineId id) const {
+    PS_ASSERT(id >= 0 && static_cast<std::size_t>(id) < pipelines_.size());
+    return pipelines_[static_cast<std::size_t>(id)];
+  }
 
   /// Pipelines able to execute `op`; empty means sigma = empty set.
-  const std::vector<PipelineId>& pipelines_for(Opcode op) const;
+  const std::vector<PipelineId>& pipelines_for(Opcode op) const {
+    return op_map_[static_cast<std::size_t>(op)];
+  }
 
   /// True when `op` has at least one mapped pipeline.
   bool uses_pipeline(Opcode op) const { return !pipelines_for(op).empty(); }
@@ -66,7 +72,9 @@ class Machine {
   /// choice is optimal by exchange); units in different groups are a
   /// genuine scheduling decision the optimal search branches over.
   /// Homogeneous ops have exactly one group. Empty for sigma-empty ops.
-  const std::vector<std::vector<PipelineId>>& unit_groups(Opcode op) const;
+  const std::vector<std::vector<PipelineId>>& unit_groups(Opcode op) const {
+    return unit_groups_[static_cast<std::size_t>(op)];
+  }
 
   /// True when some opcode maps to units with differing parameters (the
   /// general model footnote 3 excludes from the paper's own algorithm).
