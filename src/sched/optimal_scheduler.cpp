@@ -54,6 +54,7 @@ class Search {
                                      config.strong_equivalence,
                                      config.max_live_registers > 0)),
         latency_height_(latency_heights(machine, dag)),
+        max_latency_(machine.max_latency()),
         live_(dag, config.max_live_registers),
         zobrist_(dag.size()),
         zobrist2_(dag.size(), kVerifyZobristSeed) {
@@ -304,9 +305,7 @@ class Search {
     const int t_next = timer_.last_issue_cycle() + 1;
 
     for (std::size_t u = 0; u < machine_.pipeline_count(); ++u) {
-      const auto unit = static_cast<PipelineId>(u);
-      const int ready =
-          timer_.unit_last_issue(unit) + machine_.pipeline(unit).enqueue;
+      const int ready = timer_.unit_ready(static_cast<PipelineId>(u));
       if (ready > t_next) {
         const std::uint64_t pack = (std::uint64_t{1} << 48) |
                                    (static_cast<std::uint64_t>(u) << 32) |
@@ -319,19 +318,15 @@ class Search {
     // Placements are in issue order, so only a bounded tail can still
     // carry latency past the next slot.
     const auto& placements = timer_.placements();
-    const int max_latency = machine_.max_latency();
     for (std::size_t i = placements.size(); i-- > 0;) {
       const auto& p = placements[i];
-      if (p.issue_cycle + max_latency <= t_next) break;
-      const int latency =
-          p.unit == kNoPipeline ? 0 : machine_.pipeline(p.unit).latency;
-      const int available = p.issue_cycle + latency;
-      if (available <= t_next) continue;
+      if (p.issue_cycle + max_latency_ <= t_next) break;
+      if (p.available <= t_next) continue;
       if (!has_unplaced_succ(p.tuple)) continue;
       const std::uint64_t pack =
           (std::uint64_t{2} << 48) |
           (static_cast<std::uint64_t>(p.tuple) << 32) |
-          static_cast<std::uint64_t>(available - t_next);
+          static_cast<std::uint64_t>(p.available - t_next);
       h ^= hash64(pack);
       h2 ^= hash64_alt(pack);
     }
@@ -499,6 +494,7 @@ class Search {
   const std::size_t n_;
   std::vector<int> classes_;
   std::vector<int> latency_height_;
+  const int max_latency_;  ///< machine_.max_latency(), for state_key
   std::vector<TupleIndex> candidates_by_seed_;  ///< seed rank -> tuple
   /// What the candidate loop and the push and undo blocks read per tuple.
   struct TupleInfo {

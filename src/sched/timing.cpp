@@ -40,6 +40,13 @@ PipelineTimer::PipelineTimer(const Machine& machine, const DepGraph& dag,
   machine.validate();
   placements_.reserve(dag.size());
   position_of_.assign(dag.size(), -1);
+  unit_latency_.reserve(machine.pipeline_count());
+  unit_enqueue_.reserve(machine.pipeline_count());
+  for (std::size_t u = 0; u < machine.pipeline_count(); ++u) {
+    const PipelineDesc& desc = machine.pipeline(static_cast<PipelineId>(u));
+    unit_latency_.push_back(desc.latency);
+    unit_enqueue_.push_back(desc.enqueue);
+  }
   if (initial.unit_last_issue.empty()) {
     unit_last_issue_.assign(machine.pipeline_count(), kUnitIdle);
   } else {
@@ -72,12 +79,8 @@ int PipelineTimer::push(TupleIndex t,
   for (TupleIndex p : dag_->preds(t)) {
     const int pos = position_of_[static_cast<std::size_t>(p)];
     PS_ASSERT(pos >= 0 && "predecessor not yet placed");
-    const Placement& producer = placements_[static_cast<std::size_t>(pos)];
-    const int latency =
-        producer.unit == kNoPipeline
-            ? 0
-            : machine_->pipeline(producer.unit).latency;
-    required = std::max(required, producer.issue_cycle + latency);
+    required = std::max(
+        required, placements_[static_cast<std::size_t>(pos)].available);
   }
 
   // Conflict constraint (step [3]): pick the earliest-free unit among the
@@ -91,12 +94,10 @@ int PipelineTimer::push(TupleIndex t,
     for (PipelineId u : units) {
       // An idle unit (kUnitIdle, or residual state long past) clamps to
       // cycle 1.
-      const int unit_ready =
-          std::max(1, unit_last_issue_[static_cast<std::size_t>(u)] +
-                          machine_->pipeline(u).enqueue);
-      if (chosen == kNoPipeline || unit_ready < best_avail) {
+      const int ready = std::max(1, unit_ready(u));
+      if (chosen == kNoPipeline || ready < best_avail) {
         chosen = u;
-        best_avail = unit_ready;
+        best_avail = ready;
       }
     }
     issue = std::max(required, best_avail);
@@ -108,6 +109,10 @@ int PipelineTimer::push(TupleIndex t,
   Placement placement;
   placement.tuple = t;
   placement.issue_cycle = issue;
+  placement.available =
+      chosen == kNoPipeline
+          ? issue
+          : issue + unit_latency_[static_cast<std::size_t>(chosen)];
   placement.eta = eta;
   placement.unit = chosen;
   placement.prev_unit_last_issue =

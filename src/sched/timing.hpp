@@ -109,6 +109,9 @@ class PipelineTimer {
   struct Placement {
     TupleIndex tuple;
     int issue_cycle;
+    /// When its result is available: issue_cycle plus the chosen unit's
+    /// latency, or issue_cycle when sigma = empty.
+    int available;
     int eta;
     PipelineId unit;          // kNoPipeline when sigma = empty
     int prev_unit_last_issue; // saved for pop()
@@ -124,12 +127,21 @@ class PipelineTimer {
     return unit_last_issue_[static_cast<std::size_t>(u)];
   }
 
+  /// Earliest cycle at which unit `u` accepts its next operation: its
+  /// last issue plus its enqueue time.
+  int unit_ready(PipelineId u) const {
+    const auto k = static_cast<std::size_t>(u);
+    return unit_last_issue_[k] + unit_enqueue_[k];
+  }
+
  private:
   const Machine* machine_;
   const DepGraph* dag_;
   std::vector<Placement> placements_;
   std::vector<int> position_of_;       // tuple -> stack index, -1 if absent
   std::vector<int> unit_last_issue_;   // per pipeline unit, 0 = never used
+  std::vector<int> unit_latency_;      // per pipeline unit
+  std::vector<int> unit_enqueue_;      // per pipeline unit
   int total_nops_ = 0;
 };
 
