@@ -419,23 +419,32 @@ class Search {
       const std::size_t branches = groups.empty() ? 1 : groups.size();
       for (std::size_t g = 0; g < branches; ++g) {
         if (budget_->curtail(*stats_)) return leave_candidates(rank, full);
+        bool keep = true;
         {
-          // Omega's incremental append: the placement itself plus every
-          // piece of state pushed alongside it.
+          // Omega's incremental append: the placement itself plus, when
+          // rule [6] keeps it, every piece of state pushed alongside it.
+          // The rule reads only the timer's NOP count, so a placement it
+          // prunes never touches the hashes, the live values or the sets
+          // (DESIGN.md §3.11).
           PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_append");
           ++stats_->omega_calls;
           timer_.push(candidate, groups.empty() ? no_units_ : groups[g]);
-          toggle_scheduled(candidate);
-          live_.push(candidate);
-          mark_placed(candidate);
+          keep = !config_.alpha_beta || timer_.total_nops() < best_nops_;
+          if (keep) {
+            toggle_scheduled(candidate);
+            live_.push(candidate);
+            mark_placed(candidate);
+          }
         }
-
-        bool keep = true;
-        if (config_.alpha_beta && timer_.total_nops() >= best_nops_) {
-          keep = false;  // rule [6]
+        if (!keep) {
+          // Rule [6]. Nothing below this placement ran, so the search is
+          // neither curtailed nor at zero NOPs: the loop goes on.
           ++stats_->pruned_alpha_beta;
+          PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_undo");
+          timer_.pop();
+          continue;
         }
-        if (keep && config_.lower_bound_prune) {
+        if (config_.lower_bound_prune) {
           PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "lower_bound");
           if (completion_lower_bound() - static_cast<int>(n_) >=
               best_nops_) {
