@@ -53,7 +53,6 @@ class Search {
         classes_(equivalence_classes(machine, dag,
                                      config.strong_equivalence,
                                      config.max_live_registers > 0)),
-        latency_height_(latency_heights(machine, dag)),
         max_latency_(machine.max_latency()),
         live_(dag, config.max_live_registers),
         zobrist_(dag.size()),
@@ -132,7 +131,8 @@ class Search {
  private:
   /// Build every per-search table derived from the seed order. The ready
   /// and unplaced sets are bitsets over seed rank, so walking the ready
-  /// bits in order visits candidates in the seed's order.
+  /// bits in order visits candidates in the seed's order; the bound's two
+  /// arrays are indexed by seed rank too.
   void init_from_seed(const std::vector<TupleIndex>& seed) {
     candidates_by_seed_ = seed;
     info_.resize(n_);
@@ -140,6 +140,12 @@ class Search {
       info_[static_cast<std::size_t>(seed[r])].rank =
           static_cast<std::uint32_t>(r);
     }
+    // Latency heights come by tuple; avail_ holds them until they are
+    // moved to rank order.
+    avail_ = latency_heights(machine_, dag_);
+    height_.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) height_[info_[i].rank] = avail_[i];
+    std::fill(avail_.begin(), avail_.end(), std::numeric_limits<int>::min());
 
     ready_.assign(words_for(n_), 0);
     unplaced_.assign(words_for(n_), 0);
@@ -151,7 +157,6 @@ class Search {
       info.groups = &machine_.unit_groups(op);
       info.unplaced_preds = static_cast<int>(dag_.preds(index).size());
       info.producer_latency = machine_.latency_for(op);
-      info.avail = std::numeric_limits<int>::min();
       set_bit(unplaced_, info.rank);
       if (info.unplaced_preds == 0) set_bit(ready_, info.rank);
       if (live_.constrained() && live_.defines(index)) {
@@ -187,7 +192,7 @@ class Search {
       TupleInfo& succ = info_[static_cast<std::size_t>(s)];
       if (--succ.unplaced_preds != 0) continue;
       set_bit(ready_, succ.rank);
-      if (config_.lower_bound_prune) succ.avail = producers_available(s);
+      if (config_.lower_bound_prune) avail_[succ.rank] = producers_available(s);
     }
   }
 
@@ -211,21 +216,6 @@ class Search {
       avail = std::max(avail, timer_.issue_cycle_of(p) + latency);
     }
     return avail;
-  }
-
-  /// The lowest ready seed rank at or above `from`, passing over the
-  /// tuples that define a value when `full` (the live count sits at the
-  /// ceiling, so exactly those are blocked); n when there is none.
-  std::size_t next_ready(std::size_t from, bool full = false) const {
-    for (std::size_t w = from >> 6; w < ready_.size(); ++w) {
-      std::uint64_t bits = ready_[w];
-      if (full) bits &= ~defines_[w];
-      if (w == from >> 6) bits &= ~std::uint64_t{0} << (from & 63);
-      if (bits != 0) {
-        return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      }
-    }
-    return n_;
   }
 
   /// Flip `t`'s membership in both incremental placed-set hashes (the
@@ -255,12 +245,15 @@ class Search {
     const int t_now = timer_.last_issue_cycle();
     const std::size_t remaining = n_ - timer_.depth();
     int bound = t_now + static_cast<int>(remaining);
-    for (std::size_t r = next_ready(0); r < n_; r = next_ready(r + 1)) {
-      const auto i = static_cast<std::size_t>(candidates_by_seed_[r]);
-      // Ready instruction: its earliest issue is bounded by its placed
-      // producers, and a latency-weighted chain hangs below it.
-      const int earliest = std::max(t_now + 1, info_[i].avail);
-      bound = std::max(bound, earliest + latency_height_[i]);
+    for (std::size_t w = 0; w < ready_.size(); ++w) {
+      for (std::uint64_t bits = ready_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t r =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        // Ready instruction: its earliest issue is bounded by its placed
+        // producers, and a latency-weighted chain hangs below it.
+        const int earliest = std::max(t_now + 1, avail_[r]);
+        bound = std::max(bound, earliest + height_[r]);
+      }
     }
     return bound;
   }
@@ -394,81 +387,87 @@ class Search {
     // each placed one: exactly where a check before every rank would
     // first see a change.
     if (budget_->curtail(*stats_)) return;
-    for (std::size_t rank = next_ready(0, full); rank < n_;
-         rank = next_ready(rank + 1, full)) {
-      const TupleIndex candidate = candidates_by_seed_[rank];
-      if (equivalence_) {
-        // Rule [5c], the per-candidate filter. The marker scope ends
-        // before the group loop so the push/descend/undo work below is
-        // attributed to its own phases (and never stacks under the
-        // recursion).
-        PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "candidate_filter");
-        const auto cls = static_cast<std::size_t>(
-            classes_[static_cast<std::size_t>(candidate)]);
-        if (tried_classes[cls >> 6] & bit_of(cls)) {
-          ++stats_->pruned_equivalence;
-          continue;
+    for (std::size_t w = 0; w < ready_.size(); ++w) {
+      // Each candidate's subtree leaves the word as it found it.
+      std::uint64_t bits = full ? ready_[w] & ~defines_[w] : ready_[w];
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t rank =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const TupleIndex candidate = candidates_by_seed_[rank];
+        if (equivalence_) {
+          // Rule [5c], the per-candidate filter. The marker scope ends
+          // before the group loop so the push/descend/undo work below is
+          // attributed to its own phases (and never stacks under the
+          // recursion).
+          PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "candidate_filter");
+          const auto cls = static_cast<std::size_t>(
+              classes_[static_cast<std::size_t>(candidate)]);
+          if (tried_classes[cls >> 6] & bit_of(cls)) {
+            ++stats_->pruned_equivalence;
+            continue;
+          }
+          tried_classes[cls >> 6] |= bit_of(cls);
         }
-        tried_classes[cls >> 6] |= bit_of(cls);
-      }
 
-      // Branch over the candidate's unit-signature groups (footnote 3's
-      // generalization): homogeneous ops have exactly one group, so the
-      // paper's machines take a single pass here.
-      const auto& groups = *info_[static_cast<std::size_t>(candidate)].groups;
-      const std::size_t branches = groups.empty() ? 1 : groups.size();
-      for (std::size_t g = 0; g < branches; ++g) {
-        if (budget_->curtail(*stats_)) return leave_candidates(rank, full);
-        bool keep = true;
-        {
-          // Omega's incremental append: the placement itself plus, when
-          // rule [6] keeps it, every piece of state pushed alongside it.
-          // The rule reads only the timer's NOP count, so a placement it
-          // prunes never touches the hashes, the live values or the sets
-          // (DESIGN.md §3.11).
-          PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_append");
-          ++stats_->omega_calls;
-          timer_.push(candidate, groups.empty() ? no_units_ : groups[g]);
-          keep = !config_.alpha_beta || timer_.total_nops() < best_nops_;
-          if (keep) {
+        // Branch over the candidate's unit-signature groups (footnote 3's
+        // generalization): homogeneous ops have exactly one group, so the
+        // paper's machines take a single pass here.
+        const auto& groups =
+            *info_[static_cast<std::size_t>(candidate)].groups;
+        const std::size_t branches = groups.empty() ? 1 : groups.size();
+        for (std::size_t g = 0; g < branches; ++g) {
+          if (budget_->curtail(*stats_)) return leave_candidates(rank, full);
+          bool keep = true;
+          {
+            // Omega's incremental append: the placement itself plus, when
+            // rule [6] keeps it, every piece of state pushed alongside it.
+            // The rule reads only the timer's NOP count, so a placement it
+            // prunes never touches the hashes, the live values or the sets
+            // (DESIGN.md §3.11).
+            PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_append");
+            ++stats_->omega_calls;
+            timer_.push(candidate, groups.empty() ? no_units_ : groups[g]);
+            keep = !config_.alpha_beta || timer_.total_nops() < best_nops_;
+            if (keep) {
+              toggle_scheduled(candidate);
+              live_.push(candidate);
+              mark_placed(candidate);
+            }
+          }
+          if (!keep) {
+            // Rule [6]. Nothing below this placement ran, so the search is
+            // neither curtailed nor at zero NOPs: the loop goes on.
+            ++stats_->pruned_alpha_beta;
+            PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_undo");
+            timer_.pop();
+            continue;
+          }
+          if (config_.lower_bound_prune) {
+            PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "lower_bound");
+            if (completion_lower_bound() - static_cast<int>(n_) >=
+                best_nops_) {
+              keep = false;
+              ++stats_->pruned_lower_bound;
+            }
+          }
+          if (keep) descend<kProf>();
+
+          {
+            PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_undo");
+            mark_unplaced(candidate);
+            live_.pop(candidate);
             toggle_scheduled(candidate);
-            live_.push(candidate);
-            mark_placed(candidate);
+            timer_.pop();
+          }
+
+          // Curtailed deeper in the tree, or nothing can beat zero NOPs.
+          if (!stats_->completed || best_nops_ == 0) {
+            return leave_candidates(rank, full);
           }
         }
-        if (!keep) {
-          // Rule [6]. Nothing below this placement ran, so the search is
-          // neither curtailed nor at zero NOPs: the loop goes on.
-          ++stats_->pruned_alpha_beta;
-          PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_undo");
-          timer_.pop();
-          continue;
+        if (rank + 1 < n_ && budget_->curtail(*stats_)) {
+          return leave_candidates(rank + 1, full);
         }
-        if (config_.lower_bound_prune) {
-          PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "lower_bound");
-          if (completion_lower_bound() - static_cast<int>(n_) >=
-              best_nops_) {
-            keep = false;
-            ++stats_->pruned_lower_bound;
-          }
-        }
-        if (keep) descend<kProf>();
-
-        {
-          PS_PROF_PHASE_AT(kProf ? prof_ : nullptr, "omega_undo");
-          mark_unplaced(candidate);
-          live_.pop(candidate);
-          toggle_scheduled(candidate);
-          timer_.pop();
-        }
-
-        // Curtailed deeper in the tree, or nothing can beat zero NOPs.
-        if (!stats_->completed || best_nops_ == 0) {
-          return leave_candidates(rank, full);
-        }
-      }
-      if (rank + 1 < n_ && budget_->curtail(*stats_)) {
-        return leave_candidates(rank + 1, full);
       }
     }
     leave_candidates(n_, full);
@@ -502,7 +501,6 @@ class Search {
   PipelineTimer timer_;
   const std::size_t n_;
   std::vector<int> classes_;
-  std::vector<int> latency_height_;
   const int max_latency_;  ///< machine_.max_latency(), for state_key
   std::vector<TupleIndex> candidates_by_seed_;  ///< seed rank -> tuple
   /// What the candidate loop and the push and undo blocks read per tuple.
@@ -513,10 +511,12 @@ class Search {
     std::uint32_t rank = 0;  ///< seed rank
     int unplaced_preds = 0;
     int producer_latency = 0;  ///< latency_for(op)
-    /// While ready: when its producers' results are due (bound only).
-    int avail = 0;
   };
   std::vector<TupleInfo> info_;          ///< per tuple
+  /// By seed rank, while ready: when its producers' results are due
+  /// (bound only).
+  std::vector<int> avail_;
+  std::vector<int> height_;  ///< by seed rank: latency height
   const std::vector<PipelineId> no_units_;  ///< a sigma-empty op's units
   std::vector<std::uint64_t> ready_;     ///< bits over seed rank
   std::vector<std::uint64_t> unplaced_;  ///< bits over seed rank
