@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "util/bitset.hpp"
 #include "util/dominance_cache.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
@@ -158,9 +159,14 @@ class Search {
       info.unplaced_preds = static_cast<int>(dag_.preds(index).size());
       info.producer_latency = machine_.latency_for(op);
       set_bit(unplaced_, info.rank);
-      if (info.unplaced_preds == 0) set_bit(ready_, info.rank);
       if (live_.constrained() && live_.defines(index)) {
         set_bit(defines_, info.rank);
+        info.defining = 1;
+      }
+      if (info.unplaced_preds == 0) {
+        set_bit(ready_, info.rank);
+        ++ready_count_;
+        ready_defining_ += info.defining;
       }
     }
 
@@ -185,13 +191,17 @@ class Search {
   /// and, when the bound is on, records when its producers' results are
   /// due (DESIGN.md §3.11: the value holds while it stays ready).
   void mark_placed(TupleIndex t) {
-    const std::size_t rank = info_[static_cast<std::size_t>(t)].rank;
-    clear_bit(unplaced_, rank);
-    clear_bit(ready_, rank);
+    const TupleInfo& info = info_[static_cast<std::size_t>(t)];
+    clear_bit(unplaced_, info.rank);
+    clear_bit(ready_, info.rank);
+    --ready_count_;
+    ready_defining_ -= info.defining;
     for (TupleIndex s : dag_.succs(t)) {
       TupleInfo& succ = info_[static_cast<std::size_t>(s)];
       if (--succ.unplaced_preds != 0) continue;
       set_bit(ready_, succ.rank);
+      ++ready_count_;
+      ready_defining_ += succ.defining;
       if (config_.lower_bound_prune) avail_[succ.rank] = producers_available(s);
     }
   }
@@ -200,11 +210,16 @@ class Search {
   void mark_unplaced(TupleIndex t) {
     for (TupleIndex s : dag_.succs(t)) {
       TupleInfo& succ = info_[static_cast<std::size_t>(s)];
-      if (succ.unplaced_preds++ == 0) clear_bit(ready_, succ.rank);
+      if (succ.unplaced_preds++ != 0) continue;
+      clear_bit(ready_, succ.rank);
+      --ready_count_;
+      ready_defining_ -= succ.defining;
     }
-    const std::size_t rank = info_[static_cast<std::size_t>(t)].rank;
-    set_bit(unplaced_, rank);
-    set_bit(ready_, rank);
+    const TupleInfo& info = info_[static_cast<std::size_t>(t)];
+    set_bit(unplaced_, info.rank);
+    set_bit(ready_, info.rank);
+    ++ready_count_;
+    ready_defining_ += info.defining;
   }
 
   /// The cycle by which every producer of `t` (all placed) has its result
@@ -476,18 +491,24 @@ class Search {
   /// The candidate loop leaves at seed rank `rank`: count what it passed
   /// over below that rank. Rule [5b] skipped the waiting tuples (unplaced,
   /// not ready); when the node is `full`, the pressure test skipped the
-  /// ready tuples that define a value (DESIGN.md §3.11).
+  /// ready tuples that define a value (DESIGN.md §3.11). Below rank n that
+  /// is every such tuple, which the two ready counts give at once.
   void leave_candidates(std::size_t rank, bool full) {
+    if (rank == n_) {
+      stats_->pruned_readiness += n_ - timer_.depth() - ready_count_;
+      if (full) stats_->pruned_pressure += ready_defining_;
+      return;
+    }
     std::uint64_t waiting = 0;
     std::uint64_t blocked = 0;
     for (std::size_t w = 0; w * 64 < rank; ++w) {
       const std::uint64_t below =
           rank - w * 64 >= 64 ? ~std::uint64_t{0} : bit_of(rank) - 1;
       waiting += static_cast<std::uint64_t>(
-          std::popcount(unplaced_[w] & ~ready_[w] & below));
+          popcount64(unplaced_[w] & ~ready_[w] & below));
       if (full) {
         blocked += static_cast<std::uint64_t>(
-            std::popcount(ready_[w] & defines_[w] & below));
+            popcount64(ready_[w] & defines_[w] & below));
       }
     }
     stats_->pruned_readiness += waiting;
@@ -511,6 +532,7 @@ class Search {
     std::uint32_t rank = 0;  ///< seed rank
     int unplaced_preds = 0;
     int producer_latency = 0;  ///< latency_for(op)
+    std::uint32_t defining = 0;  ///< 1 when it defines a value (ceiling only)
   };
   std::vector<TupleInfo> info_;          ///< per tuple
   /// By seed rank, while ready: when its producers' results are due
@@ -522,6 +544,8 @@ class Search {
   std::vector<std::uint64_t> unplaced_;  ///< bits over seed rank
   /// Bits over seed rank: tuples that define a value (ceiling only).
   std::vector<std::uint64_t> defines_;
+  std::size_t ready_count_ = 0;     ///< |ready_|
+  std::size_t ready_defining_ = 0;  ///< |ready_ & defines_|
   /// One row of class_words_ words per depth: classes tried at that slot.
   std::vector<std::uint64_t> tried_stack_;
   std::size_t class_words_ = 0;

@@ -14,6 +14,16 @@
 
 namespace pipesched {
 
+/// The number of set bits in `w`. std::popcount compiles to a call into
+/// libgcc unless the target has a popcount instruction (-mpopcnt), which
+/// the baseline x86-64 build does not assume; this stays inline.
+inline int popcount64(std::uint64_t w) {
+  w -= (w >> 1) & 0x5555555555555555ull;
+  w = (w & 0x3333333333333333ull) + ((w >> 2) & 0x3333333333333333ull);
+  w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<int>((w * 0x0101010101010101ull) >> 56);
+}
+
 /// Read-only view of a set of instruction indices in [0, size()). The
 /// words must outlive the view.
 class BitRow {
@@ -49,7 +59,7 @@ class BitRow {
   std::size_t count() const {
     std::size_t n = 0;
     for (std::size_t i = 0; i < word_count(); ++i) {
-      n += static_cast<std::size_t>(__builtin_popcountll(words_[i]));
+      n += static_cast<std::size_t>(popcount64(words_[i]));
     }
     return n;
   }

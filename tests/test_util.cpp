@@ -1,6 +1,8 @@
 // Unit tests for the utility layer.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -83,6 +85,19 @@ TEST(Bitset, SetTestResetCount) {
   bits.reset(64);
   EXPECT_FALSE(bits.test(64));
   EXPECT_EQ(bits.count(), 2u);
+}
+
+TEST(Bitset, Popcount64MatchesStdPopcount) {
+  EXPECT_EQ(popcount64(0), 0);
+  EXPECT_EQ(popcount64(~std::uint64_t{0}), 64);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 1000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    EXPECT_EQ(popcount64(x), std::popcount(x)) << x;
+    EXPECT_EQ(popcount64(x & (x >> 3)), std::popcount(x & (x >> 3))) << x;
+  }
 }
 
 TEST(Bitset, SubsetAndDisjoint) {
