@@ -23,6 +23,9 @@ PipelineId Machine::add_pipeline(std::string function, int latency,
                                               << kMaxPipelineCycles << ", got "
                                               << enqueue);
   PS_CHECK(!function.empty(), "pipeline function name may not be empty");
+  PS_CHECK(pipelines_.size() < kMaxPipelines,
+           "machine '" << name_ << "' may have at most " << kMaxPipelines
+                       << " pipelines");
   pipelines_.push_back({std::move(function), latency, enqueue});
   rebuild_unit_groups();
   return static_cast<PipelineId>(pipelines_.size() - 1);

@@ -29,6 +29,11 @@ inline constexpr PipelineId kNoPipeline = -1;
 /// blocks far from int overflow and NOP padding to a sane size.
 inline constexpr int kMaxPipelineCycles = 1024;
 
+/// Most pipelines a machine may have. Every preset and machine file has 5
+/// or less; the optimal search packs a unit id into a 16-bit field of its
+/// state key, so no bound past 65,536 would be safe.
+inline constexpr std::size_t kMaxPipelines = 1024;
+
 struct PipelineDesc {
   std::string function;  ///< e.g. "loader", "adder", "multiplier"
   int latency = 1;       ///< 1..kMaxPipelineCycles
@@ -43,7 +48,8 @@ class Machine {
 
   /// Register a pipeline; returns its PipelineId (display ids are id+1,
   /// matching the paper's 1-based tables). Throws unless latency and
-  /// enqueue lie in 1..kMaxPipelineCycles.
+  /// enqueue lie in 1..kMaxPipelineCycles, or when the machine already
+  /// has kMaxPipelines pipelines.
   PipelineId add_pipeline(std::string function, int latency, int enqueue);
 
   /// Map an opcode to every pipeline whose function name matches.

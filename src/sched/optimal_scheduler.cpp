@@ -307,6 +307,10 @@ class Search {
     std::uint64_t verify;
   };
 
+  // A pack holds a unit id or a tuple index in bits 32-47.
+  static_assert(kMaxPipelines <= std::size_t{1} << 16);
+  static_assert(DepGraph::kMaxBlockTuples <= std::size_t{1} << 16);
+
   StateKey state_key() const {
     std::uint64_t h = scheduled_hash_;
     std::uint64_t h2 = scheduled_hash2_;

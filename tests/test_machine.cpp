@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "machine/machine.hpp"
 #include "machine/machine_parser.hpp"
@@ -166,6 +167,29 @@ TEST(MachineParser, RejectsCycleCountsAboveTheBound) {
       "map Add u\n");
   EXPECT_EQ(m.pipeline(0).latency, kMaxPipelineCycles);
   EXPECT_EQ(m.pipeline(0).enqueue, kMaxPipelineCycles);
+}
+
+// The optimal search packs a unit id into 16 bits of its state key, so a
+// machine may not have more units than kMaxPipelines.
+TEST(MachineParser, AcceptsAtMostTheMaximumUnitCount) {
+  const auto machine_text = [](std::size_t units) {
+    std::string text = "machine wide\n";
+    for (std::size_t u = 0; u < units; ++u) {
+      text.append("pipeline u latency 1 enqueue 1\n");
+    }
+    return text.append("map Add u\n");
+  };
+  const Machine m = parse_machine(machine_text(kMaxPipelines));
+  EXPECT_EQ(m.pipeline_count(), kMaxPipelines);
+  EXPECT_EQ(m.pipelines_for(Opcode::Add).size(), kMaxPipelines);
+  try {
+    parse_machine(machine_text(kMaxPipelines + 1));
+    FAIL() << "a machine with one unit past the limit was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 1024 pipelines"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Machine, ToStringShowsBothTables) {
