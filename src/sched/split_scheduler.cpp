@@ -11,32 +11,56 @@ namespace pipesched {
 
 namespace {
 
+/// One placement of a window: the tuple and the index of the unit group
+/// (Machine::unit_groups of its op) it is pushed on; 0 for a sigma-empty
+/// op, which is pushed with no units.
+struct WindowStep {
+  TupleIndex tuple;
+  std::size_t group;
+};
+
+/// The units `t` is pushed on in its op's unit group `group`: none for a
+/// sigma-empty op.
+const std::vector<PipelineId>& group_units(const Machine& machine,
+                                           const DepGraph& dag, TupleIndex t,
+                                           std::size_t group) {
+  static const std::vector<PipelineId> kNoUnits;
+  const auto& groups = machine.unit_groups(dag.block().tuple(t).op);
+  return groups.empty() ? kNoUnits : groups[group];
+}
+
 /// Branch-and-bound over one window of instructions, extending the shared
-/// timer. Local alpha-beta: window cost relative to the incumbent window
-/// cost; the incumbent is the window in list order. Lambda is per window;
-/// the deadline, armed once in `budget`, covers the whole split.
+/// timer, over each instruction's order and unit group as the global
+/// search branches. Local alpha-beta: window cost relative to the
+/// incumbent window cost; the incumbent is the window in list order, each
+/// on its earliest-free unit. Lambda is per window; the deadline, armed
+/// once in `budget`, covers the whole split.
 class WindowSearch {
  public:
-  WindowSearch(const DepGraph& dag, PipelineTimer& timer,
-               const SearchConfig& config, SearchBudget& budget,
-               const std::vector<TupleIndex>& window)
-      : dag_(dag),
+  WindowSearch(const Machine& machine, const DepGraph& dag,
+               PipelineTimer& timer, const SearchConfig& config,
+               SearchBudget& budget, const std::vector<TupleIndex>& window)
+      : machine_(machine),
+        dag_(dag),
         timer_(timer),
         config_(config),
         budget_(budget),
         window_(window) {}
 
-  /// Returns the locally optimal window order; accumulates stats. A cut
-  /// window marks stats curtailed and names the budget that ran out.
-  std::vector<TupleIndex> run(SearchStats& stats) {
+  /// Returns the locally optimal window placements; accumulates stats. A
+  /// cut window marks stats curtailed and names the budget that ran out.
+  std::vector<WindowStep> run(SearchStats& stats) {
     stats_ = &stats;
     lambda_base_ = stats.omega_calls;
 
-    // Incumbent: the window in list order (always legal).
+    // Incumbent: the window in list order (always legal), each tuple in
+    // the group of the unit the timer picks over all its alternatives.
     base_nops_ = timer_.total_nops();
-    for (TupleIndex t : window_) timer_.push(t);
+    for (TupleIndex t : window_) {
+      timer_.push(t);
+      best_order_.push_back({t, group_of(t, timer_.placements().back().unit)});
+    }
     best_cost_ = timer_.total_nops() - base_nops_;
-    best_order_ = window_;
     for (std::size_t k = 0; k < window_.size(); ++k) timer_.pop();
 
     if (best_cost_ > 0) descend();
@@ -44,6 +68,17 @@ class WindowSearch {
   }
 
  private:
+  /// The index of the group of `t`'s op that holds `unit` (0 when none).
+  std::size_t group_of(TupleIndex t, PipelineId unit) const {
+    const auto& groups = machine_.unit_groups(dag_.block().tuple(t).op);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (PipelineId u : groups[g]) {
+        if (u == unit) return g;
+      }
+    }
+    return 0;
+  }
+
   void descend() {
     if (current_.size() == window_.size()) {
       ++stats_->schedules_examined;
@@ -71,29 +106,39 @@ class WindowSearch {
       }
       if (!ready) continue;
 
-      ++stats_->omega_calls;
-      if (budget_.count_node(*stats_)) {
-        budget_.tick(*stats_, base_nops_ + best_cost_, current_.size(), 0, 0);
+      const std::size_t branches = std::max<std::size_t>(
+          1, machine_.unit_groups(dag_.block().tuple(candidate).op).size());
+      for (std::size_t g = 0; g < branches; ++g) {
+        if (g > 0 && budget_.curtail(*stats_, lambda_base_)) {
+          truncated_ = true;
+          return;
+        }
+        ++stats_->omega_calls;
+        if (budget_.count_node(*stats_)) {
+          budget_.tick(*stats_, base_nops_ + best_cost_, current_.size(), 0,
+                       0);
+        }
+        timer_.push(candidate, group_units(machine_, dag_, candidate, g));
+        current_.push_back({candidate, g});
+        const bool keep = !config_.alpha_beta ||
+                          timer_.total_nops() - base_nops_ < best_cost_;
+        if (keep) descend();
+        current_.pop_back();
+        timer_.pop();
+        if (truncated_) return;
+        if (best_cost_ == 0) return;
       }
-      timer_.push(candidate);
-      current_.push_back(candidate);
-      const bool keep = !config_.alpha_beta ||
-                        timer_.total_nops() - base_nops_ < best_cost_;
-      if (keep) descend();
-      current_.pop_back();
-      timer_.pop();
-      if (truncated_) return;
-      if (best_cost_ == 0) return;
     }
   }
 
+  const Machine& machine_;
   const DepGraph& dag_;
   PipelineTimer& timer_;
   const SearchConfig& config_;
   SearchBudget& budget_;
   const std::vector<TupleIndex>& window_;
-  std::vector<TupleIndex> current_;
-  std::vector<TupleIndex> best_order_;
+  std::vector<WindowStep> current_;
+  std::vector<WindowStep> best_order_;
   int best_cost_ = 0;
   int base_nops_ = 0;
   std::uint64_t lambda_base_ = 0;
@@ -124,15 +169,13 @@ ScheduleResult split_schedule(const Machine& machine, const DepGraph& dag,
     const std::vector<TupleIndex> window(
         list_order.begin() + static_cast<std::ptrdiff_t>(begin),
         list_order.begin() + static_cast<std::ptrdiff_t>(end));
-    WindowSearch search(dag, timer, config, budget, window);
-    const std::vector<TupleIndex> best = search.run(result.stats);
-    for (TupleIndex t : best) timer.push(t);
+    WindowSearch search(machine, dag, timer, config, budget, window);
+    for (const WindowStep& step : search.run(result.stats)) {
+      timer.push(step.tuple, group_units(machine, dag, step.tuple, step.group));
+    }
   }
-  // Proven only if one window searched every order and every unit choice
-  // (the window search leaves heterogeneous units to the timer).
-  if (n > width || machine.has_heterogeneous_alternatives()) {
-    result.stats.completed = false;
-  }
+  // Proven only if one window searched every order and unit group.
+  if (n > width) result.stats.completed = false;
   if (SearchBudget::observed()) {
     budget.tick(result.stats, timer.total_nops(), timer.depth(), 0, 0);
   }

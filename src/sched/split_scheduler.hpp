@@ -8,16 +8,17 @@
 //
 // Exactly that: the list schedule is cut into windows of
 // SearchConfig::split_window instructions; each window is branch-and-bound
-// searched to a locally optimal order *given everything already
-// scheduled* (the shared incremental timer carries issue times and unit
-// occupancy across the cut), then frozen. Window k's instructions can
+// searched to a locally optimal order and unit-group choice *given
+// everything already scheduled* (the shared incremental timer carries
+// issue times and unit occupancy across the cut), then frozen. Window k's instructions can
 // only depend on windows <= k because the list order is topological, so
 // any within-window reordering stays globally legal.
 //
 // Guarantees: the result never needs more NOPs than the plain list
 // schedule (each window's search starts from the list order as incumbent),
-// and equals the global optimum whenever split_window >= block size on a
-// machine without heterogeneous alternative units.
+// and equals the global optimum whenever split_window >= block size: the
+// window search branches over each op's unit groups as the global search
+// does.
 #pragma once
 
 #include "sched/schedule.hpp"
@@ -30,9 +31,8 @@ namespace pipesched {
 /// pipeline state `initial`; initial_nops is the list order's cost from
 /// it. λ caps each window's placements; the deadline covers the whole
 /// split. stats.completed is true only when one uncut window covers the
-/// block on a machine without heterogeneous alternative units (the window
-/// search does not branch over a unit choice): the one case that proves
-/// the result optimal. Otherwise it is false with curtail_reason None,
+/// block: the one case that proves the result optimal. Otherwise it is
+/// false with curtail_reason None,
 /// and a cut window records Lambda or Deadline. Flushes its stats into
 /// the metrics registry once.
 ScheduleResult split_schedule(const Machine& machine, const DepGraph& dag,
