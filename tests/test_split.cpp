@@ -1,6 +1,9 @@
 // Tests for the Section 5.3 block-splitting scheduler.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ir/dag.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/optimal_scheduler.hpp"
@@ -144,10 +147,30 @@ TEST(Split, ClaimsOptimalOnlyWhenItIs) {
 
 TEST(Split, OneWindowMatchesTheOptimumOnEveryPreset) {
   // The window search tries each unit group of a candidate, as the global
-  // search does; without that, a one-window split on asymmetric-alus was
-  // worse than the optimum on more than half of these blocks.
+  // search does; when it took the timer's earliest-free unit instead, a
+  // one-window split on asymmetric-alus was worse than the optimum on
+  // more than half of these blocks. The last machine lists its slow ALU
+  // first, so trying the first group alone is not enough either.
+  std::vector<Machine> machines;
   for (const std::string& name : Machine::preset_names()) {
-    const Machine machine = Machine::preset(name);
+    machines.push_back(Machine::preset(name));
+  }
+  Machine slow_first("slow-alu-first");
+  slow_first.add_pipeline("loader", 3, 1);
+  slow_first.add_pipeline("slow-alu", 4, 1);
+  slow_first.add_pipeline("fast-alu", 1, 1);
+  slow_first.add_pipeline("multiplier", 5, 2);
+  slow_first.map_op(Opcode::Load, "loader");
+  for (Opcode op : {Opcode::Add, Opcode::Sub, Opcode::Neg}) {
+    slow_first.map_op(op, "slow-alu");
+    slow_first.map_op(op, "fast-alu");
+  }
+  slow_first.map_op(Opcode::Mul, "multiplier");
+  slow_first.map_op(Opcode::Div, "multiplier");
+  machines.push_back(slow_first);
+
+  for (const Machine& machine : machines) {
+    const std::string& name = machine.name();
     int blocks = 0;
     for (std::uint64_t seed = 1; seed <= 300; ++seed) {
       GeneratorParams params;
