@@ -29,46 +29,49 @@ ZobristKeys::ZobristKeys(std::size_t elements, std::uint64_t seed) {
   }
 }
 
-DominanceCache::InitialTable& DominanceCache::initial_table() {
+DominanceCache::ThreadTables& DominanceCache::thread_tables() {
   // Freed when the thread exits, unlike a ThreadSlots slot, which lives as
-  // long as the process.
-  thread_local InitialTable table{std::vector<Entry>(kMinEntries)};
-  return table;
+  // long as the process. claim() gives each table its slots.
+  thread_local ThreadTables tables;
+  return tables;
+}
+
+std::uint16_t DominanceCache::claim(Table& table, std::size_t size) {
+  // New slots carry tag 0, which no generation takes.
+  if (table.entries.size() < size) table.entries.resize(size);
+  // When the tag wraps, an old slot could match again: clear them once.
+  if (++table.generation == 0) {
+    std::fill(table.entries.begin(), table.entries.end(), Entry{});
+    table.generation = 1;
+  }
+  return table.generation;
 }
 
 DominanceCache::DominanceCache(std::size_t max_bytes)
-    : max_entries_(
+    : size_(kMinEntries),
+      max_entries_(
           std::max(kMinEntries, floor_pow2(max_bytes / sizeof(Entry)))) {
-  InitialTable& initial = initial_table();
-  if (initial.lent) {
-    // Another cache on this thread holds the table: start on a fresh one,
-    // whose zero tags never match generation 1.
-    entries_.assign(kMinEntries, Entry{});
+  ThreadTables& tables = thread_tables();
+  if (tables.lent) {
+    // Another cache on this thread holds the tables: start on a fresh
+    // one, whose zero tags never match generation 1.
+    own_.assign(kMinEntries, Entry{});
+    entries_ = own_.data();
     return;
   }
-  // A new generation leaves every slot of the last search empty. When the
-  // tag wraps, an old slot could match again, so clear the table once.
-  if (++initial.generation == 0) {
-    std::fill(initial.entries.begin(), initial.entries.end(), Entry{});
-    initial.generation = 1;
-  }
-  generation_ = initial.generation;
-  entries_.swap(initial.entries);
-  initial.lent = true;
-  lender_ = &initial;
-}
-
-void DominanceCache::return_initial_table(std::vector<Entry>& table) {
-  // The table and its generation count belong to the thread that lent it.
-  PS_ASSERT(lender_ == &initial_table());
-  lender_->entries.swap(table);
-  lender_->lent = false;
-  lender_ = nullptr;
+  generation_ = claim(tables.initial, kMinEntries);
+  entries_ = tables.initial.entries.data();
+  tables.lent = true;
+  lender_ = &tables;
 }
 
 DominanceCache::~DominanceCache() {
-  const std::size_t capacity = entries_.size();
-  if (lender_ != nullptr) return_initial_table(entries_);
+  if (lender_ != nullptr) {
+    // The tables and their generation counts belong to the thread that
+    // lent them.
+    PS_ASSERT(lender_ == &thread_tables());
+    lender_->lent = false;
+  }
   // Substrate-level view of cache behavior, distinct from the per-search
   // ps_search_cache_events_total family: these describe the table itself
   // (how full it ran, how much it churned), accumulated as each
@@ -94,18 +97,19 @@ DominanceCache::~DominanceCache() {
       "Probes whose 64-bit key matched but whose verification word did "
       "not, across all retired caches");
   entries.set(static_cast<double>(used_));
-  cap.set(static_cast<double>(capacity));
+  cap.set(static_cast<double>(size_));
   inserts.add(stats_.inserts);
   evictions.add(stats_.evictions);
   superseded.add(stats_.superseded);
   verified_rejects.add(stats_.verified_rejects);
 }
 
-bool DominanceCache::place(std::vector<Entry>& table, const Entry& e) const {
-  const std::size_t mask = table.size() - 1;
+bool DominanceCache::place(Entry* table, std::size_t size,
+                           const Entry& e) const {
+  const std::size_t mask = size - 1;
   for (std::size_t w = 0; w < kProbeWindow; ++w) {
     Entry& slot = table[(e.key + w) & mask];
-    if (!live(slot)) {
+    if (slot.generation != e.generation) {
       slot = e;
       return true;
     }
@@ -114,19 +118,38 @@ bool DominanceCache::place(std::vector<Entry>& table, const Entry& e) const {
 }
 
 void DominanceCache::maybe_grow() {
-  if (used_ * 2 < entries_.size() || entries_.size() >= max_entries_) return;
-  // A fresh table's zero tags never match a generation, which starts at 1.
-  std::vector<Entry> bigger(entries_.size() * 2, Entry{});
+  if (used_ * 2 < size_ || size_ >= max_entries_) return;
+  const std::size_t size = size_ * 2;
+  Entry* bigger = nullptr;
+  std::uint16_t generation = generation_;
+  std::vector<Entry> fresh;
+  if (lender_ != nullptr) {
+    Table& buffer = lender_->growth[next_growth_];
+    next_growth_ ^= 1;
+    generation = claim(buffer, size);
+    bigger = buffer.entries.data();
+  } else {
+    // A fresh table's zero tags never match a generation, which starts
+    // at 1.
+    fresh.assign(size, Entry{});
+    bigger = fresh.data();
+  }
+  // Slot order, as before: the doubled table comes out the same.
   std::size_t kept = 0;
-  for (const Entry& e : entries_) {
-    if (live(e) && place(bigger, e)) ++kept;
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (!live(entries_[i])) continue;
+    Entry moved = entries_[i];
+    moved.generation = generation;
+    if (place(bigger, size, moved)) ++kept;
   }
   // Entries that no longer fit their probe window are simply dropped:
   // the cache is a pruning accelerator, never a correctness requirement.
   stats_.evictions += used_ - kept;
   used_ = kept;
-  entries_.swap(bigger);
-  if (lender_ != nullptr) return_initial_table(bigger);
+  entries_ = bigger;
+  size_ = size;
+  generation_ = generation;
+  if (lender_ == nullptr) own_.swap(fresh);
 }
 
 bool DominanceCache::probe_and_update(std::uint64_t key, std::uint64_t verify,
@@ -134,7 +157,7 @@ bool DominanceCache::probe_and_update(std::uint64_t key, std::uint64_t verify,
   PS_ASSERT(depth >= 0 && depth < (1 << 16));
   ++stats_.probes;
 
-  const std::size_t mask = entries_.size() - 1;
+  const std::size_t mask = size_ - 1;
   const auto depth16 = static_cast<std::uint16_t>(depth);
   std::size_t victim = key & mask;
   for (std::size_t w = 0; w < kProbeWindow; ++w) {

@@ -26,9 +26,10 @@
 //     byte budget so tiny searches pay near-zero setup cost. All traffic
 //     is counted (probes/hits/misses/inserts/evictions/superseded/
 //     verified_rejects) for telemetry. Each thread keeps one initial
-//     table and lends it to one cache at a time; a per-search generation
-//     tag marks every slot an earlier search left as empty, so a search
-//     neither allocates nor clears its initial table (DESIGN.md Section
+//     table and two growth buffers and lends them to one cache at a time;
+//     a generation tag, fresh for each search and each growth, marks
+//     every slot an earlier search or table size left as empty, so a
+//     search neither allocates nor clears its tables (DESIGN.md Section
 //     3.12).
 //
 // Soundness note: a match on the 64-bit key alone is NOT proof that two
@@ -129,7 +130,7 @@ class DominanceCache {
                         int cost);
 
   const DominanceCacheStats& stats() const { return stats_; }
-  std::size_t capacity() const { return entries_.size(); }
+  std::size_t capacity() const { return size_; }
 
  private:
   struct Entry {
@@ -141,28 +142,41 @@ class DominanceCache {
   };
   static_assert(sizeof(Entry) == 24);
 
-  /// The calling thread's initial table and the generation of its last
-  /// search.
-  struct InitialTable {
+  /// A thread's table: its slots, at least as many as any cache has used
+  /// it for, and the generation of its last use.
+  struct Table {
     std::vector<Entry> entries;
     std::uint16_t generation = 0;
+  };
+  /// The calling thread's tables: the initial one, and two growth
+  /// buffers that the doublings of one search fill in turn, so a
+  /// doubling never reads the buffer it writes.
+  struct ThreadTables {
+    Table initial;
+    Table growth[2];
     bool lent = false;
   };
-  static InitialTable& initial_table();
+  static ThreadTables& thread_tables();
+  /// The first `size` slots of `table` under a fresh generation, which
+  /// leaves every slot an earlier use filled empty.
+  static std::uint16_t claim(Table& table, std::size_t size);
 
   static constexpr std::size_t kProbeWindow = 8;
 
   bool live(const Entry& e) const { return e.generation == generation_; }
   void maybe_grow();
-  bool place(std::vector<Entry>& table, const Entry& e) const;
-  void return_initial_table(std::vector<Entry>& table);
+  bool place(Entry* table, std::size_t size, const Entry& e) const;
 
-  std::vector<Entry> entries_;
+  Entry* entries_ = nullptr;  ///< size_ slots, in a thread table or own_
+  std::size_t size_ = 0;
   std::size_t max_entries_;
   std::size_t used_ = 0;
   std::uint16_t generation_ = 1;
-  /// The thread whose initial table entries_ is, or null.
-  InitialTable* lender_ = nullptr;
+  /// The thread whose tables entries_ lies in, or null.
+  ThreadTables* lender_ = nullptr;
+  std::size_t next_growth_ = 0;  ///< the growth buffer the next doubling fills
+  /// The table when another cache on this thread holds its tables.
+  std::vector<Entry> own_;
   DominanceCacheStats stats_;
 };
 

@@ -235,7 +235,8 @@ TEST(DominanceCache, EverySearchStartsOnAnEmptyTable) {
   // unknown. The generation comes round again after 65,535 searches, so
   // the wrap must clear the table: kKept is stored once and probed again
   // exactly one cycle later. A second cache alive on the same thread
-  // starts on its own table.
+  // starts on its own table. The tables a search grows into are the
+  // thread's too, and start empty in the same way.
   constexpr std::uint64_t kKey = 1000;
   constexpr std::uint64_t kKept = kKey + 512;  // another probe window
   constexpr int kCycle = 65535;
@@ -249,6 +250,26 @@ TEST(DominanceCache, EverySearchStartsOnAnEmptyTable) {
     if (search == 1) {
       DominanceCache nested(kSearchMemoBytes);
       EXPECT_FALSE(nested.probe_and_update(kKey, 1, 3, 7));
+    }
+  }
+
+  // A search's doublings fill the thread's two growth buffers in turn:
+  // 6,000 states take one search from 1,024 slots through 2,048 and 8,192
+  // in one buffer and 4,096 and 16,384 in the other. Keys 0 to 5,999 take
+  // distinct slots at every size, so a slot that an earlier search, or
+  // this one at a smaller size, filled and that read as live would show
+  // as a hit or an eviction.
+  for (int search = 0; search < 2; ++search) {
+    DominanceCache cache(kSearchMemoBytes);
+    for (std::uint64_t key = 0; key < 6000; ++key) {
+      ASSERT_FALSE(cache.probe_and_update(key, key, 4, 9))
+          << "search " << search << ", key " << key;
+    }
+    EXPECT_EQ(cache.capacity(), 16384u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    for (std::uint64_t key = 0; key < 6000; ++key) {
+      ASSERT_TRUE(cache.probe_and_update(key, key, 4, 9))
+          << "search " << search << ", key " << key;
     }
   }
 }
