@@ -37,8 +37,13 @@ DominanceCache::ThreadTables& DominanceCache::thread_tables() {
 }
 
 std::uint16_t DominanceCache::claim(Table& table, std::size_t size) {
-  // New slots carry tag 0, which no generation takes.
-  if (table.entries.size() < size) table.entries.resize(size);
+  if (table.entries.size() < size) {
+    // Free the old slots first: none is live, and a thread then never
+    // holds more than a doubling held before. New slots carry tag 0,
+    // which no generation takes.
+    std::vector<Entry>().swap(table.entries);
+    table.entries.resize(size);
+  }
   // When the tag wraps, an old slot could match again: clear them once.
   if (++table.generation == 0) {
     std::fill(table.entries.begin(), table.entries.end(), Entry{});
