@@ -40,25 +40,20 @@ PipelineTimer::PipelineTimer(const Machine& machine, const DepGraph& dag,
   machine.validate();
   placements_.reserve(dag.size());
   position_of_.assign(dag.size(), -1);
-  unit_latency_.reserve(machine.pipeline_count());
-  unit_enqueue_.reserve(machine.pipeline_count());
+  PS_CHECK(initial.unit_last_issue.empty() ||
+               initial.unit_last_issue.size() == machine.pipeline_count(),
+           "pipeline state does not match the machine's unit count");
+  units_.reserve(machine.pipeline_count());
   for (std::size_t u = 0; u < machine.pipeline_count(); ++u) {
     const PipelineDesc& desc = machine.pipeline(static_cast<PipelineId>(u));
-    unit_latency_.push_back(desc.latency);
-    unit_enqueue_.push_back(desc.enqueue);
-  }
-  if (initial.unit_last_issue.empty()) {
-    unit_last_issue_.assign(machine.pipeline_count(), kUnitIdle);
-  } else {
-    PS_CHECK(initial.unit_last_issue.size() == machine.pipeline_count(),
-             "pipeline state does not match the machine's unit count");
-    unit_last_issue_ = initial.unit_last_issue;
-    for (int last : unit_last_issue_) {
-      PS_CHECK(last <= 0,
-               "initial unit occupancy must be at or before block entry "
-               "(cycle 0), got "
-                   << last);
-    }
+    const int last = initial.unit_last_issue.empty()
+                         ? kUnitIdle
+                         : initial.unit_last_issue[u];
+    PS_CHECK(last <= 0,
+             "initial unit occupancy must be at or before block entry "
+             "(cycle 0), got "
+                 << last);
+    units_.push_back({last, desc.latency, desc.enqueue});
   }
 }
 
@@ -112,15 +107,15 @@ int PipelineTimer::push(TupleIndex t,
   placement.available =
       chosen == kNoPipeline
           ? issue
-          : issue + unit_latency_[static_cast<std::size_t>(chosen)];
+          : issue + units_[static_cast<std::size_t>(chosen)].latency;
   placement.eta = eta;
   placement.unit = chosen;
   placement.prev_unit_last_issue =
       chosen == kNoPipeline
           ? 0
-          : unit_last_issue_[static_cast<std::size_t>(chosen)];
+          : units_[static_cast<std::size_t>(chosen)].last_issue;
   if (chosen != kNoPipeline) {
-    unit_last_issue_[static_cast<std::size_t>(chosen)] = issue;
+    units_[static_cast<std::size_t>(chosen)].last_issue = issue;
   }
   position_of_[static_cast<std::size_t>(t)] =
       static_cast<int>(placements_.size());
@@ -133,7 +128,7 @@ void PipelineTimer::pop() {
   PS_ASSERT(!placements_.empty());
   const Placement& placement = placements_.back();
   if (placement.unit != kNoPipeline) {
-    unit_last_issue_[static_cast<std::size_t>(placement.unit)] =
+    units_[static_cast<std::size_t>(placement.unit)].last_issue =
         placement.prev_unit_last_issue;
   }
   position_of_[static_cast<std::size_t>(placement.tuple)] = -1;

@@ -121,17 +121,12 @@ class PipelineTimer {
   /// state hashing: recent placements carry the pending-latency residue).
   const std::vector<Placement>& placements() const { return placements_; }
 
-  /// Cycle at which unit `u` last accepted an operation (very negative
-  /// when never used; see PipelineState).
-  int unit_last_issue(PipelineId u) const {
-    return unit_last_issue_[static_cast<std::size_t>(u)];
-  }
-
-  /// Earliest cycle at which unit `u` accepts its next operation: its
-  /// last issue plus its enqueue time.
+  /// Earliest cycle at which unit `u` accepts its next operation: the
+  /// cycle it last accepted one (very negative when never used; see
+  /// PipelineState) plus its enqueue time.
   int unit_ready(PipelineId u) const {
-    const auto k = static_cast<std::size_t>(u);
-    return unit_last_issue_[k] + unit_enqueue_[k];
+    const Unit& unit = units_[static_cast<std::size_t>(u)];
+    return unit.last_issue + unit.enqueue;
   }
 
  private:
@@ -139,9 +134,14 @@ class PipelineTimer {
   const DepGraph* dag_;
   std::vector<Placement> placements_;
   std::vector<int> position_of_;       // tuple -> stack index, -1 if absent
-  std::vector<int> unit_last_issue_;   // per pipeline unit, 0 = never used
-  std::vector<int> unit_latency_;      // per pipeline unit
-  std::vector<int> unit_enqueue_;      // per pipeline unit
+  /// Per pipeline unit: the cycle it last accepted an operation, and its
+  /// PipelineDesc's times.
+  struct Unit {
+    int last_issue;
+    int latency;
+    int enqueue;
+  };
+  std::vector<Unit> units_;
   int total_nops_ = 0;
 };
 
