@@ -139,7 +139,7 @@ void DominanceCache::maybe_grow() {
     fresh.assign(size, Entry{});
     bigger = fresh.data();
   }
-  // Slot order, as before: the doubled table comes out the same.
+  // In slot order: the counts depend on which entries keep their window.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < size_; ++i) {
     if (!live(entries_[i])) continue;
