@@ -10,9 +10,9 @@
 // SearchConfig::split_window instructions; each window is branch-and-bound
 // searched to a locally optimal order and unit-group choice *given
 // everything already scheduled* (the shared incremental timer carries
-// issue times and unit occupancy across the cut), then frozen. Window k's instructions can
-// only depend on windows <= k because the list order is topological, so
-// any within-window reordering stays globally legal.
+// issue times and unit occupancy across the cut), then frozen. Window k's
+// instructions can only depend on windows <= k because the list order is
+// topological, so any within-window reordering stays globally legal.
 //
 // Guarantees: the result never needs more NOPs than the plain list
 // schedule (each window's search starts from the list order as incumbent),
